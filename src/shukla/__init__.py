@@ -22,8 +22,8 @@ from .mixed import (
     filtration_layers, hochschild_total, validate,
 )
 from .gammaforms import (
-    GammaFormsComplex, WitnessReport, build_gamma_forms, e2_hh, hc_assemble,
-    hh_assemble, hh_layers, witness_model, witness_nondegeneracy,
+    GammaFormsComplex, WitnessReport, build_gamma_forms, hc_assemble, hh_assemble,
+    hh_layers, witness_model, witness_nondegeneracy,
 )
 from .baroracle import (
     FiniteAlgebra, cyclic_mixed, from_presentation, hc_oracle, hh_oracle,

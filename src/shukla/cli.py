@@ -143,6 +143,8 @@ def parse(text):
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "ring":
+            if ring is not None:
+                raise ParseError("second 'ring' statement", line_no, 1)
             if rest == "Z":
                 ring = GroundRing.Z()
             elif rest == "Q":
@@ -175,11 +177,16 @@ def parse(text):
                 poly_bound = int(rest)
             except ValueError:
                 raise ParseError(f"bad polybound {rest!r}", line_no)
+            if poly_bound < 0:
+                raise ParseError("polybound must be >= 0", line_no)
         else:
             raise ParseError(f"unknown statement {head!r}", line_no, 1)
     if ring is None:
         raise ParseError("missing 'ring' statement")
     relations = tuple(parse_poly(rest, variables, ln) for ln, rest in rel_lines)
+    for (ln, _), rel in zip(rel_lines, relations):
+        if all(ring.is_zero(ring.normalize(c)) for c in rel.values()):
+            raise ParseError(f"relation is zero over {ring!r}", ln)
     job = JobSpec(ring, tuple(variables), relations, n_max, poly_bound)
     pres = job.presentation()
     if not pres.is_quasi_monic:
@@ -223,8 +230,7 @@ def run(job, command):
             return report, True
         if command == "hc":
             _, G = _forms_complex(job)
-            fg = hc_assemble(G, job.n_max)
-            report["hc"] = _groups_json([fg.total[n] for n in sorted(fg.total)])
+            report["hc"] = _groups_json(cyclic_total(G.complex, job.n_max))
             return report, True
         if command == "layers":
             _, G = _forms_complex(job)
@@ -269,9 +275,8 @@ def _agree_table(columns):
 def _run_compare(job, report):
     pres, G = _forms_complex(job)
     n = job.n_max
-    hh_cols = {"gamma_forms": dict(enumerate(hh_layers(G, n).total.values()))}
-    fg = hc_assemble(G, n)
-    hc_cols = {"gamma_forms": {k: fg.total[k] for k in sorted(fg.total)}}
+    hh_cols = {"gamma_forms": dict(enumerate(hh_assemble(G, n)))}
+    hc_cols = {"gamma_forms": dict(enumerate(cyclic_total(G.complex, n)))}
     hc_weak = {}
     if pres.is_quasi_monic:
         env = Envelope.make(pres)

@@ -24,9 +24,9 @@ from .dpalgebra import (
     GradedAlgebra, basis_slice, derivation_matrix, derive,
 )
 from .errors import CompositionNonzero, HypothesisViolated, UnitP, WindowTooSmall
-from .linalg import homology_at, preimage
-from .mixed import DoubleMixedComplex, cyclic_total, filtration_layers
-from .models import FreeDGA, tate_extend, trivial_model
+from .linalg import preimage
+from .mixed import DoubleMixedComplex, filtration_layers
+from .models import FreeDGA, check_boundary_square, tate_extend
 
 
 @dataclass
@@ -47,14 +47,6 @@ class GammaFormsComplex:
     def slice(self, hdeg, weight):
         return self.slices.get((hdeg, weight))
 
-    def delta_matrix(self, hdeg, weight):
-        from .dpalgebra import Slice
-        src = self.slices[(hdeg, weight)]
-        tgt = self.slices.get((hdeg - 1, weight))
-        if tgt is None:
-            tgt = Slice(self.algebra, hdeg - 1, weight, self.poly_bound, ())
-        return derivation_matrix(self.delta, src, tgt)
-
 
 def default_poly_bound(model, n_max):
     """Weighted-degree cap covering every class the window can report.
@@ -68,7 +60,7 @@ def default_poly_bound(model, n_max):
 
 def build_gamma_forms(model, n_max, poly_bound=None):
     """Assemble the divided-power de Rham mixed complex of a model."""
-    if not _boundary_squares(model):
+    if not check_boundary_square(model):
         raise CompositionNonzero("model boundary does not square to zero")
     base = model.algebra
     gens = list(base.generators)
@@ -131,60 +123,21 @@ def build_gamma_forms(model, n_max, poly_bound=None):
                              n_max, poly_bound)
 
 
-def _boundary_squares(model):
-    for g in model.algebra.generators:
-        if not derive(model.boundary, model.boundary.value_of(g.name)).is_zero():
-            return False
-    return True
-
-
-def e2_hh(G, n_max):
-    """Strand homology E2_{p,q}: classes of homological degree p + q and
-    weight q under delta.  Zero spots are omitted."""
-    if n_max > G.n_max:
-        raise WindowTooSmall(f"complex built for n_max = {G.n_max}")
-    ring = G.algebra.ring
-    out = {}
-    for n in range(n_max + 1):
-        for q in range(n + 1):
-            h = n
-            d_in = _delta_matrix_safe(G, h + 1, q)
-            d_out = _delta_matrix_safe(G, h, q)
-            grp = homology_at(d_in, d_out, ring)
-            if not grp.is_trivial():
-                out[(n - q, q)] = grp
-    return out
-
-
-def _delta_matrix_safe(G, hdeg, weight):
-    from .dpalgebra import Slice
-    from .linalg import SparseMatrix
-    src = G.slices.get((hdeg, weight))
-    tgt = G.slices.get((hdeg - 1, weight))
-    src_dim = src.dim if src else 0
-    tgt_dim = tgt.dim if tgt else 0
-    if not src_dim:
-        return SparseMatrix(tgt_dim, 0, G.algebra.ring)
-    if tgt is None:
-        tgt = Slice(G.algebra, hdeg - 1, weight, G.poly_bound, ())
-    return derivation_matrix(G.delta, src, tgt)
-
-
 def hh_assemble(G, n_max):
-    """Hochschild homology through degeneracy: the direct sum of the
-    strand homology across weights, valid for models with generators in
-    degrees 0 and 1 only."""
+    """Hochschild homology HH_0..HH_n_max through degeneracy: the direct
+    sum over weights of the delta-strand homology, i.e. the totals of
+    hh_layers(G, n_max), read off the delta matrices build_gamma_forms
+    stored.
+
+    The shortcut is valid for models with generators in degrees 0 and 1
+    only; any other model raises HypothesisViolated.
+    """
     if any(g.hdeg >= 2 for g in G.model.algebra.generators):
         raise HypothesisViolated(
             "degeneracy shortcut needs all model generators in degree <= 1; "
             "use filtration_layers on the complex instead")
-    e2 = e2_hh(G, n_max)
-    from .linalg import HomologyGroup
-    out = []
-    for n in range(n_max + 1):
-        parts = [e2[(n - q, q)] for q in range(n + 1) if (n - q, q) in e2]
-        out.append(HomologyGroup(0, ()).direct_sum(*parts))
-    return out
+    total = hh_layers(G, n_max).total
+    return [total[n] for n in range(n_max + 1)]
 
 
 def hc_assemble(G, n_max):
@@ -258,11 +211,3 @@ def witness_nondegeneracy(ring, p, allow_unit=False):
     sol = preimage(mat, target_vec, ring)
     pre_elem = src.element_of(sol) if sol is not None else None
     return WitnessReport(p, cycle, sol is not None, beta_identity, pre_elem)
-
-
-def shukla_hh(ring, pres, n_max, poly_bound=None):
-    """Hochschild (Shukla) homology of a presentation via its Koszul model."""
-    from .models import koszul_model
-    model = koszul_model(pres) if pres.variables or pres.relations else trivial_model(ring)
-    G = build_gamma_forms(model, n_max, poly_bound)
-    return hh_assemble(G, n_max)

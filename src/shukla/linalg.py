@@ -6,6 +6,7 @@ reduced to Z by appending m*(identity) relations, and homology over Q
 is reduced to Z by clearing denominators and discarding torsion.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -241,33 +242,25 @@ class SparseMatrix:
 
 
 def _normalize_torsion(factors):
-    """Collapse a multiset of torsion orders into an invariant-factor chain."""
-    primes = {}
-    for d in factors:
-        d = abs(int(d))
-        if d in (0, 1):
+    """Collapse a multiset of torsion orders into an invariant-factor chain.
+
+    Each order a is inserted from the top of the chain d1 | d2 | ... | dk
+    by Z/d + Z/a = Z/lcm(d, a) + Z/gcd(d, a), passing the gcd down; the
+    chain stays a divisibility chain and no integer is ever factored.
+    """
+    chain = []   # largest first
+    for a in factors:
+        a = abs(int(a))
+        if a in (0, 1):
             continue
-        p = 2
-        while p * p <= d:
-            if d % p == 0:
-                e = 0
-                while d % p == 0:
-                    d //= p
-                    e += 1
-                primes.setdefault(p, []).append(e)
-            p += 1
-        if d > 1:
-            primes.setdefault(d, []).append(1)
-    for exps in primes.values():
-        exps.sort(reverse=True)
-    depth = max((len(e) for e in primes.values()), default=0)
-    chain = []
-    for k in range(depth):
-        d = 1
-        for p, exps in primes.items():
-            if k < len(exps):
-                d *= p ** exps[k]
-        chain.append(d)
+        for i, d in enumerate(chain):
+            g = math.gcd(d, a)
+            chain[i] = d // g * a
+            a = g
+            if a == 1:
+                break
+        else:
+            chain.append(a)
     chain.reverse()
     return tuple(chain)
 
@@ -716,13 +709,12 @@ def subquotient(gens_big, gens_small, nrows, want_generators=False):
     ech = lattice_echelon(gens_big, nrows)
     basis = ech.basis()
     r = len(basis)
+    idx = {row: k for k, row in enumerate(sorted(ech.pivots))}
     expr_cols = []
     for g in gens_small:
         coords, rem = ech.reduce(g)
         if rem:
             raise ValueError("subquotient: second lattice not inside the first")
-        pivot_rows = sorted(ech.pivots)
-        idx = {row: k for k, row in enumerate(pivot_rows)}
         expr_cols.append({idx[row]: q for row, q in coords.items() if q})
     if not want_generators:
         factors, rank = invariant_factors_sparse(expr_cols, r)
@@ -794,15 +786,14 @@ def homology_at(d_in, d_out, ring):
     n = d_in.rows
     in_cols = _int_columns(d_in)
     out_cols = _int_columns(d_out)
-    if ring.kind in ("Z", "Q"):
-        r_in = integer_rank(in_cols, n)
-        r_out = integer_rank(out_cols, d_out.rows)
-        free = n - r_in - r_out
-        if ring.kind == "Q":
-            return HomologyGroup(free, ())
+    if ring.kind == "Q":
+        free = n - integer_rank(in_cols, n) - integer_rank(out_cols, d_out.rows)
+        return HomologyGroup(free, ())
+    if ring.kind == "Z":
         # torsion of ker/im equals torsion of Z^n/im since the quotient
         # by the kernel is free
-        factors, _ = invariant_factors_sparse(in_cols, n)
+        factors, r_in = invariant_factors_sparse(in_cols, n)
+        free = n - r_in - integer_rank(out_cols, d_out.rows)
         return HomologyGroup.from_factors(free, factors)
     m = ring.modulus
     rel_mid = [{i: m} for i in range(n)]

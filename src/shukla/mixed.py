@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import WindowTooSmall
 from .linalg import (
-    HomologyGroup, SparseMatrix, _int_columns, homology_at,
-    homology_from_presentation, kernel_basis, subquotient,
+    HomologyGroup, SparseMatrix, _int_columns, homology_at, kernel_basis, subquotient,
 )
 
 
@@ -107,10 +106,9 @@ def validate(M):
                 continue
             if not comp(p, q).is_zero():
                 return ValidationResult(False, name, (p, q))
+    d = {n: _total_matrix(M, n) for n in range(1, W)}
     for n in range(1, W - 1):
-        d1 = _total_matrix(M, n)
-        d2 = _total_matrix(M, n + 1)
-        if not (d1 * d2).is_zero():
+        if not (d[n] * d[n + 1]).is_zero():
             return ValidationResult(False, "total boundary squared", (n + 1,))
     return ValidationResult(True)
 
@@ -149,12 +147,8 @@ def _total_matrix(M, n):
 def hochschild_total(M, n_max):
     """HH_n(M) for 0 <= n <= n_max via the (D, del) totalization."""
     M.require_window(n_max)
-    out = []
-    for n in range(n_max + 1):
-        d_in = _total_matrix(M, n + 1)
-        d_out = _total_matrix(M, n)
-        out.append(homology_at(d_in, d_out, M.ring))
-    return out
+    d = [_total_matrix(M, n) for n in range(n_max + 2)]
+    return [homology_at(d[n + 1], d[n], M.ring) for n in range(n_max + 1)]
 
 
 def _cyclic_summands(M, n):
@@ -194,12 +188,8 @@ def _cyclic_matrix(M, n):
 def cyclic_total(M, n_max):
     """HC_n(M) for 0 <= n <= n_max."""
     M.require_window(n_max)
-    out = []
-    for n in range(n_max + 1):
-        d_in = _cyclic_matrix(M, n + 1)
-        d_out = _cyclic_matrix(M, n)
-        out.append(homology_at(d_in, d_out, M.ring))
-    return out
+    d = [_cyclic_matrix(M, n) for n in range(n_max + 2)]
+    return [homology_at(d[n + 1], d[n], M.ring) for n in range(n_max + 1)]
 
 
 @dataclass
@@ -297,18 +287,19 @@ def filtration_layers(M, n_max, mode):
     ring = M.ring
     if mode == "hh" and all(m.is_zero() for m in M.maps_d.values()):
         return _layers_split_by_weight(M, n_max)
-    totals = hochschild_total(M, n_max) if mode == "hh" else cyclic_total(M, n_max)
+    if mode == "hh":
+        totals = hochschild_total(M, n_max)
+        d = [_total_matrix(M, n) for n in range(n_max + 2)]
+        columns = [[p for (p, q) in _total_summands(M, n) for _ in range(M.dim(p, q))]
+                   for n in range(n_max + 1)]
+    else:
+        totals = cyclic_total(M, n_max)
+        d = [_cyclic_matrix(M, n) for n in range(n_max + 2)]
+        columns = [[p + i for (i, p, q) in _cyclic_summands(M, n)
+                    for _ in range(M.dim(p, q))] for n in range(n_max + 1)]
     layers = {}
     for n in range(n_max + 1):
-        if mode == "hh":
-            mid = _total_summands(M, n)
-            d_in, d_out = _total_matrix(M, n + 1), _total_matrix(M, n)
-            cols_mid = [p for (p, q) in mid for _ in range(M.dim(p, q))]
-        else:
-            mid = _cyclic_summands(M, n)
-            d_in, d_out = _cyclic_matrix(M, n + 1), _cyclic_matrix(M, n)
-            cols_mid = [p + i for (i, p, q) in mid for _ in range(M.dim(p, q))]
-        pieces = _column_graded_pieces(d_in, d_out, cols_mid, ring)
+        pieces = _column_graded_pieces(d[n + 1], d[n], columns[n], ring)
         for c, g in pieces.items():
             if not g.is_trivial():
                 layers[(n, n - c)] = g

@@ -138,3 +138,36 @@ def test_cli_nmax_override(tmp_path):
                  "--json", str(out)]) == 0
     data = json.loads(out.read_text())
     assert set(data["hh"]) == {"0", "1"}
+
+
+@pytest.mark.parametrize("text, detail", [
+    ("ring Z\nrel 0\n", "line 2"),
+    ("ring Z\nvars x\nrel x - x\n", "line 3"),
+    ("ring Z/4\nrel 4\n", "line 2"),
+    ("ring Z\nring Q\n", "line 2"),
+    ("ring Z\nvars x\nrel x^2\npolybound -3\n", "line 4"),
+])
+def test_cli_rejects_bad_input(tmp_path, text, detail):
+    src = tmp_path / "bad.txt"
+    src.write_text(text, encoding="utf-8")
+    out = tmp_path / "e.json"
+    assert main(["--input", str(src), "--cmd", "hh", "--json", str(out)]) == 2
+    error = json.loads(out.read_text())["error"]
+    assert error["type"] == "ParseError"
+    assert detail in error["detail"]
+
+
+def test_run_hh_large_prime_torsion():
+    p = 1000000000000000003
+    report, ok = run(parse(f"ring Z\nrel {p}\nnmax 1\n"), "hh")
+    assert ok
+    assert report["hh"]["0"]["torsion"] == [p]
+
+
+@pytest.mark.parametrize("ring", ["Z", "Z/4"])
+def test_cli_hc_matches_layers_totals(ring):
+    job = parse(f"ring {ring}\nvars x\nrel x^2\nnmax 3\n")
+    hc, ok = run(job, "hc")
+    layers, ok_layers = run(job, "layers")
+    assert ok and ok_layers
+    assert hc["hc"] == layers["hc"]["total"]

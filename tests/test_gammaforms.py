@@ -3,7 +3,7 @@ import pytest
 from shukla.dpalgebra import DIVIDED_POWER, EXTERIOR, basis_slice, derive
 from shukla.errors import HypothesisViolated, UnitP, WindowTooSmall
 from shukla.gammaforms import (
-    build_gamma_forms, e2_hh, hc_assemble, hh_assemble, hh_layers,
+    build_gamma_forms, hc_assemble, hh_assemble, hh_layers,
     witness_model, witness_nondegeneracy,
 )
 from shukla.linalg import GroundRing, HomologyGroup
@@ -45,33 +45,37 @@ def test_build_zero_boundary_model():
     assert validate(G.complex)
 
 
+# The strand homology E2_{p,q} (degree p + q, weight q under delta) is
+# the Hodge layer (p + q, q) of hh_layers.
+
 def test_e2_shukla_strands():
     # weight-q strand of the model of Z/p: Z y gamma_q -> Z gamma_q is *p
     p = 5
     G = forms_of(Z, [], [{(): p}], n_max=8)
-    e2 = e2_hh(G, 8)
+    layers = hh_layers(G, 8).layers
     for q in range(1, 5):
-        assert e2[(q, q)] == HomologyGroup.from_factors(0, [p]), q
-    for (a, b), grp in e2.items():
+        assert layers[(2 * q, q)] == HomologyGroup.from_factors(0, [p]), q
+    for (n, b), grp in layers.items():
+        a = n - b
         if a != b or b > 4:
             assert (a, b) == (0, 0) or grp.is_trivial() or a == b
 
 
 def test_e2_dual_numbers_degree_one():
     G = forms_of(Z, ["x"], [{(2,): 1}])
-    e2 = e2_hh(G, 1)
-    assert e2[(0, 1)] == HomologyGroup.from_factors(1, [2])
-    assert (1, 0) not in e2  # strand of weight 0 is exact in degree 1
+    layers = hh_layers(G, 1).layers
+    assert layers[(1, 1)] == HomologyGroup.from_factors(1, [2])
+    assert (1, 0) not in layers  # strand of weight 0 is exact in degree 1
 
 
 def test_e2_free_polynomial_line():
     # boundary zero, one degree-0 variable: every slice is its own homology
     P = Presentation.make(Z, ["x"], [])
     G = build_gamma_forms(koszul_model(P), 3)
-    e2 = e2_hh(G, 1)
+    layers = hh_layers(G, 1).layers
     bound = G.poly_bound
-    assert e2[(0, 0)].free_rank == bound + 1     # 1, x, ..., x^bound
-    assert e2[(0, 1)].free_rank == bound         # x^a dx with a + 1 <= bound
+    assert layers[(0, 0)].free_rank == bound + 1     # 1, x, ..., x^bound
+    assert layers[(1, 1)].free_rank == bound         # x^a dx with a + 1 <= bound
 
 
 def test_weight_bound_empty_slices():
@@ -91,6 +95,17 @@ def test_hh_assemble_examples():
     hhk = hh_assemble(Gk, 3)
     assert hhk[0] == HomologyGroup(1, ())
     assert all(g.is_trivial() for g in hhk[1:])
+
+
+def test_hh_assemble_reuses_stored_delta_matrices(monkeypatch):
+    import shukla.gammaforms
+    G = forms_of(Z, ["x", "y"], [{(2, 0): 1}, {(0, 2): 1}], n_max=3)
+    calls = []
+    monkeypatch.setattr(shukla.gammaforms, "derivation_matrix",
+                        lambda *args: calls.append(args))
+    hh = hh_assemble(G, 3)
+    assert calls == []
+    assert hh == [hh_layers(G, 3).total[n] for n in range(4)]
 
 
 def test_hh_assemble_rejects_higher_generators():
@@ -115,7 +130,7 @@ def test_hc_assemble_examples():
 def test_window_too_small():
     G = forms_of(Z, ["x"], [{(2,): 1}], n_max=2)
     with pytest.raises(WindowTooSmall):
-        e2_hh(G, 3)
+        hh_assemble(G, 3)
     with pytest.raises(WindowTooSmall):
         hc_assemble(G, 3)
 

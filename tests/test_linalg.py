@@ -279,6 +279,29 @@ def test_homology_group_normalization():
     assert str(HomologyGroup(0, ())) == "0"
 
 
+def _valuation(d, p):
+    e = 0
+    while d % p == 0:
+        d //= p
+        e += 1
+    return e
+
+
+def test_torsion_chain_keeps_prime_power_parts():
+    rng = random.Random(2024)
+    primes = [p for p in range(2, 51) if all(p % q for q in range(2, p))]
+    for _ in range(500):
+        factors = [rng.randint(0, 50) for _ in range(rng.randint(0, 7))]
+        chain = HomologyGroup.from_factors(0, factors).invariant_factors
+        assert all(d >= 2 for d in chain), factors
+        assert all(b % a == 0 for a, b in zip(chain, chain[1:])), factors
+        for p in primes:
+            want = sorted(_valuation(f, p) for f in factors
+                          if f > 1 and f % p == 0)
+            got = sorted(_valuation(d, p) for d in chain if d % p == 0)
+            assert got == want, (factors, p)
+
+
 def test_integer_rank_matches_rational():
     rng = random.Random(4242)
     for _ in range(60):

@@ -148,3 +148,22 @@ def test_hc0_equals_hh0():
         hh = hochschild_total(G.complex, 0)
         hc = cyclic_total(G.complex, 0)
         assert hh[0] == hc[0]
+
+
+def test_cyclic_total_builds_each_boundary_once(monkeypatch):
+    import shukla.mixed
+    from shukla.models import Presentation, koszul_model
+    from shukla.gammaforms import build_gamma_forms
+    P = Presentation.make(Z, ["x"], [{(2,): 1}])
+    M = build_gamma_forms(koszul_model(P), 3).complex
+    expected = cyclic_total(M, 3)
+    built = []
+    original = shukla.mixed._cyclic_matrix
+
+    def counting(M, n):
+        built.append(n)
+        return original(M, n)
+
+    monkeypatch.setattr(shukla.mixed, "_cyclic_matrix", counting)
+    assert cyclic_total(M, 3) == expected
+    assert sorted(built) == [0, 1, 2, 3, 4]
