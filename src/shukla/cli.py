@@ -136,15 +136,18 @@ def parse(text):
     rel_lines = []
     n_max = 3
     poly_bound = None
+    seen = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
+        if head in ("ring", "vars", "nmax", "polybound"):
+            if head in seen:
+                raise ParseError(f"second {head!r} statement", line_no, 1)
+            seen.add(head)
         if head == "ring":
-            if ring is not None:
-                raise ParseError("second 'ring' statement", line_no, 1)
             if rest == "Z":
                 ring = GroundRing.Z()
             elif rest == "Q":

@@ -6,6 +6,7 @@ reduced to Z by appending m*(identity) relations, and homology over Q
 is reduced to Z by clearing denominators and discarding torsion.
 """
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -628,6 +629,16 @@ def invariant_factors_sparse(columns, nrows):
 
     Returns (factors, rank) where factors is the normalized chain of
     entries >= 2 and rank counts all nonzero diagonal entries.
+
+    Unit entries are peeled first, each time the cheapest unit pivot by
+    Markowitz fill (len(row) - 1) * (len(col) - 1), ties to the lower
+    row.  The pivot comes from a lazily refreshed heap with one live key
+    fill * span + row per row that has a unit entry.  Each elimination
+    step rescores the rows it touches and lowers the key of any other
+    row whose unit entry lost column mates, so no key exceeds its row's
+    fill; a popped row whose fill has grown since is pushed back, and
+    otherwise it is the pivot.  What is left when no unit entry remains
+    goes to dense_snf.
     """
     rows = {}
     cols = {}
@@ -636,28 +647,49 @@ def invariant_factors_sparse(columns, nrows):
             if v:
                 rows.setdefault(i, {})[j] = v
                 cols.setdefault(j, set()).add(i)
-    ones = 0
-    while True:
-        # cheapest unit pivot by fill-in
+    span = max(rows, default=0) + 1
+
+    def unit_fill(i):
+        # cheapest fill over the unit entries of row i, or None
+        row = rows[i]
         best = None
-        for i, row in rows.items():
-            for j, v in row.items():
-                if v in (1, -1):
-                    fill = (len(row) - 1) * (len(cols[j]) - 1)
-                    if best is None or fill < best[0]:
-                        best = (fill, i, j)
-                        if fill == 0:
-                            break
-            if best and best[0] == 0:
-                break
-        if best is None:
-            break
-        _, pi, pj = best
+        for j, v in row.items():
+            if v == 1 or v == -1:
+                fill = (len(row) - 1) * (len(cols[j]) - 1)
+                if best is None or fill < best[0]:
+                    best = (fill, j)
+                    if fill == 0:
+                        break
+        return best
+
+    queued = {}  # row -> its one live key in the heap
+    for i in rows:
+        best = unit_fill(i)
+        if best is not None:
+            queued[i] = best[0] * span + i
+    heap = list(queued.values())
+    heapq.heapify(heap)
+    ones = 0
+    while heap:
+        key = heapq.heappop(heap)
+        old_fill, pi = divmod(key, span)
+        if queued.get(pi) != key:
+            continue  # superseded by a later key of the same row
+        # a queued row still has a unit entry: its entries change only
+        # in steps that touch it, and those rescore it
+        best = unit_fill(pi)
+        if best[0] > old_fill:
+            queued[pi] = best[0] * span + pi
+            heapq.heappush(heap, queued[pi])
+            continue
+        del queued[pi]
+        pj = best[1]
         piv = rows[pi][pj]
         prow = rows.pop(pi)
         for j in prow:
             cols[j].discard(pi)
-        for i in list(cols.get(pj, ())):
+        touched = set(cols.get(pj, ()))
+        for i in touched:
             row = rows[i]
             q = row[pj] * piv  # piv is +-1 so q*piv = row/piv
             for j, v in prow.items():
@@ -675,6 +707,24 @@ def invariant_factors_sparse(columns, nrows):
                 del cols[j]
         cols.pop(pj, None)
         ones += 1
+        for i in touched:
+            best = unit_fill(i) if i in rows else None
+            if best is None:
+                queued.pop(i, None)
+            else:
+                queued[i] = best[0] * span + i
+                heapq.heappush(heap, queued[i])
+        # Untouched rows kept their entries, but the columns of prow
+        # changed length: lower the key of a row whose unit entry there got
+        # cheaper.  A key left too low is caught when it is popped.
+        for j in prow:
+            col = cols.get(j, ())
+            for i in col:
+                if i not in touched and rows[i][j] in (1, -1):
+                    key = (len(rows[i]) - 1) * (len(col) - 1) * span + i
+                    if key < queued[i]:
+                        queued[i] = key
+                        heapq.heappush(heap, key)
     if rows:
         live_rows = sorted(rows)
         live_cols = sorted({j for row in rows.values() for j in row})
@@ -784,23 +834,24 @@ def homology_at(d_in, d_out, ring):
         raise CompositionNonzero(
             f"d_out . d_in != 0 on a {d_in.rows}-dimensional slice")
     n = d_in.rows
-    in_cols = _int_columns(d_in)
-    out_cols = _int_columns(d_out)
-    if ring.kind == "Q":
-        free = n - integer_rank(in_cols, n) - integer_rank(out_cols, d_out.rows)
-        return HomologyGroup(free, ())
+    if ring.kind == "Zmod":
+        m = ring.modulus
+        rel_mid = [{i: m} for i in range(n)]
+        rel_out = [{i: m} for i in range(d_out.rows)]
+        group, _ = homology_from_presentation(
+            _int_columns(d_in), _int_columns(d_out), n, d_out.rows,
+            rel_mid=rel_mid, rel_out=rel_out)
+        return group
+    # Each integer copy is built when it is needed and dropped after, so
+    # the two are never alive together.
     if ring.kind == "Z":
         # torsion of ker/im equals torsion of Z^n/im since the quotient
         # by the kernel is free
-        factors, r_in = invariant_factors_sparse(in_cols, n)
-        free = n - r_in - integer_rank(out_cols, d_out.rows)
-        return HomologyGroup.from_factors(free, factors)
-    m = ring.modulus
-    rel_mid = [{i: m} for i in range(n)]
-    rel_out = [{i: m} for i in range(d_out.rows)]
-    group, _ = homology_from_presentation(in_cols, out_cols, n, d_out.rows,
-                                          rel_mid=rel_mid, rel_out=rel_out)
-    return group
+        factors, r_in = invariant_factors_sparse(_int_columns(d_in), n)
+    else:
+        factors, r_in = (), integer_rank(_int_columns(d_in), n)
+    free = n - r_in - integer_rank(_int_columns(d_out), d_out.rows)
+    return HomologyGroup.from_factors(free, factors)
 
 
 def preimage(matrix, b, ring):

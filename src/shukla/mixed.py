@@ -144,11 +144,22 @@ def _total_matrix(M, n):
     return out
 
 
-def hochschild_total(M, n_max):
-    """HH_n(M) for 0 <= n <= n_max via the (D, del) totalization."""
+def _homology_series(d, ring):
+    """ker d[n] / im d[n + 1] for every n below the last boundary."""
+    return [homology_at(d[n + 1], d[n], ring) for n in range(len(d) - 1)]
+
+
+def hochschild_total(M, n_max, boundaries=None):
+    """HH_n(M) for 0 <= n <= n_max via the (D, del) totalization.
+
+    boundaries, when given, are the _total_matrix(M, n) for
+    0 <= n <= n_max + 1, already built by the caller.
+    """
     M.require_window(n_max)
-    d = [_total_matrix(M, n) for n in range(n_max + 2)]
-    return [homology_at(d[n + 1], d[n], M.ring) for n in range(n_max + 1)]
+    d = boundaries
+    if d is None:
+        d = [_total_matrix(M, n) for n in range(n_max + 2)]
+    return _homology_series(d, M.ring)
 
 
 def _cyclic_summands(M, n):
@@ -185,11 +196,17 @@ def _cyclic_matrix(M, n):
     return out
 
 
-def cyclic_total(M, n_max):
-    """HC_n(M) for 0 <= n <= n_max."""
+def cyclic_total(M, n_max, boundaries=None):
+    """HC_n(M) for 0 <= n <= n_max.
+
+    boundaries, when given, are the _cyclic_matrix(M, n) for
+    0 <= n <= n_max + 1, already built by the caller.
+    """
     M.require_window(n_max)
-    d = [_cyclic_matrix(M, n) for n in range(n_max + 2)]
-    return [homology_at(d[n + 1], d[n], M.ring) for n in range(n_max + 1)]
+    d = boundaries
+    if d is None:
+        d = [_cyclic_matrix(M, n) for n in range(n_max + 2)]
+    return _homology_series(d, M.ring)
 
 
 @dataclass
@@ -288,13 +305,13 @@ def filtration_layers(M, n_max, mode):
     if mode == "hh" and all(m.is_zero() for m in M.maps_d.values()):
         return _layers_split_by_weight(M, n_max)
     if mode == "hh":
-        totals = hochschild_total(M, n_max)
         d = [_total_matrix(M, n) for n in range(n_max + 2)]
+        totals = hochschild_total(M, n_max, d)
         columns = [[p for (p, q) in _total_summands(M, n) for _ in range(M.dim(p, q))]
                    for n in range(n_max + 1)]
     else:
-        totals = cyclic_total(M, n_max)
         d = [_cyclic_matrix(M, n) for n in range(n_max + 2)]
+        totals = cyclic_total(M, n_max, d)
         columns = [[p + i for (i, p, q) in _cyclic_summands(M, n)
                     for _ in range(M.dim(p, q))] for n in range(n_max + 1)]
     layers = {}

@@ -146,6 +146,9 @@ def test_cli_nmax_override(tmp_path):
     ("ring Z/4\nrel 4\n", "line 2"),
     ("ring Z\nring Q\n", "line 2"),
     ("ring Z\nvars x\nrel x^2\npolybound -3\n", "line 4"),
+    ("ring Z\nvars x\nvars y\nrel y^2\n", "line 3"),
+    ("ring Z\nvars x\nrel x^2\nnmax 2\nnmax 1\n", "line 5"),
+    ("ring Z\nvars x\nrel x^2\npolybound 4\npolybound 6\n", "line 5"),
 ])
 def test_cli_rejects_bad_input(tmp_path, text, detail):
     src = tmp_path / "bad.txt"

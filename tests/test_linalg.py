@@ -6,7 +6,7 @@ import pytest
 
 from shukla.errors import CompositionNonzero
 from shukla.linalg import (
-    GroundRing, HomologyGroup, SparseMatrix, det, homology_at,
+    GroundRing, HomologyGroup, SparseMatrix, dense_snf, det, homology_at,
     invariant_factors_sparse, kernel_basis, preimage, snf, _int_columns,
     integer_rank,
 )
@@ -137,6 +137,77 @@ def test_invariant_factors_sparse_agrees_with_dense():
         factors, rank = invariant_factors_sparse(_int_columns(M), m)
         assert rank == dense_rank == rational_rank(rows)
         assert list(factors) == dense_factors
+
+
+def _sparse_unit_heavy(rng, live_rows, ncols, per_col=3):
+    """Columns with 0..per_col entries each, mostly +-1, in rows below
+    live_rows."""
+    columns = []
+    for _ in range(ncols):
+        col = {}
+        for _ in range(rng.randint(0, per_col)):
+            col[rng.randrange(live_rows)] = rng.choice((1, -1, 1, -1, 1, -1, 2, 3, -4))
+        columns.append(col)
+    return columns
+
+
+def _dense_invariants(columns, nrows):
+    """(factors, rank) of the same matrix through dense_snf."""
+    if not nrows or not columns:
+        return [], 0
+    rows = [[col.get(i, 0) for col in columns] for i in range(nrows)]
+    _, s, _, _ = dense_snf(rows)
+    diag = [s[i][i] for i in range(min(nrows, len(columns)))]
+    return [d for d in diag if d not in (0, 1)], sum(1 for d in diag if d)
+
+
+def test_invariant_factors_sparse_unit_heavy_matches_dense():
+    rng = random.Random(4141)
+    for trial in range(60):
+        nrows = rng.randint(1, 40)
+        ncols = rng.randint(1, 60)
+        # some trailing rows stay zero; columns with no draw are zero
+        columns = _sparse_unit_heavy(rng, rng.randint(1, nrows), ncols,
+                                     rng.choice((2, 3, 6)))
+        factors, rank = invariant_factors_sparse(columns, nrows)
+        assert (list(factors), rank) == _dense_invariants(columns, nrows), trial
+
+
+def test_invariant_factors_sparse_zero_and_empty():
+    assert invariant_factors_sparse([], 0) == ([], 0)
+    assert invariant_factors_sparse([], 5) == ([], 0)
+    assert invariant_factors_sparse([{}, {}, {}], 4) == ([], 0)
+    assert invariant_factors_sparse([{}, {2: 0}, {}], 4) == ([], 0)
+    columns = [{}, {3: 6}, {}, {3: 4, 0: 0}]
+    assert invariant_factors_sparse(columns, 5) == ([2], 1)
+
+
+def test_unit_created_by_elimination_is_peeled(monkeypatch):
+    import shukla.linalg
+
+    def no_residue(*args, **kwargs):
+        raise AssertionError("dense_snf called on a matrix of unit pivots")
+
+    # [[1, 2], [1, 3]]: the second unit pivot appears only after the
+    # first elimination step (3 - 2 = 1)
+    monkeypatch.setattr(shukla.linalg, "dense_snf", no_residue)
+    assert invariant_factors_sparse([{0: 1, 1: 1}, {0: 2, 1: 3}], 2) == ([], 2)
+
+
+def test_invariant_factors_sparse_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    rng = random.Random(515)
+    for trial in range(25):
+        nrows = rng.randint(1, 10)
+        ncols = rng.randint(1, 14)
+        columns = _sparse_unit_heavy(rng, nrows, ncols)
+        rows = [[col.get(i, 0) for col in columns] for i in range(nrows)]
+        diag = [abs(int(d)) for d in
+                invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)]
+        want = ([d for d in diag if d not in (0, 1)], sum(1 for d in diag if d))
+        factors, rank = invariant_factors_sparse(columns, nrows)
+        assert (list(factors), rank) == want, trial
 
 
 def test_kernel_basis_is_saturated():

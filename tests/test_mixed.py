@@ -167,3 +167,7 @@ def test_cyclic_total_builds_each_boundary_once(monkeypatch):
     monkeypatch.setattr(shukla.mixed, "_cyclic_matrix", counting)
     assert cyclic_total(M, 3) == expected
     assert sorted(built) == [0, 1, 2, 3, 4]
+    built.clear()
+    layers = filtration_layers(M, 3, "hc")
+    assert [layers.total[n] for n in range(4)] == expected
+    assert sorted(built) == [0, 1, 2, 3, 4]
