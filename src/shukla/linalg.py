@@ -548,14 +548,23 @@ class ColumnEchelon:
 
         coords maps pivot row -> integer quotient used.  Exact division
         failures leave a nonzero remainder at that row.
+
+        Only pivot rows where col is nonzero are visited, in increasing
+        order from a heap: a pivot column has no entry above its pivot
+        row, so each step adds entries only below the row it clears.
         """
         col = dict(col)
         coords = {}
-        for r in sorted(self.pivots):
+        pivots = self.pivots
+        heap = [r for r in col if r in pivots]
+        heapq.heapify(heap)
+        seen = set(heap)
+        while heap:
+            r = heapq.heappop(heap)
             b = col.get(r, 0)
             if not b:
                 continue
-            piv = self.pivots[r]
+            piv = pivots[r]
             a = piv[r]
             if b % a:
                 break
@@ -565,6 +574,9 @@ class ColumnEchelon:
                 nv = col.get(row, 0) - q * val
                 if nv:
                     col[row] = nv
+                    if row not in seen and row in pivots:
+                        seen.add(row)
+                        heapq.heappush(heap, row)
                 else:
                     col.pop(row, None)
         return coords, col
@@ -621,8 +633,16 @@ def lattice_echelon(columns, nrows):
 
 
 # ---------------------------------------------------------------------------
-# Invariant factors of a sparse integer matrix (unit-pivot peeling).
+# Invariant factors of a sparse integer matrix (sparse elimination).
 # ---------------------------------------------------------------------------
+
+def _nearest_quotient(a, b):
+    """q with |a - q*b| <= |b|/2."""
+    q, r = divmod(a, b)
+    if 2 * abs(r) > abs(b):
+        q += 1
+    return q
+
 
 def invariant_factors_sparse(columns, nrows):
     """Nontrivial invariant factors and rank of an integer matrix.
@@ -630,15 +650,25 @@ def invariant_factors_sparse(columns, nrows):
     Returns (factors, rank) where factors is the normalized chain of
     entries >= 2 and rank counts all nonzero diagonal entries.
 
-    Unit entries are peeled first, each time the cheapest unit pivot by
-    Markowitz fill (len(row) - 1) * (len(col) - 1), ties to the lower
-    row.  The pivot comes from a lazily refreshed heap with one live key
-    fill * span + row per row that has a unit entry.  Each elimination
-    step rescores the rows it touches and lowers the key of any other
-    row whose unit entry lost column mates, so no key exceeds its row's
-    fill; a popped row whose fill has grown since is pushed back, and
-    otherwise it is the pivot.  What is left when no unit entry remains
-    goes to dense_snf.
+    Every pivot is eliminated sparsely until it is isolated, the only
+    nonzero of its row and column; then coker = Z/|v| + coker(rest), so
+    the isolated |v| are collected and _normalize_torsion makes the
+    chain d1 | d2 | ... of them.  No dense matrix is built.
+
+    Each pivot is the entry of least (|v|, Markowitz fill
+    (len(row) - 1) * (len(col) - 1), row), so units go first.  It comes
+    from a lazily refreshed heap with one live key per row.  Each step
+    rescores the rows it touches and lowers the key of any other row
+    whose entry lost column mates, so no key exceeds its row's best; a
+    popped row whose best has grown since is pushed back, and otherwise
+    it holds the pivot.
+
+    A pivot v clears its column by row ops with the nearest-integer
+    quotient; if remainders survive, the smallest becomes the pivot and
+    the column is cleared again.  With the column reduced to v alone,
+    column ops touch only the pivot row, and again a surviving remainder
+    becomes the pivot.  |v| falls with every move, so the step ends; a
+    unit pivot is isolated in one pass.
     """
     rows = {}
     cols = {}
@@ -648,100 +678,117 @@ def invariant_factors_sparse(columns, nrows):
                 rows.setdefault(i, {})[j] = v
                 cols.setdefault(j, set()).add(i)
     span = max(rows, default=0) + 1
+    # a key is (|v| * cap + fill) * span + row; fill < cap always
+    cap = span * (len(columns) + 1)
 
-    def unit_fill(i):
-        # cheapest fill over the unit entries of row i, or None
+    def best_entry(i):
+        # (|v| * cap + fill, column) of the least entry of row i
         row = rows[i]
-        best = None
+        n = len(row) - 1
+        best = bj = None
         for j, v in row.items():
-            if v == 1 or v == -1:
-                fill = (len(row) - 1) * (len(cols[j]) - 1)
-                if best is None or fill < best[0]:
-                    best = (fill, j)
-                    if fill == 0:
-                        break
-        return best
+            score = abs(v) * cap
+            if best is not None and score >= best:
+                continue  # no fill makes up for a larger |v|
+            score += n * (len(cols[j]) - 1)
+            if best is None or score < best:
+                best, bj = score, j
+                if score == cap:
+                    break  # a unit with no fill
+        return best, bj
 
-    queued = {}  # row -> its one live key in the heap
-    for i in rows:
-        best = unit_fill(i)
-        if best is not None:
-            queued[i] = best[0] * span + i
+    queued = {i: best_entry(i)[0] * span + i for i in rows}  # live keys
     heap = list(queued.values())
     heapq.heapify(heap)
-    ones = 0
+    isolated = []
     while heap:
         key = heapq.heappop(heap)
-        old_fill, pi = divmod(key, span)
+        old_score, pi = divmod(key, span)
         if queued.get(pi) != key:
             continue  # superseded by a later key of the same row
-        # a queued row still has a unit entry: its entries change only
-        # in steps that touch it, and those rescore it
-        best = unit_fill(pi)
-        if best[0] > old_fill:
-            queued[pi] = best[0] * span + pi
+        score, pj = best_entry(pi)
+        if score > old_score:
+            queued[pi] = score * span + pi
             heapq.heappush(heap, queued[pi])
             continue
-        del queued[pi]
-        pj = best[1]
-        piv = rows[pi][pj]
-        prow = rows.pop(pi)
+        touched = set()  # rows changed by this step, old pivot rows too
+        shrunk = set()   # columns that lost an entry
+        while True:
+            prow = rows[pi]
+            piv = prow[pj]
+            unit = piv == 1 or piv == -1
+            move = None
+            for i in [i for i in cols[pj] if i != pi]:
+                row = rows[i]
+                touched.add(i)
+                q = row[pj] * piv if unit else _nearest_quotient(row[pj], piv)
+                if q:
+                    for j, v in prow.items():
+                        nv = row.get(j, 0) - q * v
+                        if nv:
+                            row[j] = nv
+                            cols.setdefault(j, set()).add(i)
+                        elif row.pop(j, None) is not None:
+                            cols[j].discard(i)
+                            shrunk.add(j)
+                if not row:
+                    del rows[i]
+                elif pj in row:
+                    r = abs(row[pj])
+                    if move is None or (r, i) < move:
+                        move = (r, i)
+            if move is not None:
+                touched.add(pi)
+                pi = move[1]
+                continue
+            # the column is {pi: piv}: column ops change row pi only
+            if not unit:
+                for j, v in list(prow.items()):
+                    if j != pj:
+                        r = v - _nearest_quotient(v, piv) * piv
+                        if r:
+                            prow[j] = r
+                            if move is None or (abs(r), j) < move:
+                                move = (abs(r), j)
+                        else:
+                            del prow[j]
+                            cols[j].discard(pi)
+                            shrunk.add(j)
+            if move is None:
+                break
+            pj = move[1]
+        isolated.append(piv)
+        del rows[pi]
+        queued.pop(pi, None)
+        touched.discard(pi)
         for j in prow:
             cols[j].discard(pi)
-        touched = set(cols.get(pj, ()))
-        for i in touched:
-            row = rows[i]
-            q = row[pj] * piv  # piv is +-1 so q*piv = row/piv
-            for j, v in prow.items():
-                nv = row.get(j, 0) - q * v
-                if nv:
-                    row[j] = nv
-                    cols.setdefault(j, set()).add(i)
-                else:
-                    if row.pop(j, None) is not None:
-                        cols[j].discard(i)
-            if not row:
-                del rows[i]
-        for j in list(prow):
+            shrunk.add(j)
+        for j in shrunk:
             if j in cols and not cols[j]:
                 del cols[j]
-        cols.pop(pj, None)
-        ones += 1
         for i in touched:
-            best = unit_fill(i) if i in rows else None
-            if best is None:
-                queued.pop(i, None)
-            else:
-                queued[i] = best[0] * span + i
+            if i in rows:
+                queued[i] = best_entry(i)[0] * span + i
                 heapq.heappush(heap, queued[i])
-        # Untouched rows kept their entries, but the columns of prow
-        # changed length: lower the key of a row whose unit entry there got
-        # cheaper.  A key left too low is caught when it is popped.
-        for j in prow:
+            else:
+                queued.pop(i, None)
+        # Untouched rows kept their entries, but shrunk columns got
+        # shorter: lower the key of a row whose entry there got cheaper.
+        # A key left too low is caught when it is popped.
+        for j in shrunk:
             col = cols.get(j, ())
+            mates = len(col) - 1
             for i in col:
-                if i not in touched and rows[i][j] in (1, -1):
-                    key = (len(rows[i]) - 1) * (len(col) - 1) * span + i
+                if i not in touched:
+                    row = rows[i]
+                    key = abs(row[j]) * cap * span
                     if key < queued[i]:
-                        queued[i] = key
-                        heapq.heappush(heap, key)
-    if rows:
-        live_rows = sorted(rows)
-        live_cols = sorted({j for row in rows.values() for j in row})
-        ri = {r: i for i, r in enumerate(live_rows)}
-        ci = {c: i for i, c in enumerate(live_cols)}
-        dense = [[0] * len(live_cols) for _ in live_rows]
-        for r, row in rows.items():
-            for c, v in row.items():
-                dense[ri[r]][ci[c]] = v
-        _, s, _, _ = dense_snf(dense)
-        diag = [s[i][i] for i in range(min(len(live_rows), len(live_cols)))]
-        factors = [d for d in diag if d not in (0, 1)]
-        rank = ones + sum(1 for d in diag if d)
-    else:
-        factors = []
-        rank = ones
-    return list(_normalize_torsion(factors)), rank
+                        key += (len(row) - 1) * mates * span + i
+                        if key < queued[i]:
+                            queued[i] = key
+                            heapq.heappush(heap, key)
+    return list(_normalize_torsion(isolated)), len(isolated)
 
 
 # ---------------------------------------------------------------------------

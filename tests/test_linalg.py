@@ -6,9 +6,9 @@ import pytest
 
 from shukla.errors import CompositionNonzero
 from shukla.linalg import (
-    GroundRing, HomologyGroup, SparseMatrix, dense_snf, det, homology_at,
-    invariant_factors_sparse, kernel_basis, preimage, snf, _int_columns,
-    integer_rank,
+    ColumnEchelon, GroundRing, HomologyGroup, SparseMatrix, dense_snf, det,
+    homology_at, invariant_factors_sparse, kernel_basis, preimage, snf,
+    subquotient, _int_columns, integer_rank,
 )
 
 Z = GroundRing.Z()
@@ -173,24 +173,33 @@ def test_invariant_factors_sparse_unit_heavy_matches_dense():
         assert (list(factors), rank) == _dense_invariants(columns, nrows), trial
 
 
-def test_invariant_factors_sparse_zero_and_empty():
+def _no_dense_residue(monkeypatch):
+    import shukla.linalg
+
+    def no_residue(*args, **kwargs):
+        raise AssertionError("invariant_factors_sparse called dense_snf")
+
+    monkeypatch.setattr(shukla.linalg, "dense_snf", no_residue)
+
+
+def test_invariant_factors_sparse_zero_and_empty(monkeypatch):
+    _no_dense_residue(monkeypatch)
     assert invariant_factors_sparse([], 0) == ([], 0)
     assert invariant_factors_sparse([], 5) == ([], 0)
     assert invariant_factors_sparse([{}, {}, {}], 4) == ([], 0)
     assert invariant_factors_sparse([{}, {2: 0}, {}], 4) == ([], 0)
+    for nrows, ncols in ((0, 3), (1, 1), (4, 2), (2, 7)):
+        columns = [{i: 0 for i in range(nrows)} for _ in range(ncols)]
+        assert invariant_factors_sparse(columns, nrows) == ([], 0)
     columns = [{}, {3: 6}, {}, {3: 4, 0: 0}]
     assert invariant_factors_sparse(columns, 5) == ([2], 1)
+    assert invariant_factors_sparse([{2: -4}], 3) == ([4], 1)
 
 
 def test_unit_created_by_elimination_is_peeled(monkeypatch):
-    import shukla.linalg
-
-    def no_residue(*args, **kwargs):
-        raise AssertionError("dense_snf called on a matrix of unit pivots")
-
     # [[1, 2], [1, 3]]: the second unit pivot appears only after the
     # first elimination step (3 - 2 = 1)
-    monkeypatch.setattr(shukla.linalg, "dense_snf", no_residue)
+    _no_dense_residue(monkeypatch)
     assert invariant_factors_sparse([{0: 1, 1: 1}, {0: 2, 1: 3}], 2) == ([], 2)
 
 
@@ -208,6 +217,134 @@ def test_invariant_factors_sparse_matches_sympy():
         want = ([d for d in diag if d not in (0, 1)], sum(1 for d in diag if d))
         factors, rank = invariant_factors_sparse(columns, nrows)
         assert (list(factors), rank) == want, trial
+
+
+UNIT_FREE_VALUES = ((2, -2, 3, -3, 4, 6, 9, -9), (2, 3), (6, 10, 15))
+
+
+def _unit_free(rng, nrows, ncols, density, values):
+    """Columns with no +-1 entry; each cell is nonzero with the given
+    probability."""
+    return [{i: rng.choice(values) for i in range(nrows) if rng.random() < density}
+            for _ in range(ncols)]
+
+
+def test_invariant_factors_sparse_unit_free_matches_dense(monkeypatch):
+    # the reference goes through this module's own dense_snf binding,
+    # which the patch of shukla.linalg leaves alone
+    _no_dense_residue(monkeypatch)
+    rng = random.Random(2001)
+    trials = 0
+    for values in UNIT_FREE_VALUES:
+        for density, most in ((0.1, 30), (0.5, 14), (1.0, 9)):
+            for _ in range(24):
+                nrows = rng.randint(1, most)
+                ncols = rng.randint(1, most + 10)
+                columns = _unit_free(rng, nrows, ncols, density, values)
+                want = _dense_invariants(columns, nrows)
+                factors, rank = invariant_factors_sparse(columns, nrows)
+                assert (list(factors), rank) == want, (values, density, trials)
+                trials += 1
+    assert trials >= 200
+
+
+def test_invariant_factors_sparse_fibonacci_pivot_moves(monkeypatch):
+    # consecutive Fibonacci numbers make every Euclidean step leave a
+    # remainder, so the pivot moves many times before it is isolated
+    _no_dense_residue(monkeypatch)
+    fib = [1, 1]
+    while len(fib) < 60:
+        fib.append(fib[-1] + fib[-2])
+    a, b, c = fib[-1], fib[-2], fib[-3]
+    assert invariant_factors_sparse([{0: a, 1: b}], 2) == ([], 1)
+    assert invariant_factors_sparse([{0: a}, {0: b}], 1) == ([], 1)
+    # [[a, b], [b, c]] has determinant +-1
+    assert invariant_factors_sparse([{0: a, 1: b}, {0: b, 1: c}], 2) == ([], 2)
+    assert invariant_factors_sparse([{0: 7 * a, 1: 7 * b}, {0: 7 * b, 1: 7 * c}],
+                                    2) == ([7, 7], 2)
+    # next to other nonzeros in the pivot's rows and columns
+    columns = [{0: a, 1: b, 2: 6}, {0: b, 1: c}, {1: 4, 2: 10}]
+    assert invariant_factors_sparse(columns, 3) == _dense_invariants(columns, 3)
+
+
+def test_invariant_factors_sparse_unit_free_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    rng = random.Random(1009)
+    for trial in range(25):
+        nrows = rng.randint(1, 8)
+        ncols = rng.randint(1, 10)
+        columns = _unit_free(rng, nrows, ncols, rng.choice((0.2, 0.5, 1.0)),
+                             UNIT_FREE_VALUES[trial % 3])
+        rows = [[col.get(i, 0) for col in columns] for i in range(nrows)]
+        diag = [abs(int(d)) for d in
+                invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)]
+        want = ([d for d in diag if d not in (0, 1)], sum(1 for d in diag if d))
+        factors, rank = invariant_factors_sparse(columns, nrows)
+        assert (list(factors), rank) == want, trial
+
+
+def _sorted_walk_reduce(ech, col):
+    """ColumnEchelon.reduce as a walk over every pivot in sorted order."""
+    col = dict(col)
+    coords = {}
+    for r in sorted(ech.pivots):
+        b = col.get(r, 0)
+        if not b:
+            continue
+        piv = ech.pivots[r]
+        if b % piv[r]:
+            break
+        coords[r] = q = b // piv[r]
+        for row, val in piv.items():
+            col[row] = col.get(row, 0) - q * val
+            if not col[row]:
+                del col[row]
+    return coords, col
+
+
+def test_reduce_matches_sorted_walk():
+    rng = random.Random(808)
+    stops = 0
+    for trial in range(150):
+        limit = rng.randint(1, 12)
+        ech = ColumnEchelon(limit)
+        gens = []
+        for _ in range(rng.randint(0, 10)):
+            # rows >= limit ride along as witnesses
+            gen = {i: rng.choice((1, -1, 2, 3, -4, 6))
+                   for i in range(limit + 3) if rng.random() < 0.4}
+            gens.append(gen)
+            ech.add(gen)
+        for _ in range(6):
+            col = {}
+            for gen in rng.sample(gens, min(len(gens), 3)):
+                q = rng.randint(-3, 3)
+                for i, v in gen.items():
+                    col[i] = col.get(i, 0) + q * v
+            if rng.random() < 0.5:
+                # usually pulls the column out of the lattice
+                i = rng.randrange(limit)
+                col[i] = col.get(i, 0) + rng.choice((1, 2, 5))
+            col = {i: v for i, v in col.items() if v}
+            want = _sorted_walk_reduce(ech, col)
+            assert ech.reduce(col) == want, trial
+            coords, rem = want
+            stops += any(r in ech.pivots and rem[r] % ech.pivots[r][r]
+                         for r in rem)
+    assert stops
+    ech = ColumnEchelon(2)
+    ech.add({0: 2})
+    assert ech.reduce({0: 1, 1: 3}) == ({}, {0: 1, 1: 3})
+
+
+def test_subquotient_rejects_lattice_outside():
+    big = [{0: 2}, {1: 1}]
+    assert subquotient(big, [{0: 4}], 2)[0] == HomologyGroup(1, (2,))
+    with pytest.raises(ValueError):
+        subquotient(big, [{0: 1}], 2)
+    with pytest.raises(ValueError):
+        subquotient(big, [{2: 1}], 3)
 
 
 def test_kernel_basis_is_saturated():
