@@ -136,6 +136,7 @@ def parse(text):
     rel_lines = []
     n_max = 3
     poly_bound = None
+    bound_line = None
     seen = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -182,6 +183,7 @@ def parse(text):
                 raise ParseError(f"bad polybound {rest!r}", line_no)
             if poly_bound < 0:
                 raise ParseError("polybound must be >= 0", line_no)
+            bound_line = line_no
         else:
             raise ParseError(f"unknown statement {head!r}", line_no, 1)
     if ring is None:
@@ -192,6 +194,12 @@ def parse(text):
             raise ParseError(f"relation is zero over {ring!r}", ln)
     job = JobSpec(ring, tuple(variables), relations, n_max, poly_bound)
     pres = job.presentation()
+    # the Koszul generator of a relation has its total degree as weight;
+    # below it the generator lies in no slice and the relation is lost
+    top = max((sum(e) for rel in pres.relations for e in rel), default=0)
+    if poly_bound is not None and poly_bound < top:
+        raise ParseError(f"polybound {poly_bound} is below the relation "
+                         f"degree {top}", bound_line)
     if not pres.is_quasi_monic:
         job.warnings.append(
             "NonQuasiMonicWarning: some relation lacks a unit pure-power "

@@ -238,14 +238,10 @@ def _weights_exact(env, w):
 
 
 def _relation_vectors(env, words, index, weight_cap):
-    """Module relations on the span of `words`: the ring modulus and the
+    """Module relations on the span of `words` beyond the ring's own: the
     constant-relation bumps c*w = (q_t+1)*w^{+t} (bump dropped beyond
     the cap, i.e. in the quotient by that filtration level)."""
     rels = []
-    m = env.ring.modulus
-    if m:
-        for w in words:
-            rels.append({index[w]: m})
     for t, c in env.const_rules:
         for w in words:
             alpha, Q, S = w
@@ -279,16 +275,14 @@ class FilteredComplex:
         n = len(words)
         if n == 0:
             return HomologyGroup(0, ())
-        d_in = self.mats.get(j + 1)
-        d_out = self.mats.get(j)
-        in_cols = _int_columns(d_in) if d_in is not None else []
-        out_dim = len(self.positions[j - 1][0]) if j >= 1 else 0
-        out_cols = _int_columns(d_out) if d_out is not None else [dict() for _ in range(n)]
-        rel_out = self.positions[j - 1][2] if j >= 1 else []
+        ring = self.env.ring
+        # a missing map is zero: positions run 0..hodge
+        d_in = self.mats.get(j + 1, SparseMatrix(n, 0, ring))
+        d_out = self.mats.get(j, SparseMatrix(0, n, ring))
+        out_rels = self.positions[j - 1][2] if j >= 1 else []
         group, _ = homology_from_presentation(
-            in_cols, out_cols, n, out_dim, rel_mid=rels, rel_out=rel_out)
-        if self.env.ring.kind == "Q":
-            return HomologyGroup(group.free_rank, ())
+            _int_columns(d_in) + rels, _int_columns(d_out) + out_rels,
+            n, d_out.rows, ring)
         return group
 
 
@@ -334,9 +328,9 @@ def Lprime_complex(env, p):
     return _build_filtered(env, p, graded=False)
 
 
-def hodge_hh(env, n_max):
-    """Hochschild homology with its Hodge decomposition: the (n, p) layer
-    is the homology of the level complex L^p at position n - p."""
+def _layer_table(env, n_max, make_complex):
+    """Totals and layers whose (n, p) entry is the homology of the
+    complex make_complex(env, p) at position n - p."""
     layers = {}
     totals = {}
     complexes = {}
@@ -347,13 +341,19 @@ def hodge_hh(env, n_max):
             if j > p:
                 continue  # positions run 0..p
             if p not in complexes:
-                complexes[p] = L_complex(env, p)
+                complexes[p] = make_complex(env, p)
             g = complexes[p].homology(j)
             if not g.is_trivial():
                 layers[(n, p)] = g
             parts.append(g)
         totals[n] = HomologyGroup(0, ()).direct_sum(*parts)
     return FilteredGroups(totals, layers)
+
+
+def hodge_hh(env, n_max):
+    """Hochschild homology with its Hodge decomposition: the (n, p) layer
+    is the homology of the level complex L^p at position n - p."""
+    return _layer_table(env, n_max, L_complex)
 
 
 def lprime_homology(env, p, q):
@@ -369,20 +369,4 @@ def hc_layers_small(env, n_max):
         raise TooManyVariables(
             "the truncated-complex layer formula holds for <= 2 variables; "
             "use the forms-complex cyclic assembly instead")
-    layers = {}
-    totals = {}
-    complexes = {}
-    for n in range(n_max + 1):
-        parts = []
-        for p in range(n + 1):
-            j = n - p
-            if j > p:
-                continue
-            if p not in complexes:
-                complexes[p] = Lprime_complex(env, p)
-            g = complexes[p].homology(j)
-            if not g.is_trivial():
-                layers[(n, p)] = g
-            parts.append(g)
-        totals[n] = HomologyGroup(0, ()).direct_sum(*parts)
-    return FilteredGroups(totals, layers)
+    return _layer_table(env, n_max, Lprime_complex)

@@ -102,9 +102,6 @@ class GradedAlgebra:
     def mono_hdeg(self, mono):
         return sum(self.generators[i].hdeg * e for i, e in mono)
 
-    def mono_weight(self, mono):
-        return sum(self.generators[i].weight * e for i, e in mono)
-
     def mono_poly_weight(self, mono):
         return sum(self.generators[i].poly_weight * e for i, e in mono)
 
@@ -172,13 +169,6 @@ class Element:
             out._add_term(m, c)
         return out
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        ring = self.algebra.ring
-        return Element(self.algebra, {m: ring.neg(c) for m, c in self.terms.items()})
-
     def scale(self, c):
         ring = self.algebra.ring
         c = ring.normalize(c)
@@ -200,11 +190,6 @@ class Element:
                     continue
                 out._add_term(m, ring.mul(ring.mul(c1, c2), k))
         return out
-
-    def hdeg(self):
-        """Common homological degree of all terms, or None if mixed/zero."""
-        degs = {self.algebra.mono_hdeg(m) for m in self.terms}
-        return degs.pop() if len(degs) == 1 else None
 
     def __eq__(self, other):
         return isinstance(other, Element) and self.terms == other.terms
@@ -234,9 +219,6 @@ class GammaDerivation:
             return self.values[name]
         except KeyError:
             raise UndefinedGenerator(f"no value for generator {name!r}") from None
-
-    def __call__(self, e):
-        return derive(self, e)
 
 
 def derive(deriv, e):

@@ -44,9 +44,6 @@ class GammaFormsComplex:
     n_max: int
     poly_bound: object
 
-    def slice(self, hdeg, weight):
-        return self.slices.get((hdeg, weight))
-
 
 def default_poly_bound(model, n_max):
     """Weighted-degree cap covering every class the window can report.

@@ -1,9 +1,20 @@
 """Exact scalar arithmetic and integer matrix kernels.
 
 Everything here is exact: integers, integers mod m, or rationals.  The
-single workhorse is Smith normal form over Z; homology over Z/m is
-reduced to Z by appending m*(identity) relations, and homology over Q
-is reduced to Z by clearing denominators and discarding torsion.
+work is integer elimination, and the ground ring k is decided in two
+places only:
+
+- `_int_columns` is the lift of a matrix over k to integer columns.  Q
+  entries are scaled to integers; over Z/m one relation column m*e_i
+  per row follows the matrix's own columns, so a lifted d_in carries the
+  middle relations and a lifted d_out the target relations.
+- `subquotient` returns (big/small) (x) k: the integer group over Z and
+  Z/m (over Z/m the small lattice already holds every m*e_i), its free
+  part over Q.
+
+Every other module hands integer columns and the ring to these.  Over Z
+and Q, `homology_at` only needs invariant factors or ranks and skips the
+subquotient; `preimage` solves over Q by rational elimination.
 """
 
 import heapq
@@ -111,10 +122,6 @@ class GroundRing:
             raise ZeroDivisionError(f"{a} is not a unit mod {self.modulus}")
         return x % self.modulus
 
-    @property
-    def is_field(self):
-        return self.kind == "Q"
-
     def __eq__(self, other):
         return (isinstance(other, GroundRing)
                 and self.kind == other.kind and self.modulus == other.modulus)
@@ -181,15 +188,6 @@ class SparseMatrix:
             out[i][j] = v
         return out
 
-    def column(self, j):
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
-
-    def columns(self):
-        cols = [dict() for _ in range(self.cols)]
-        for (i, j), v in self.entries.items():
-            cols[j][i] = v
-        return cols
-
     def __mul__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented
@@ -215,12 +213,6 @@ class SparseMatrix:
         out = SparseMatrix(self.rows, self.cols, self.ring, dict(self.entries))
         for key, v in other.entries.items():
             out.add_at(*key, v)
-        return out
-
-    def scaled(self, c):
-        out = SparseMatrix(self.rows, self.cols, self.ring)
-        for key, v in self.entries.items():
-            out[key] = self.ring.mul(v, c)
         return out
 
     def is_zero(self):
@@ -583,39 +575,36 @@ class ColumnEchelon:
 
 
 def _int_columns(matrix):
-    """Columns of a SparseMatrix as integer dicts (Q entries are scaled)."""
+    """The lift of a SparseMatrix over the ring to integer column dicts.
+
+    Q entries are scaled by their common denominator.  Over Z/m one
+    relation column m*e_i per row follows the matrix's own columns.
+    """
+    ring = matrix.ring
+    scale = 1
+    if ring.kind == "Q":
+        scale = math.lcm(*{v.denominator for v in matrix.entries.values()})
     cols = [dict() for _ in range(matrix.cols)]
-    if matrix.ring.kind == "Q":
-        scale = 1
-        for v in matrix.entries.values():
-            scale = scale * v.denominator // xgcd(scale, v.denominator)[0]
-        for (i, j), v in matrix.entries.items():
-            cols[j][i] = int(v * scale)
-    else:
-        for (i, j), v in matrix.entries.items():
-            cols[j][i] = int(v)
+    for (i, j), v in matrix.entries.items():
+        cols[j][i] = int(v * scale) if scale != 1 else int(v)
+    if ring.kind == "Zmod":
+        cols += [{i: ring.modulus} for i in range(matrix.rows)]
     return cols
 
 
 def kernel_basis(columns, nrows):
     """Basis of the integer kernel lattice of the matrix with given columns.
 
-    `columns` is a list of dicts row -> int.  Returns a list of dense
-    integer vectors x (length = len(columns)) with M x = 0.
+    `columns` is a list of dicts row -> int.  Returns sparse vectors
+    x = {column: int} with M x = 0.
     """
     ech = ColumnEchelon(nrows)
-    n = len(columns)
     for j, col in enumerate(columns):
         aug = dict(col)
         aug[nrows + j] = 1
         ech.add(aug)
-    out = []
-    for wit in ech.null_witnesses:
-        vec = [0] * n
-        for row, val in wit.items():
-            vec[row - nrows] = val
-        out.append(vec)
-    return out
+    return [{row - nrows: val for row, val in wit.items()}
+            for wit in ech.null_witnesses]
 
 
 def integer_rank(columns, nrows):
@@ -795,14 +784,16 @@ def invariant_factors_sparse(columns, nrows):
 # Subquotients of integer lattices and homology of two-step complexes.
 # ---------------------------------------------------------------------------
 
-def subquotient(gens_big, gens_small, nrows, want_generators=False):
-    """The group (span gens_big) / (span gens_small), gens_small inside.
+def subquotient(gens_big, gens_small, nrows, ring, want_generators=False):
+    """(span gens_big) / (span gens_small) (x) k, gens_small inside.
 
-    Vectors are dicts row -> int in an ambient Z^nrows.  When
-    want_generators is set, also returns a list (d_i, vector) with one
-    representative per invariant factor d_i != 1 (d_i = 0 means a free
-    generator).
+    Vectors are dicts row -> int in an ambient Z^nrows.  Over Z and Z/m
+    this is the integer group itself; over Q its torsion is dropped.
+    When want_generators is set, also returns a list (d_i, vector) with
+    one representative per invariant factor d_i != 1 of the result
+    (d_i = 0 means a free generator).
     """
+    free_only = ring.kind == "Q"
     ech = lattice_echelon(gens_big, nrows)
     basis = ech.basis()
     r = len(basis)
@@ -815,6 +806,8 @@ def subquotient(gens_big, gens_small, nrows, want_generators=False):
         expr_cols.append({idx[row]: q for row, q in coords.items() if q})
     if not want_generators:
         factors, rank = invariant_factors_sparse(expr_cols, r)
+        if free_only:
+            factors = ()
         return HomologyGroup.from_factors(r - rank, factors), None
     dense = [[0] * len(expr_cols) for _ in range(r)]
     for j, col in enumerate(expr_cols):
@@ -823,18 +816,17 @@ def subquotient(gens_big, gens_small, nrows, want_generators=False):
     _, s, _, uinv = dense_snf(dense, want_uinv=True)
     diag = [s[i][i] for i in range(min(r, len(expr_cols)))]
     diag += [0] * (r - len(diag))
-    factors = [d for d in diag if d not in (0, 1)]
+    factors = [] if free_only else [d for d in diag if d not in (0, 1)]
     rank = sum(1 for d in diag if d)
     gens = []
-    basis_list = basis
     for i, d in enumerate(diag):
-        if d == 1:
+        if d == 1 or (free_only and d):
             continue
         vec = {}
         for k in range(r):
             c = uinv[k][i]
             if c:
-                for row, val in basis_list[k].items():
+                for row, val in basis[k].items():
                     nv = vec.get(row, 0) + c * val
                     if nv:
                         vec[row] = nv
@@ -844,28 +836,22 @@ def subquotient(gens_big, gens_small, nrows, want_generators=False):
     return HomologyGroup.from_factors(r - rank, factors), gens
 
 
-def homology_from_presentation(d_in_cols, d_out_cols, mid_dim, out_dim,
-                               rel_mid=(), rel_out=(), want_generators=False):
-    """Homology of span{x : d_out(x) in <rel_out>} / (im d_in + <rel_mid>).
+def homology_from_presentation(d_in_cols, d_out_cols, mid_dim, out_dim, ring,
+                               want_generators=False):
+    """(ker d_out / im d_in) (x) k for integer columns of presented modules.
 
-    All data is over Z; rel_mid / rel_out are extra relation vectors
-    (e.g. m * e_i when working over Z/m).  This is the one engine behind
-    every homology computation in the package.
+    Columns of d_out_cols past mid_dim are relations of the target: a
+    cycle is an integer kernel vector restricted to its first mid_dim
+    coordinates.  Every column of d_in_cols, relations of the middle
+    included, spans the boundaries.  `_int_columns` gives both lists the
+    ring's relations.
     """
-    if not rel_out:
-        cycles = kernel_basis(d_out_cols, out_dim)
-        cycle_gens = [{i: v for i, v in enumerate(vec) if v} for vec in cycles]
-    else:
-        aug = list(d_out_cols) + [dict(r) for r in rel_out]
-        kb = kernel_basis(aug, out_dim)
-        n = len(d_out_cols)
-        cycle_gens = []
-        for vec in kb:
-            g = {i: v for i, v in enumerate(vec[:n]) if v}
-            if g:
-                cycle_gens.append(g)
-    bound_gens = [dict(c) for c in d_in_cols if c] + [dict(r) for r in rel_mid]
-    return subquotient(cycle_gens, bound_gens, mid_dim,
+    cycles = []
+    for vec in kernel_basis(d_out_cols, out_dim):
+        g = {j: v for j, v in vec.items() if j < mid_dim}
+        if g:
+            cycles.append(g)
+    return subquotient(cycles, [c for c in d_in_cols if c], mid_dim, ring,
                        want_generators=want_generators)
 
 
@@ -882,12 +868,8 @@ def homology_at(d_in, d_out, ring):
             f"d_out . d_in != 0 on a {d_in.rows}-dimensional slice")
     n = d_in.rows
     if ring.kind == "Zmod":
-        m = ring.modulus
-        rel_mid = [{i: m} for i in range(n)]
-        rel_out = [{i: m} for i in range(d_out.rows)]
         group, _ = homology_from_presentation(
-            _int_columns(d_in), _int_columns(d_out), n, d_out.rows,
-            rel_mid=rel_mid, rel_out=rel_out)
+            _int_columns(d_in), _int_columns(d_out), n, d_out.rows, ring)
         return group
     # Each integer copy is built when it is needed and dropped after, so
     # the two are never alive together.
@@ -908,28 +890,17 @@ def preimage(matrix, b, ring):
     """
     n = matrix.cols
     if ring.kind == "Q":
-        scale = 1
-        vals = list(matrix.entries.values()) + [ring.normalize(x) for x in b]
-        for v in vals:
-            v = Fraction(v)
-            scale = scale * v.denominator // xgcd(scale, v.denominator)[0]
+        # rational elimination takes the entries as they are
         cols = [dict() for _ in range(n)]
         for (i, j), v in matrix.entries.items():
-            cols[j][i] = int(Fraction(v) * scale)
-        target = {i: int(Fraction(v) * scale) for i, v in enumerate(b)
-                  if ring.normalize(v) != 0}
-        sol = _solve_rational(cols, target, matrix.rows)
-        return sol
-    cols = _int_columns(matrix)
+            cols[j][i] = v
+        target = {i: Fraction(v) for i, v in enumerate(b) if v}
+        return _solve_rational(cols, target, matrix.rows)
     target = {i: int(v) for i, v in enumerate(b) if int(v)}
-    if ring.kind == "Zmod":
-        m = ring.modulus
-        cols = cols + [{i: m} for i in range(matrix.rows)]
-        sol = _solve_integer(cols, target, matrix.rows)
-        if sol is None:
-            return None
-        return [ring.normalize(x) for x in sol[:n]]
-    return _solve_integer(cols, target, matrix.rows)
+    sol = _solve_integer(_int_columns(matrix), target, matrix.rows)
+    if sol is None:
+        return None
+    return [ring.normalize(x) for x in sol[:n]]
 
 
 def _solve_integer(columns, target, nrows):

@@ -58,9 +58,6 @@ class DoubleMixedComplex:
     def map_b(self, p, q):
         return self._map(self.maps_b, p, q, p, q + 1)
 
-    def in_window(self, p, q):
-        return p >= 0 and q >= 0 and p + q <= self.window_total
-
     def require_window(self, n_max):
         if n_max + 1 > self.window_total:
             raise WindowTooSmall(
@@ -345,57 +342,42 @@ def _column_graded_pieces(d_in, d_out, cols_mid, ring):
     n = len(cols_mid)
     if n == 0:
         return {}
-    in_cols = _int_columns(d_in)
     out_cols = _int_columns(d_out)
-    rel_mid = []
-    rel_out = []
-    if ring.kind == "Zmod":
-        m = ring.modulus
-        rel_mid = [{i: m} for i in range(n)]
-        rel_out = [{i: m} for i in range(d_out.rows)]
-    maxc = max(cols_mid)
+    target_rels = out_cols[n:]
+    gens_in = [g for g in _int_columns(d_in) if g]
     pieces = {}
     prev_cycles = []
-    for c in range(maxc + 1):
+    for c in range(max(cols_mid) + 1):
         keep = [j for j, cv in enumerate(cols_mid) if cv <= c]
         if not keep:
             continue
         # cycles supported in F_c: kernel of d_out restricted to F_c columns
-        sub_out = [out_cols[j] for j in keep]
-        aug = sub_out + [dict(r) for r in rel_out]
-        kb = kernel_basis(aug, d_out.rows)
+        kb = kernel_basis([out_cols[j] for j in keep] + target_rels, d_out.rows)
         cycles = []
         for vec in kb:
-            g = {}
-            for jj, v in enumerate(vec[:len(keep)]):
-                if v:
-                    g[keep[jj]] = v
+            g = {keep[jj]: v for jj, v in vec.items() if jj < len(keep)}
             if g:
                 cycles.append(g)
-        # boundaries landing in F_c: values of [d_in | rels] whose image
+        # boundaries landing in F_c: combinations of gens_in whose image
         # avoids the complement of F_c
-        outside = [j for j, cv in enumerate(cols_mid) if cv > c]
-        gens_in = [dict(col) for col in in_cols] + [dict(r) for r in rel_mid]
+        outside = {j for j, cv in enumerate(cols_mid) if cv > c}
         if outside:
-            oset = set(outside)
-            proj = [{r: v for r, v in g.items() if r in oset} for g in gens_in]
-            combos = kernel_basis(proj, n)
+            proj = [{r: v for r, v in g.items() if r in outside} for g in gens_in]
             bnd = []
-            for vec in combos:
+            for vec in kernel_basis(proj, n):
                 img = {}
-                for jj, v in enumerate(vec):
-                    if v:
-                        for r, w in gens_in[jj].items():
-                            nv = img.get(r, 0) + v * w
-                            if nv:
-                                img[r] = nv
-                            else:
-                                img.pop(r, None)
+                for jj, v in vec.items():
+                    for r, w in gens_in[jj].items():
+                        nv = img.get(r, 0) + v * w
+                        if nv:
+                            img[r] = nv
+                        else:
+                            img.pop(r, None)
                 if img:
                     bnd.append(img)
         else:
-            bnd = [g for g in gens_in if g]
-        group, _ = subquotient(cycles, prev_cycles + bnd, n)
+            bnd = gens_in
+        group, _ = subquotient(cycles, prev_cycles + bnd, n, ring)
         if not group.is_trivial():
             pieces[c] = group
         prev_cycles = cycles

@@ -28,36 +28,12 @@ def poly_is_zero(p):
     return not p
 
 
-def poly_add(p, q, ring):
-    out = dict(p)
-    for e, c in q.items():
-        v = ring.add(out.get(e, ring.zero), c)
-        if ring.is_zero(v):
-            out.pop(e, None)
-        else:
-            out[e] = v
-    return out
-
-
 def poly_scale(p, c, ring):
     out = {}
     for e, v in p.items():
         w = ring.mul(v, c)
         if not ring.is_zero(w):
             out[e] = w
-    return out
-
-
-def poly_mul(p, q, ring):
-    out = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            v = ring.add(out.get(e, ring.zero), ring.mul(c1, c2))
-            if ring.is_zero(v):
-                out.pop(e, None)
-            else:
-                out[e] = v
     return out
 
 
@@ -138,10 +114,6 @@ class Presentation:
         if not self.is_quasi_monic:
             raise NotQuasiMonic("presentation has a relation without a "
                                 "unit pure-power leading term")
-
-    @property
-    def var_relations(self):
-        return [d for d in self.quasi_monic if d and d[0] == "var"]
 
     @property
     def const_relations(self):
@@ -226,9 +198,6 @@ class FreeDGA:
     @property
     def ring(self):
         return self.algebra.ring
-
-    def max_generator_degree(self):
-        return max((g.hdeg for g in self.algebra.generators), default=0)
 
     def has_degree_zero_generators(self):
         return any(g.hdeg == 0 for g in self.algebra.generators)
@@ -329,7 +298,9 @@ def tate_extend(tower, target_degree):
         s_high = basis_slice(alg, m + 1, 0)
         d_out = derivation_matrix(model.boundary, s_mid, s_low)
         d_in = derivation_matrix(model.boundary, s_high, s_mid)
-        group, gens = _homology_generators(d_in, d_out, ring)
+        group, gens = homology_from_presentation(
+            _int_columns(d_in), _int_columns(d_out), d_in.rows, d_out.rows,
+            ring, want_generators=True)
         added = []
         vals = []
         if gens:
@@ -346,29 +317,6 @@ def tate_extend(tower, target_degree):
             model = _model_with_generators(model, added, vals)
         stages.append(TateStage(m, tuple(g.name for g in added), group))
     return TateTower(model, stages)
-
-
-def _homology_generators(d_in, d_out, ring):
-    """Homology with one representative per invariant factor != 1.
-
-    Over Q only free generators are returned (torsion dies); over Z/m
-    the computation is lifted to Z with m*identity relations.
-    """
-    n = d_in.rows
-    in_cols = _int_columns(d_in)
-    out_cols = _int_columns(d_out)
-    rel_mid = []
-    rel_out = []
-    if ring.kind == "Zmod":
-        rel_mid = [{i: ring.modulus} for i in range(n)]
-        rel_out = [{i: ring.modulus} for i in range(d_out.rows)]
-    group, gens = homology_from_presentation(
-        in_cols, out_cols, n, d_out.rows,
-        rel_mid=rel_mid, rel_out=rel_out, want_generators=True)
-    if ring.kind == "Q":
-        gens = [(d, v) for d, v in gens if d == 0]
-        group = type(group)(group.free_rank, ())
-    return group, gens
 
 
 def slice_homology(model, hdeg, ring=None, poly_bound=None):

@@ -149,6 +149,8 @@ def test_cli_nmax_override(tmp_path):
     ("ring Z\nvars x\nvars y\nrel y^2\n", "line 3"),
     ("ring Z\nvars x\nrel x^2\nnmax 2\nnmax 1\n", "line 5"),
     ("ring Z\nvars x\nrel x^2\npolybound 4\npolybound 6\n", "line 5"),
+    ("ring Z\nvars x\nrel x^2\npolybound 0\nnmax 2\n", "line 4"),
+    ("ring Z\nvars x y\npolybound 2\nrel x^2\nrel x*y^2 - y\n", "line 3"),
 ])
 def test_cli_rejects_bad_input(tmp_path, text, detail):
     src = tmp_path / "bad.txt"
@@ -167,10 +169,14 @@ def test_run_hh_large_prime_torsion():
     assert report["hh"]["0"]["torsion"] == [p]
 
 
-@pytest.mark.parametrize("ring", ["Z", "Z/4"])
+@pytest.mark.parametrize("ring", ["Z", "Z/4", "Q"])
 def test_cli_hc_matches_layers_totals(ring):
     job = parse(f"ring {ring}\nvars x\nrel x^2\nnmax 3\n")
     hc, ok = run(job, "hc")
     layers, ok_layers = run(job, "layers")
     assert ok and ok_layers
     assert hc["hc"] == layers["hc"]["total"]
+    if ring == "Q":
+        for mode in ("hh", "hc"):
+            for key, g in layers[mode]["layers"].items():
+                assert g["torsion"] == [], (mode, key)

@@ -340,11 +340,13 @@ def test_reduce_matches_sorted_walk():
 
 def test_subquotient_rejects_lattice_outside():
     big = [{0: 2}, {1: 1}]
-    assert subquotient(big, [{0: 4}], 2)[0] == HomologyGroup(1, (2,))
+    assert subquotient(big, [{0: 4}], 2, Z)[0] == HomologyGroup(1, (2,))
+    # over Q the torsion dies: the result is (big/small) (x) Q
+    assert subquotient(big, [{0: 4}], 2, Q)[0] == HomologyGroup(1, ())
     with pytest.raises(ValueError):
-        subquotient(big, [{0: 1}], 2)
+        subquotient(big, [{0: 1}], 2, Z)
     with pytest.raises(ValueError):
-        subquotient(big, [{2: 1}], 3)
+        subquotient(big, [{2: 1}], 3, Z)
 
 
 def test_kernel_basis_is_saturated():
@@ -356,13 +358,12 @@ def test_kernel_basis_is_saturated():
         M = mat(rows)
         kb = kernel_basis(_int_columns(M), m)
         for vec in kb:
-            assert all(x == 0 for x in M.apply(vec))
+            assert all(x == 0 for x in M.apply([vec.get(j, 0) for j in range(n)]))
         assert len(kb) == n - rational_rank(rows)
         if kb:
             # saturation: the kernel basis spans a direct summand, so its
             # nontrivial invariant factors are all 1
-            cols = [{i: v for i, v in enumerate(vec) if v} for vec in kb]
-            factors, rank = invariant_factors_sparse(cols, n)
+            factors, rank = invariant_factors_sparse(kb, n)
             assert rank == len(kb)
             assert not factors
 
@@ -406,7 +407,7 @@ def test_homology_free_rank_against_rational_oracle():
         else:
             B = SparseMatrix(n, r, Z)
             for j, vec in enumerate(kb):
-                for i, v in enumerate(vec):
+                for i, v in vec.items():
                     B[i, j] = v
         t = rng.randint(0, 4)
         C = SparseMatrix(r, t, Z)

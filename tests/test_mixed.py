@@ -123,20 +123,22 @@ def test_filtration_layers_single_row():
 
 
 def test_layer_consistency_hh_and_hc():
-    # graded-pieces consistency on a nontrivial fixture
+    # graded-pieces consistency on a nontrivial fixture; over Q every
+    # layer is torsion-free like the totals
     from shukla.models import Presentation, koszul_model
     from shukla.gammaforms import build_gamma_forms
-    P = Presentation.make(Z, ["x"], [{(3,): 1}])
-    G = build_gamma_forms(koszul_model(P), 3)
-    for mode in ("hh", "hc"):
-        fg = filtration_layers(G.complex, 3, mode)
-        for n, total in fg.total.items():
-            ranks = sum(fg.layer(n, p).free_rank for p in range(n + 1))
-            orders = 1
-            for p in range(n + 1):
-                orders *= fg.layer(n, p).torsion_order
-            assert ranks == total.free_rank, (mode, n)
-            assert orders == total.torsion_order, (mode, n)
+    for ring in (Z, GroundRing.Q()):
+        P = Presentation.make(ring, ["x"], [{(3,): 1}])
+        G = build_gamma_forms(koszul_model(P), 3)
+        for mode in ("hh", "hc"):
+            fg = filtration_layers(G.complex, 3, mode)
+            for n, total in fg.total.items():
+                ranks = sum(fg.layer(n, p).free_rank for p in range(n + 1))
+                orders = 1
+                for p in range(n + 1):
+                    orders *= fg.layer(n, p).torsion_order
+                assert ranks == total.free_rank, (ring, mode, n)
+                assert orders == total.torsion_order, (ring, mode, n)
 
 
 def test_hc0_equals_hh0():
