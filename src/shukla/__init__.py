@@ -18,8 +18,8 @@ from .models import (
     quasi_monic_reduce, tate_extend, trivial_model,
 )
 from .mixed import (
-    DoubleMixedComplex, FilteredGroups, cyclic_e2, cyclic_total, e1_term,
-    filtration_layers, hochschild_total, validate,
+    FilteredGroups, MixedComplex, cyclic_e2, cyclic_layers, cyclic_total,
+    hochschild_layers, hochschild_total, validate,
 )
 from .gammaforms import (
     GammaFormsComplex, WitnessReport, build_gamma_forms, hc_assemble, hh_assemble,

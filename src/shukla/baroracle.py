@@ -2,16 +2,16 @@
 
 For a commutative algebra A, finite free over the ground ring with a
 basis containing 1, the slices A (x) (A/k)^(x q) carry the Hochschild
-boundary b (as the q-lowering map) and the Connes boundary B (raising
-q).  Totalizing through the mixed-complex machinery gives HH and HC,
-which agree with the model pipelines exactly when A is free over k.
+boundary b (lowering q) and the Connes boundary B (raising q).  As a
+mixed complex with every slice in weight 0 it gives HH and HC, which
+agree with the model pipelines exactly when A is free over k.
 """
 
 from dataclasses import dataclass
 from itertools import product
 
 from .errors import NotQuasiMonic
-from .mixed import DoubleMixedComplex, cyclic_total, hochschild_total
+from .mixed import MixedComplex, cyclic_total, hochschild_total
 from .linalg import SparseMatrix
 from .models import quasi_monic_reduce
 
@@ -96,7 +96,7 @@ def from_presentation(pres):
 
 def cyclic_mixed(algebra, n_max):
     """The normalized cyclic mixed complex of A through tensor length
-    n_max + 1, as a double mixed complex concentrated in p = 0."""
+    n_max + 1; tensor length q + 1 is the slice (q, 0)."""
     ring = algebra.ring
     r = algebra.rank
     qmax = n_max + 1
@@ -107,17 +107,16 @@ def cyclic_mixed(algebra, n_max):
                 for i0 in range(r)
                 for rest in product(range(1, r), repeat=q)]
         labels[q] = {lab: pos for pos, lab in enumerate(labs)}
-        slices[(0, q)] = tuple(labs)
-    maps_d = {}
+        slices[(q, 0)] = tuple(labs)
     maps_b = {}
+    maps_B = {}
     for q in range(1, qmax + 1):
-        maps_d[(0, q)] = _hochschild_boundary(algebra, q, slices[(0, q)],
-                                              labels[q - 1])
+        maps_b[((q, 0), (q - 1, 0))] = _hochschild_boundary(
+            algebra, q, slices[(q, 0)], labels[q - 1])
     for q in range(qmax):
-        maps_b[(0, q)] = _connes_boundary(algebra, q, slices[(0, q)],
-                                          labels[q + 1])
-    return DoubleMixedComplex(ring, slices, maps_d=maps_d, maps_b=maps_b,
-                              window_total=qmax)
+        maps_B[((q, 0), (q + 1, 0))] = _connes_boundary(
+            algebra, q, slices[(q, 0)], labels[q + 1])
+    return MixedComplex(ring, slices, b=maps_b, B=maps_B, window_total=qmax)
 
 
 def _add_tensor(algebra, mat, row_index, col, tensor, coeff, slot, coeffs):

@@ -17,6 +17,7 @@ check passed.
 import argparse
 import json
 import random
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -259,7 +260,7 @@ def run(job, command):
             return report, ok
         if command == "compare":
             return _run_compare(job, report)
-        if command.startswith("witness24"):
+        if command.split()[:1] == ["witness24"]:
             return _run_witness(job, command, report)
         if command == "selftest":
             return _run_selftest(job, report)
@@ -330,11 +331,14 @@ def _run_compare(job, report):
 
 
 def _run_witness(job, command, report):
-    parts = command.split()
     p = 2
-    for part in parts[1:]:
-        if part.startswith("p="):
-            p = int(part[2:])
+    for part in command.split()[1:]:
+        m = re.fullmatch(r"p=([0-9]+)", part)
+        if m is None:
+            raise ParseError(f"bad witness parameter {part!r}")
+        p = int(m.group(1))
+    if p < 2:
+        raise ParseError(f"witness24 needs p >= 2, got {p}")
     ring = job.ring
     try:
         w = witness_nondegeneracy(ring, p)
@@ -430,12 +434,14 @@ def main(argv=None):
         text = sys.stdin.read()
     try:
         job = parse(text)
+        if args.nmax is not None:
+            if args.nmax < 0:
+                raise ParseError("--nmax must be >= 0")
+            job.n_max = args.nmax
     except ParseError as exc:
         payload = {"error": {"type": "ParseError", "detail": str(exc)}}
         _emit(payload, args.json_out)
         return 2
-    if args.nmax is not None:
-        job.n_max = args.nmax
     job.seed = args.seed
     report, ok = run(job, args.cmd)
     _emit(report, args.json_out)

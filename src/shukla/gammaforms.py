@@ -5,9 +5,10 @@ degree higher, exterior when the new degree is odd, divided-power when
 even, weight 1) and equip the enlarged algebra with two derivations:
 the degree-raising d with d(v) = dv, d(dv) = 0, and the degree-lowering
 delta with delta(v) = boundary(v), delta(dv) = -d(boundary(v)).  The
-result is a double mixed complex with zero D, delta as the p-lowering
-map and d as the q-raising map; its strand homology, totalizations and
-Hodge layers are the engine's main output.
+result is a mixed complex with b = delta and B = d, sliced by homological
+degree and weight (the number of d-letters): delta keeps the weight and
+d raises it by one.  Its weight-graded delta homology, cyclic
+totalization and Hodge layers are the engine's main output.
 
 Slices are truncated by a weighted polynomial degree in which a
 variable and its dx count 1 and a relation generator and its d-image
@@ -23,16 +24,16 @@ from .dpalgebra import (
     DIVIDED_POWER, EXTERIOR, POLYNOMIAL, Element, GammaDerivation, Generator,
     GradedAlgebra, basis_slice, derivation_matrix, derive,
 )
-from .errors import CompositionNonzero, HypothesisViolated, UnitP, WindowTooSmall
+from .errors import CompositionNonzero, HypothesisViolated, UnitP
 from .linalg import preimage
-from .mixed import DoubleMixedComplex, filtration_layers
+from .mixed import MixedComplex, cyclic_layers, hochschild_layers, hochschild_total
 from .models import FreeDGA, check_boundary_square, tate_extend
 
 
 @dataclass
 class GammaFormsComplex:
     """A model, its extended algebra with d-generators, both derivations,
-    the slice windows and the assembled double mixed complex."""
+    the slice windows and the assembled mixed complex."""
 
     model: FreeDGA
     algebra: GradedAlgebra
@@ -40,7 +41,7 @@ class GammaFormsComplex:
     delta: GammaDerivation
     d: GammaDerivation
     slices: dict          # (hdeg, weight) -> Slice
-    complex: DoubleMixedComplex
+    complex: MixedComplex
     n_max: int
     poly_bound: object
 
@@ -92,39 +93,28 @@ def build_gamma_forms(model, n_max, poly_bound=None):
     for h in range(htop + 1):
         for q in range(h + 1):
             slices[(h, q)] = basis_slice(alg, h, q, poly_bound)
-    cplx_slices = {}
-    maps_del = {}
     maps_b = {}
+    maps_B = {}
     for (h, q), s in slices.items():
         if s.dim == 0:
             continue
-        p = h - q
-        cplx_slices[(p, q)] = s.monomials
-    for (h, q), s in slices.items():
-        if s.dim == 0:
-            continue
-        p = h - q
-        tgt = slices.get((h - 1, q))
-        if tgt is not None:
-            mat = derivation_matrix(delta, s, tgt)
-            if mat.entries:
-                maps_del[(p, q)] = mat
-        tgt_b = slices.get((h + 1, q + 1))
-        if tgt_b is not None:
-            mat = derivation_matrix(d, s, tgt_b)
-            if mat.entries:
-                maps_b[(p, q)] = mat
-    cplx = DoubleMixedComplex(base.ring, cplx_slices, maps_del=maps_del,
-                              maps_b=maps_b, window_total=htop)
+        for table, deriv, key in ((maps_b, delta, (h - 1, q)),
+                                  (maps_B, d, (h + 1, q + 1))):
+            tgt = slices.get(key)
+            if tgt is not None:
+                mat = derivation_matrix(deriv, s, tgt)
+                if mat.entries:
+                    table[((h, q), key)] = mat
+    cplx = MixedComplex(base.ring, {k: s.monomials for k, s in slices.items() if s.dim},
+                        b=maps_b, B=maps_B, window_total=htop)
     return GammaFormsComplex(model, alg, d_name, delta, d, slices, cplx,
                              n_max, poly_bound)
 
 
 def hh_assemble(G, n_max):
     """Hochschild homology HH_0..HH_n_max through degeneracy: the direct
-    sum over weights of the delta-strand homology, i.e. the totals of
-    hh_layers(G, n_max), read off the delta matrices build_gamma_forms
-    stored.
+    sum over weights of the delta homology of the forms complex, read off
+    the delta matrices build_gamma_forms stored.
 
     The shortcut is valid for models with generators in degrees 0 and 1
     only; any other model raises HypothesisViolated.
@@ -132,23 +122,19 @@ def hh_assemble(G, n_max):
     if any(g.hdeg >= 2 for g in G.model.algebra.generators):
         raise HypothesisViolated(
             "degeneracy shortcut needs all model generators in degree <= 1; "
-            "use filtration_layers on the complex instead")
-    total = hh_layers(G, n_max).total
-    return [total[n] for n in range(n_max + 1)]
+            "hochschild_total(G.complex, n) gives the delta homology of the "
+            "complex itself")
+    return hochschild_total(G.complex, n_max)
 
 
 def hc_assemble(G, n_max):
     """Cyclic homology totals and Hodge layers of the forms complex."""
-    if n_max > G.n_max:
-        raise WindowTooSmall(f"complex built for n_max = {G.n_max}")
-    return filtration_layers(G.complex, n_max, "hc")
+    return cyclic_layers(G.complex, n_max)
 
 
 def hh_layers(G, n_max):
     """Hochschild totals and Hodge layers of the forms complex."""
-    if n_max > G.n_max:
-        raise WindowTooSmall(f"complex built for n_max = {G.n_max}")
-    return filtration_layers(G.complex, n_max, "hh")
+    return hochschild_layers(G.complex, n_max)
 
 
 @dataclass

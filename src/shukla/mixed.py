@@ -1,15 +1,20 @@
-"""Double mixed complexes and their homology.
+"""Mixed complexes and their homology.
 
-A double mixed complex is a bigraded family of finite free slices
-M_{p,q} with three pairwise anticommuting square-zero maps: D lowers q,
-del lowers p, B raises q.  Hochschild homology totalizes (D, del);
-cyclic homology totalizes the shifted double complex whose (P, Q) entry
-is the sum of M_{P-i, Q-i}, with B feeding copy i into copy i-1 (and
-falling off the i = 0 copy).
+A mixed complex (C, b, B) (Kassel 1987; Loday, *Cyclic Homology*, 1992)
+is a graded family of finite free modules with two square-zero maps
+that anticommute: b lowers the degree by one, B raises it by one.  Here
+each degree is split into weight slices C_{n,w}; b keeps the weight and
+B either raises it by one (the Gamma-forms complex, b = delta, B = d) or
+keeps it (the normalized bar complex, whose slices all have weight 0).
 
-Hodge-filtration layers are read off the column filtration of the total
-complex directly: the (n, p) layer is the p-th graded piece of H_n,
-computed as an exact subquotient of integer lattices.
+Hochschild homology is the homology of b, weight by weight.  Cyclic
+homology totalizes the shifted complex whose degree-n term is the sum of
+copies i >= 0 of C_{n-2i}, with b acting inside each copy and B feeding
+copy i into copy i - 1 (and falling off the i = 0 copy).
+
+Hodge layers of cyclic homology are read off the column filtration of
+that totalization: the (n, p) layer is a graded piece of HC_n, computed
+as an exact subquotient of integer lattices.
 """
 
 from dataclasses import dataclass, field
@@ -21,42 +26,26 @@ from .linalg import (
 
 
 @dataclass
-class DoubleMixedComplex:
-    """Finite window of a double mixed complex.
+class MixedComplex:
+    """Finite window of a mixed complex.
 
-    slices maps (p, q) to a tuple of opaque basis labels; missing keys
-    are zero slices.  Every slice with p + q <= window_total is present
-    or genuinely zero.  maps_d, maps_del, maps_b map (p, q) to the
-    matrix leaving that slice; missing maps are zero.
+    slices maps (n, w), the degree and the weight, to a tuple of opaque
+    basis labels; missing keys are zero slices.  Every slice with
+    n <= window_total is present or genuinely zero.  b and B map a pair
+    (source slice, target slice) to the block between them; b blocks go
+    from (n, w) to (n - 1, w), B blocks from (n, w) to a slice of degree
+    n + 1.  Missing blocks are zero.
     """
 
     ring: object
     slices: dict
-    maps_d: dict = field(default_factory=dict)
-    maps_del: dict = field(default_factory=dict)
-    maps_b: dict = field(default_factory=dict)
+    b: dict = field(default_factory=dict)
+    B: dict = field(default_factory=dict)
     window_total: int = 0
 
-    def dim(self, p, q):
-        if p < 0 or q < 0:
-            return 0
-        s = self.slices.get((p, q))
+    def dim(self, n, w):
+        s = self.slices.get((n, w))
         return len(s) if s else 0
-
-    def _map(self, table, p, q, tp, tq):
-        m = table.get((p, q))
-        if m is not None:
-            return m
-        return SparseMatrix(self.dim(tp, tq), self.dim(p, q), self.ring)
-
-    def map_d(self, p, q):
-        return self._map(self.maps_d, p, q, p, q - 1)
-
-    def map_del(self, p, q):
-        return self._map(self.maps_del, p, q, p - 1, q)
-
-    def map_b(self, p, q):
-        return self._map(self.maps_b, p, q, p, q + 1)
 
     def require_window(self, n_max):
         if n_max + 1 > self.window_total:
@@ -74,200 +63,60 @@ class ValidationResult:
         return self.ok
 
 
-def validate(M):
-    """Check all seven identities on the window interior.
+def _leaving(table):
+    """source slice -> [(target slice, block)] of a block table."""
+    out = {}
+    for (s, t), mat in table.items():
+        out.setdefault(s, []).append((t, mat))
+    return out
 
-    D^2 = del^2 = B^2 = 0, the three anticommutators vanish, and the
-    assembled total boundary squares to zero.  A failed result names
-    the first failing identity and slice.
+
+def _composite(s, paths):
+    """The sum over (first, second) in paths of second . first on slice s,
+    one block per target slice."""
+    out = {}
+    for first, second in paths:
+        for t, m1 in first.get(s, ()):
+            for u, m2 in second.get(t, ()):
+                prod = m2 * m1
+                out[u] = out[u] + prod if u in out else prod
+    return out
+
+
+def validate(M):
+    """Check b^2 = 0, B^2 = 0 and bB + Bb = 0 on the window interior.
+
+    Each composite is formed from one source slice and dropped after its
+    check.  A failed result names the first failing identity and slice.
     """
     W = M.window_total
+    b, B = _leaving(M.b), _leaving(M.B)
     keys = sorted(k for k in M.slices if M.dim(*k))
     checks = (
-        ("D^2", lambda p, q: M.map_d(p, q - 1) * M.map_d(p, q), 0),
-        ("del^2", lambda p, q: M.map_del(p - 1, q) * M.map_del(p, q), 0),
-        ("B^2", lambda p, q: M.map_b(p, q + 1) * M.map_b(p, q), 2),
-        ("D*del + del*D",
-         lambda p, q: M.map_d(p - 1, q) * M.map_del(p, q)
-         + M.map_del(p, q - 1) * M.map_d(p, q), 0),
-        ("B*del + del*B",
-         lambda p, q: M.map_b(p - 1, q) * M.map_del(p, q)
-         + M.map_del(p, q + 1) * M.map_b(p, q), 1),
-        ("D*B + B*D",
-         lambda p, q: M.map_d(p, q + 1) * M.map_b(p, q)
-         + M.map_b(p, q - 1) * M.map_d(p, q), 1),
+        ("b^2", ((b, b),), 0),
+        ("B^2", ((B, B),), 2),
+        ("bB + Bb", ((B, b), (b, B)), 1),
     )
-    for name, comp, slack in checks:
-        for (p, q) in keys:
-            if p + q > W - slack:
+    for name, paths, slack in checks:
+        for s in keys:
+            if s[0] > W - slack:
                 continue
-            if not comp(p, q).is_zero():
-                return ValidationResult(False, name, (p, q))
-    d = {n: _total_matrix(M, n) for n in range(1, W)}
-    for n in range(1, W - 1):
-        if not (d[n] * d[n + 1]).is_zero():
-            return ValidationResult(False, "total boundary squared", (n + 1,))
+            if not all(m.is_zero() for m in _composite(s, paths).values()):
+                return ValidationResult(False, name, s)
     return ValidationResult(True)
 
 
-def _total_summands(M, n):
-    return [(p, n - p) for p in range(n + 1) if M.dim(p, n - p)]
+def _degree_slices(M, n):
+    """The nonzero slices of degree n, by decreasing weight."""
+    return sorted((k for k in M.slices if k[0] == n and M.dim(*k)), reverse=True)
 
 
-def _offsets(summands, dims):
-    offs = {}
-    total = 0
-    for s, d in zip(summands, dims):
-        offs[s] = total
-        total += d
-    return offs, total
-
-
-def _total_matrix(M, n):
-    """Boundary Tot_n -> Tot_{n-1} of the (D, del) double complex."""
-    src = _total_summands(M, n)
-    tgt = _total_summands(M, n - 1)
-    soff, sdim = _offsets(src, [M.dim(*s) for s in src])
-    toff, tdim = _offsets(tgt, [M.dim(*t) for t in tgt])
-    out = SparseMatrix(tdim, sdim, M.ring)
-    for (p, q) in src:
-        for mat, (tp, tq) in ((M.map_d(p, q), (p, q - 1)),
-                              (M.map_del(p, q), (p - 1, q))):
-            if (tp, tq) in toff and mat.entries:
-                r0 = toff[(tp, tq)]
-                c0 = soff[(p, q)]
-                for (i, j), v in mat.entries.items():
-                    out.add_at(r0 + i, c0 + j, v)
-    return out
-
-
-def _homology_series(d, ring):
-    """ker d[n] / im d[n + 1] for every n below the last boundary."""
-    return [homology_at(d[n + 1], d[n], ring) for n in range(len(d) - 1)]
-
-
-def hochschild_total(M, n_max, boundaries=None):
-    """HH_n(M) for 0 <= n <= n_max via the (D, del) totalization.
-
-    boundaries, when given, are the _total_matrix(M, n) for
-    0 <= n <= n_max + 1, already built by the caller.
-    """
-    M.require_window(n_max)
-    d = boundaries
-    if d is None:
-        d = [_total_matrix(M, n) for n in range(n_max + 2)]
-    return _homology_series(d, M.ring)
-
-
-def _cyclic_summands(M, n):
-    """Summands (i, p, q) of Tot_n of the shifted double complex."""
-    out = []
-    i = 0
-    while n - 2 * i >= 0:
-        t = n - 2 * i
-        for p in range(t + 1):
-            q = t - p
-            if M.dim(p, q):
-                out.append((i, p, q))
-        i += 1
-    return out
-
-
-def _cyclic_matrix(M, n):
-    src = _cyclic_summands(M, n)
-    tgt = _cyclic_summands(M, n - 1)
-    soff, sdim = _offsets(src, [M.dim(p, q) for _, p, q in src])
-    toff, tdim = _offsets(tgt, [M.dim(p, q) for _, p, q in tgt])
-    out = SparseMatrix(tdim, sdim, M.ring)
-    for (i, p, q) in src:
-        blocks = [(M.map_d(p, q), (i, p, q - 1)),
-                  (M.map_del(p, q), (i, p - 1, q))]
-        if i >= 1:
-            blocks.append((M.map_b(p, q), (i - 1, p, q + 1)))
-        for mat, t in blocks:
-            if t in toff and mat.entries:
-                r0 = toff[t]
-                c0 = soff[(i, p, q)]
-                for (r, c), v in mat.entries.items():
-                    out.add_at(r0 + r, c0 + c, v)
-    return out
-
-
-def cyclic_total(M, n_max, boundaries=None):
-    """HC_n(M) for 0 <= n <= n_max.
-
-    boundaries, when given, are the _cyclic_matrix(M, n) for
-    0 <= n <= n_max + 1, already built by the caller.
-    """
-    M.require_window(n_max)
-    d = boundaries
-    if d is None:
-        d = [_cyclic_matrix(M, n) for n in range(n_max + 2)]
-    return _homology_series(d, M.ring)
-
-
-@dataclass
-class E1Term:
-    """Slice homology of the D-direction, plus the complex itself when D = 0."""
-
-    groups: dict
-    complex: DoubleMixedComplex = None
-
-
-def e1_term(M):
-    """Column homology H_q(M_{p,*}, D) as a new page.
-
-    When D = 0 the page is the complex itself (with its del and B); in
-    general only the slice groups are returned, which is all the
-    pipelines downstream consume.
-    """
-    groups = {}
-    for (p, q) in sorted(M.slices):
-        if not M.dim(p, q):
-            continue
-        groups[(p, q)] = homology_at(M.map_d(p, q + 1), M.map_d(p, q), M.ring)
-    if all(m.is_zero() for m in M.maps_d.values()):
-        return E1Term(groups, M)
-    return E1Term(groups, None)
-
-
-def cyclic_e2(M, n_max):
-    """Row homology of the shifted double complex (requires D = 0).
-
-    Returns a dict (p, q) -> group: the homology at column p of row q
-    under the boundary B + del.  On a complex with D = 0 this is the
-    second page of the cyclic column-filtration spectral sequence.
-    """
-    if not all(m.is_zero() for m in M.maps_d.values()):
-        raise ValueError("cyclic_e2 needs a complex with zero D")
-
-    def row_matrix(a, b):
-        # column a of row b maps to column a-1
-        src = [(i, a - i, b - i) for i in range(b + 1)
-               if a - i >= 0 and M.dim(a - i, b - i)]
-        tgt = [(i, a - 1 - i, b - i) for i in range(b + 1)
-               if a - 1 - i >= 0 and M.dim(a - 1 - i, b - i)]
-        soff, sdim = _offsets(src, [M.dim(p, q) for _, p, q in src])
-        toff, tdim = _offsets(tgt, [M.dim(p, q) for _, p, q in tgt])
-        out = SparseMatrix(tdim, sdim, M.ring)
-        for (i, p, q) in src:
-            blocks = [(M.map_del(p, q), (i, p - 1, q))]
-            if i >= 1:
-                blocks.append((M.map_b(p, q), (i - 1, p, q + 1)))
-            for mat, t in blocks:
-                if t in toff and mat.entries:
-                    r0, c0 = toff[t], soff[(i, p, q)]
-                    for (r, c), v in mat.entries.items():
-                        out.add_at(r0 + r, c0 + c, v)
-        return out
-
-    out = {}
-    for b in range(n_max + 1):
-        for a in range(n_max + 1 - b):
-            d_in = row_matrix(a + 1, b)
-            d_out = row_matrix(a, b)
-            out[(a, b)] = homology_at(d_in, d_out, M.ring)
-    return out
+def _total_matrix(M, n, w):
+    """The b block from slice (n, w) to slice (n - 1, w)."""
+    mat = M.b.get(((n, w), (n - 1, w)))
+    if mat is None:
+        mat = SparseMatrix(M.dim(n - 1, w), M.dim(n, w), M.ring)
+    return mat
 
 
 @dataclass
@@ -288,52 +137,124 @@ class FilteredGroups:
         }
 
 
-def filtration_layers(M, n_max, mode):
-    """Hodge layers from the column filtration of the total complex.
-
-    mode "hh" filters Tot(D, del); mode "hc" filters the shifted cyclic
-    totalization.  The (n, p) layer is the graded piece of H_n whose
-    column index is n - p, i.e. whose complementary (weight) index is p.
-    """
-    if mode not in ("hh", "hc"):
-        raise ValueError("mode must be 'hh' or 'hc'")
+def hochschild_layers(M, n_max):
+    """HH_n(M) for 0 <= n <= n_max and its weight-w layers: b keeps the
+    weight, so H_n is the direct sum of the homology of each weight block."""
     M.require_window(n_max)
-    ring = M.ring
-    if mode == "hh" and all(m.is_zero() for m in M.maps_d.values()):
-        return _layers_split_by_weight(M, n_max)
-    if mode == "hh":
-        d = [_total_matrix(M, n) for n in range(n_max + 2)]
-        totals = hochschild_total(M, n_max, d)
-        columns = [[p for (p, q) in _total_summands(M, n) for _ in range(M.dim(p, q))]
-                   for n in range(n_max + 1)]
-    else:
-        d = [_cyclic_matrix(M, n) for n in range(n_max + 2)]
-        totals = cyclic_total(M, n_max, d)
-        columns = [[p + i for (i, p, q) in _cyclic_summands(M, n)
-                    for _ in range(M.dim(p, q))] for n in range(n_max + 1)]
-    layers = {}
-    for n in range(n_max + 1):
-        pieces = _column_graded_pieces(d[n + 1], d[n], columns[n], ring)
-        for c, g in pieces.items():
-            if not g.is_trivial():
-                layers[(n, n - c)] = g
-    return FilteredGroups({n: g for n, g in enumerate(totals)}, layers)
-
-
-def _layers_split_by_weight(M, n_max):
-    """With D = 0 and del preserving q, the filtration splits by q."""
     totals = {}
     layers = {}
     for n in range(n_max + 1):
         parts = []
-        for q in range(n + 1):
-            p = n - q
-            h = homology_at(M.map_del(p + 1, q), M.map_del(p, q), M.ring)
+        for (_, w) in _degree_slices(M, n):
+            h = homology_at(_total_matrix(M, n + 1, w), _total_matrix(M, n, w), M.ring)
             if not h.is_trivial():
-                layers[(n, q)] = h
+                layers[(n, w)] = h
             parts.append(h)
         totals[n] = HomologyGroup(0, ()).direct_sum(*parts)
     return FilteredGroups(totals, layers)
+
+
+def hochschild_total(M, n_max):
+    """HH_n(M) for 0 <= n <= n_max."""
+    total = hochschild_layers(M, n_max).total
+    return [total[n] for n in range(n_max + 1)]
+
+
+def _cyclic_summands(M, n):
+    """Summands (i, slice) of degree n of the shifted complex: copy i of
+    each slice of degree n - 2i."""
+    return [(i, s) for i in range(n // 2 + 1) for s in _degree_slices(M, n - 2 * i)]
+
+
+def _shifted_matrix(M, src, tgt):
+    """The map b + B from the sum of the summands src to the sum of the
+    summands tgt: b inside copy i, B from copy i into copy i - 1."""
+    soff, sdim = _offsets(M, src)
+    toff, tdim = _offsets(M, tgt)
+    copies = {}
+    for (j, t) in tgt:
+        copies.setdefault(j, []).append(t)
+    out = SparseMatrix(tdim, sdim, M.ring)
+    for (i, s) in src:
+        below = (s[0] - 1, s[1])
+        blocks = [((i, below), M.b.get((s, below)))]
+        blocks += [((i - 1, t), M.B.get((s, t))) for t in copies.get(i - 1, ())]
+        c0 = soff[(i, s)]
+        for key, mat in blocks:
+            if mat is not None and key in toff:
+                r0 = toff[key]
+                for (r, c), v in mat.entries.items():
+                    out[r0 + r, c0 + c] = v
+    return out
+
+
+def _offsets(M, summands):
+    offs = {}
+    total = 0
+    for key in summands:
+        offs[key] = total
+        total += M.dim(*key[1])
+    return offs, total
+
+
+def _cyclic_matrix(M, n):
+    """Boundary of degree n of the cyclic totalization."""
+    return _shifted_matrix(M, _cyclic_summands(M, n), _cyclic_summands(M, n - 1))
+
+
+def cyclic_total(M, n_max, boundaries=None):
+    """HC_n(M) for 0 <= n <= n_max.
+
+    boundaries, when given, are the _cyclic_matrix(M, n) for
+    0 <= n <= n_max + 1, already built by the caller.
+    """
+    M.require_window(n_max)
+    d = boundaries
+    if d is None:
+        d = [_cyclic_matrix(M, n) for n in range(n_max + 2)]
+    return [homology_at(d[n + 1], d[n], M.ring) for n in range(n_max + 1)]
+
+
+def cyclic_layers(M, n_max):
+    """HC_n(M) for 0 <= n <= n_max and its Hodge layers.
+
+    Copy i of slice (m, w) has weight w + i in the shifted complex; the
+    column filtration by n minus that weight gives the (n, weight) layers
+    as the graded pieces of HC_n.
+    """
+    M.require_window(n_max)
+    d = [_cyclic_matrix(M, n) for n in range(n_max + 2)]
+    totals = cyclic_total(M, n_max, d)
+    layers = {}
+    for n in range(n_max + 1):
+        columns = [n - w - i for (i, (m, w)) in _cyclic_summands(M, n)
+                   for _ in range(M.dim(m, w))]
+        pieces = _column_graded_pieces(d[n + 1], d[n], columns, M.ring)
+        for c, g in pieces.items():
+            if not g.is_trivial():
+                layers[(n, n - c)] = g
+    return FilteredGroups(dict(enumerate(totals)), layers)
+
+
+def cyclic_e2(M, n_max):
+    """Row homology of the shifted complex.
+
+    Returns a dict (a, c) -> group: the homology at column a of row c,
+    whose summands are the copies i of the slices (a + c - 2i, c - i),
+    under the boundary b + B.  On the Gamma-forms complex this is the
+    second page of the cyclic column-filtration spectral sequence.
+    """
+    def row(a, c):
+        return [(i, (a + c - 2 * i, c - i)) for i in range(min(a, c) + 1)
+                if M.dim(a + c - 2 * i, c - i)]
+
+    out = {}
+    for c in range(n_max + 1):
+        for a in range(n_max + 1 - c):
+            d_in = _shifted_matrix(M, row(a + 1, c), row(a, c))
+            d_out = _shifted_matrix(M, row(a, c), row(a - 1, c))
+            out[(a, c)] = homology_at(d_in, d_out, M.ring)
+    return out
 
 
 def _column_graded_pieces(d_in, d_out, cols_mid, ring):

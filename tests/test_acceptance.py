@@ -143,7 +143,7 @@ def test_criterion_02_mixed_complex_identities():
         assert validate(cyclic_mixed(A, 4)), f"bar complex of {name}"
         count += 1
     assert count == 9
-    _report(2, "seven identities on 5 forms + 4 bar complexes", t0, 30)
+    _report(2, "b^2, B^2, bB + Bb on 5 forms + 4 bar complexes", t0, 30)
 
 
 def test_criterion_03_contraction_homotopy():

@@ -140,6 +140,32 @@ def test_cli_nmax_override(tmp_path):
     assert set(data["hh"]) == {"0", "1"}
 
 
+
+def test_cli_rejects_negative_nmax_override(tmp_path):
+    src = tmp_path / "job.txt"
+    src.write_text("ring Z\nvars x\nrel x^2\n", encoding="utf-8")
+    out = tmp_path / "e.json"
+    assert main(["--input", str(src), "--cmd", "hh", "--nmax", "-1",
+                 "--json", str(out)]) == 2
+    error = json.loads(out.read_text())["error"]
+    assert error["type"] == "ParseError"
+    assert "nmax" in error["detail"]
+
+
+@pytest.mark.parametrize("cmd, detail", [
+    ("witness24 p=abc", "'p=abc'"),
+    ("witness24 p=1", "p >= 2"),
+    ("witness24 q=7", "'q=7'"),
+])
+def test_cli_witness_rejects_bad_p(tmp_path, cmd, detail):
+    src = tmp_path / "job.txt"
+    src.write_text("ring Z\n", encoding="utf-8")
+    out = tmp_path / "e.json"
+    assert main(["--input", str(src), "--cmd", cmd, "--json", str(out)]) != 0
+    error = json.loads(out.read_text())["error"]
+    assert error["type"] == "ParseError"
+    assert detail in error["detail"]
+
 @pytest.mark.parametrize("text, detail", [
     ("ring Z\nrel 0\n", "line 2"),
     ("ring Z\nvars x\nrel x - x\n", "line 3"),

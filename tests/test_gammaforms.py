@@ -7,7 +7,7 @@ from shukla.gammaforms import (
     witness_model, witness_nondegeneracy,
 )
 from shukla.linalg import GroundRing, HomologyGroup
-from shukla.mixed import filtration_layers, validate
+from shukla.mixed import hochschild_layers, validate
 from shukla.models import Presentation, koszul_model, trivial_model
 
 Z = GroundRing.Z()
@@ -174,7 +174,7 @@ def test_witness_layer_nonzero_mod_2():
     # nonzero in degree 4 although the ground ring has trivial homology
     model = witness_model(GroundRing.Zmod(2), 6)
     G = build_gamma_forms(model, 5)
-    fg = filtration_layers(G.complex, 5, "hh")
+    fg = hochschild_layers(G.complex, 5)
     assert not fg.layer(4, 2).is_trivial()
     Gk = build_gamma_forms(trivial_model(GroundRing.Zmod(2)), 5)
     assert hh_assemble(Gk, 5)[4].is_trivial()

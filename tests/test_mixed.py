@@ -5,9 +5,9 @@ from shukla.dpalgebra import (
     GradedAlgebra, basis_slice, derivation_matrix,
 )
 from shukla.errors import WindowTooSmall
-from shukla.linalg import GroundRing, HomologyGroup, SparseMatrix
+from shukla.linalg import GroundRing, HomologyGroup
 from shukla.mixed import (
-    DoubleMixedComplex, cyclic_total, e1_term, filtration_layers,
+    MixedComplex, cyclic_layers, cyclic_total, hochschild_layers,
     hochschild_total, validate,
 )
 
@@ -16,8 +16,7 @@ Z = GroundRing.Z()
 
 def point_complex(ring, rank=1, window=6):
     """k^rank concentrated at (0, 0) with zero maps."""
-    return DoubleMixedComplex(ring, {(0, 0): tuple(range(rank))},
-                              window_total=window)
+    return MixedComplex(ring, {(0, 0): tuple(range(rank))}, window_total=window)
 
 
 def test_validate_zero_maps():
@@ -26,7 +25,7 @@ def test_validate_zero_maps():
 
 def test_validate_detects_wrong_sign():
     # gamma-forms of the model with boundary y -> x^2, but with the sign
-    # of delta on dy flipped: the (B del + del B) identity must fail
+    # of delta on dy flipped: the bB + Bb identity must fail
     alg = GradedAlgebra(Z, [
         Generator("x", 0, POLYNOMIAL, poly_weight=1),
         Generator("y", 1, EXTERIOR, poly_weight=2),
@@ -49,23 +48,22 @@ def test_validate_detects_wrong_sign():
         for h in range(htop + 1):
             for q in range(h + 1):
                 slices[(h, q)] = basis_slice(alg, h, q, bound)
-        cplx_slices, maps_del, maps_b = {}, {}, {}
+        cplx_slices, maps_b, maps_B = {}, {}, {}
         for (h, q), s in slices.items():
             if not s.dim:
                 continue
-            cplx_slices[(h - q, q)] = s.monomials
+            cplx_slices[(h, q)] = s.monomials
             tgt = slices.get((h - 1, q))
             if tgt is not None:
-                maps_del[(h - q, q)] = derivation_matrix(delta, s, tgt)
+                maps_b[((h, q), (h - 1, q))] = derivation_matrix(delta, s, tgt)
             tgt = slices.get((h + 1, q + 1))
             if tgt is not None:
-                maps_b[(h - q, q)] = derivation_matrix(d, s, tgt)
-        M = DoubleMixedComplex(Z, cplx_slices, maps_del=maps_del,
-                               maps_b=maps_b, window_total=htop)
+                maps_B[((h, q), (h + 1, q + 1))] = derivation_matrix(d, s, tgt)
+        M = MixedComplex(Z, cplx_slices, b=maps_b, B=maps_B, window_total=htop)
         result = validate(M)
         assert bool(result) == expect_ok
         if not expect_ok:
-            assert result.identity == "B*del + del*B"
+            assert result.identity == "bB + Bb"
 
 
 def test_hochschild_total_point():
@@ -93,30 +91,10 @@ def test_window_too_small():
         cyclic_total(M, 2)
 
 
-def test_e1_term_identity_on_zero_d():
+def test_hochschild_layers_single_row():
+    # everything in the weight-0 slice: layer 0 carries the whole group
     M = point_complex(Z)
-    page = e1_term(M)
-    assert page.complex is M
-    # idempotence
-    again = e1_term(page.complex)
-    assert again.complex is M
-
-
-def test_e1_term_acyclic_column():
-    # D = identity between (0,1) and (0,0): E1 vanishes there
-    slices = {(0, 0): ("a",), (0, 1): ("b",)}
-    maps_d = {(0, 1): SparseMatrix.from_rows([[1]], Z)}
-    M = DoubleMixedComplex(Z, slices, maps_d=maps_d, window_total=4)
-    page = e1_term(M)
-    assert page.complex is None
-    assert page.groups[(0, 0)].is_trivial()
-    assert page.groups[(0, 1)].is_trivial()
-
-
-def test_filtration_layers_single_row():
-    # everything in the q = 0 row: layer p = 0 carries the whole group
-    M = point_complex(Z)
-    fg = filtration_layers(M, 2, "hh")
+    fg = hochschild_layers(M, 2)
     assert fg.total[0] == HomologyGroup(1, ())
     assert fg.layer(0, 0) == HomologyGroup(1, ())
     assert fg.layer(0, 1).is_trivial()
@@ -130,8 +108,8 @@ def test_layer_consistency_hh_and_hc():
     for ring in (Z, GroundRing.Q()):
         P = Presentation.make(ring, ["x"], [{(3,): 1}])
         G = build_gamma_forms(koszul_model(P), 3)
-        for mode in ("hh", "hc"):
-            fg = filtration_layers(G.complex, 3, mode)
+        for mode in (hochschild_layers, cyclic_layers):
+            fg = mode(G.complex, 3)
             for n, total in fg.total.items():
                 ranks = sum(fg.layer(n, p).free_rank for p in range(n + 1))
                 orders = 1
@@ -170,6 +148,6 @@ def test_cyclic_total_builds_each_boundary_once(monkeypatch):
     assert cyclic_total(M, 3) == expected
     assert sorted(built) == [0, 1, 2, 3, 4]
     built.clear()
-    layers = filtration_layers(M, 3, "hc")
+    layers = cyclic_layers(M, 3)
     assert [layers.total[n] for n in range(4)] == expected
     assert sorted(built) == [0, 1, 2, 3, 4]
