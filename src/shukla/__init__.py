@@ -25,12 +25,9 @@ from .gammaforms import (
     GammaFormsComplex, WitnessReport, build_gamma_forms, hc_assemble, hh_assemble,
     hh_layers, witness_model, witness_nondegeneracy,
 )
-from .baroracle import (
-    FiniteAlgebra, cyclic_mixed, from_presentation, hc_oracle, hh_oracle,
-)
+from .baroracle import FiniteAlgebra, cyclic_mixed, from_presentation
 from .crystalline import (
-    Envelope, L_complex, Lprime_complex, dbar, envelope_slice, hc_layers_small,
-    hodge_hh, lprime_homology, word_product,
+    Envelope, L_complex, Lprime_complex, dbar, hc_layers_small, hodge_hh,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

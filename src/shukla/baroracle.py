@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import NotQuasiMonic
-from .mixed import MixedComplex, cyclic_total, hochschild_total
+from .mixed import MixedComplex
 from .linalg import SparseMatrix
 from .models import quasi_monic_reduce
 
@@ -158,12 +158,3 @@ def _connes_boundary(algebra, q, source_labels, target_index):
             mat.add_at(target_index[lab2], col, sign)
     return mat
 
-
-def hh_oracle(algebra, n_max):
-    """HH_n(A) for n <= n_max by brute force."""
-    return hochschild_total(cyclic_mixed(algebra, n_max), n_max)
-
-
-def hc_oracle(algebra, n_max):
-    """HC_n(A) for n <= n_max by brute force."""
-    return cyclic_total(cyclic_mixed(algebra, n_max), n_max)

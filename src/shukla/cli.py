@@ -40,6 +40,7 @@ class JobSpec:
     n_max: int = 3
     poly_bound: object = None
     warnings: list = field(default_factory=list)
+    seed: int = 0
 
     def presentation(self):
         return Presentation.make(self.ring, self.variables, self.relations)
@@ -212,10 +213,6 @@ def _groups_json(groups):
     return {str(n): g.to_json() for n, g in enumerate(groups)}
 
 
-def _ring_name(ring):
-    return repr(ring)
-
-
 def _forms_complex(job):
     pres = job.presentation()
     if pres.variables or pres.relations:
@@ -229,7 +226,7 @@ def run(job, command):
     """Execute one command; returns (report dict, ok flag)."""
     report = {
         "command": command,
-        "ring": _ring_name(job.ring),
+        "ring": repr(job.ring),
         "vars": list(job.variables),
         "nmax": job.n_max,
     }
@@ -358,8 +355,7 @@ def _run_witness(job, command, report):
 
 
 def _run_selftest(job, report):
-    seed = getattr(job, "seed", 0)
-    rng = random.Random(seed)
+    rng = random.Random(job.seed)
     results = {}
     ok = True
 

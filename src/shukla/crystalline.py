@@ -68,12 +68,6 @@ class Envelope:
     def nrels(self):
         return len(self.presentation.relations)
 
-    def reduced_exponents(self):
-        exps = [()]
-        for b in self.bounds:
-            exps = [e + (k,) for e in exps for k in range(b)]
-        return sorted(exps)
-
 
 def _push_coefficient(env, terms, Q, out, sign=1):
     """Rewrite integer-coefficient terms {exps: c} times gamma^Q into
@@ -104,33 +98,6 @@ def _push_coefficient(env, terms, Q, out, sign=1):
             ne = tuple(a + b for a, b in zip(rest, le))
             work.append((ne, c * lc, Q))
     return out
-
-
-def word_product(env, w1, w2):
-    """Product of two envelope words as a dict word -> coefficient.
-
-    Combines the binomial rule gamma^a(f) gamma^b(f) = C(a+b, a)
-    gamma^{a+b}(f) with the rewriting of the coefficient product; the
-    dx-parts multiply with the usual exterior sign.
-    """
-    from math import comb
-    a1, q1, s1 = w1
-    a2, q2, s2 = w2
-    if set(s1) & set(s2):
-        return {}
-    sign = 1
-    for j in s2:
-        sign *= (-1) ** sum(1 for i in s1 if i > j)
-    coeff = sign
-    for t in range(env.nrels):
-        if q1[t] and q2[t]:
-            coeff *= comb(q1[t] + q2[t], q1[t])
-    Q = tuple(a + b for a, b in zip(q1, q2))
-    S = tuple(sorted(s1 + s2))
-    alpha = tuple(a + b for a, b in zip(a1, a2))
-    pushed = {}
-    _push_coefficient(env, {alpha: coeff}, Q, pushed)
-    return {(na, nq, S): c for (na, nq), c in pushed.items()}
 
 
 def dbar(env, element, weight_cap=None):
@@ -190,19 +157,6 @@ def dbar(env, element, weight_cap=None):
     return out
 
 
-def envelope_slice(env, weight_max, poly_bound=None):
-    """Deterministic list of envelope words gamma^Q(f) x^alpha with
-    weight at most weight_max, ordered by weight then exponents."""
-    words = []
-    for alpha in env.reduced_exponents():
-        if poly_bound is not None and sum(alpha) > poly_bound:
-            continue
-        for Q in _weights_upto(env.nrels, weight_max):
-            words.append((alpha, Q, ()))
-    words.sort(key=lambda w: (sum(w[1]), w[1], w[0]))
-    return words
-
-
 def _weights_upto(r, wmax):
     out = []
 
@@ -225,7 +179,7 @@ def _form_words(env, form_degree, weights):
         return []
     words = []
     ss = list(combinations(range(env.nvars), form_degree))
-    for alpha in env.reduced_exponents():
+    for alpha in env.presentation.reduced_monomials():
         for Q in weights:
             for S in ss:
                 words.append((alpha, Q, tuple(S)))
@@ -354,12 +308,6 @@ def hodge_hh(env, n_max):
     """Hochschild homology with its Hodge decomposition: the (n, p) layer
     is the homology of the level complex L^p at position n - p."""
     return _layer_table(env, n_max, L_complex)
-
-
-def lprime_homology(env, p, q):
-    """H_q of the truncated complex: the degenerate second-page entry of
-    the cyclic spectral sequence at column p, row q."""
-    return Lprime_complex(env, p).homology(q)
 
 
 def hc_layers_small(env, n_max):

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 from .errors import WindowTooSmall
 from .linalg import (
-    HomologyGroup, SparseMatrix, _int_columns, homology_at, kernel_basis, subquotient,
+    HomologyGroup, SparseMatrix, _int_columns, homology_at, kernel_basis,
+    lattice_echelon, subquotient,
 )
 
 
@@ -259,47 +260,44 @@ def cyclic_e2(M, n_max):
 
 def _column_graded_pieces(d_in, d_out, cols_mid, ring):
     """Graded pieces of H = ker(d_out)/im(d_in) for the filtration by
-    column value: piece c = (Z n F_c) / (Z n F_{c-1} + B n F_c)."""
+    column value (values >= 0): piece c = (Z n F_c) / (Z n F_{c-1} + B n F_c).
+
+    One kernel and one echelon serve every c.  The kernel is taken on the
+    target relations followed by the middle columns by increasing value:
+    after the first k columns, the null witnesses of a ColumnEchelon are a
+    basis of the kernel of those k columns, and every later witness is
+    independent of them.  So Z n F_c is spanned by the cycles whose
+    largest value is at most c.  The boundaries are echeloned with the
+    middle rows by decreasing value: an echelon column has no entry above
+    its pivot row, so B n F_c is spanned by the pivot columns whose pivot
+    row has value at most c.
+    """
     n = len(cols_mid)
     if n == 0:
         return {}
     out_cols = _int_columns(d_out)
-    target_rels = out_cols[n:]
-    gens_in = [g for g in _int_columns(d_in) if g]
+    rels = out_cols[n:]
+    r = len(rels)
+    up = sorted(range(n), key=cols_mid.__getitem__)
+    cycles = []
+    for vec in kernel_basis(rels + [out_cols[j] for j in up], d_out.rows):
+        top = max(vec)  # the vector's last column, of the largest value
+        if top >= r:
+            g = {up[k - r]: v for k, v in vec.items() if k >= r}
+            cycles.append((cols_mid[up[top - r]], g))
+    down = up[::-1]
+    pos = {j: p for p, j in enumerate(down)}
+    ech = lattice_echelon([{pos[j]: v for j, v in g.items()}
+                           for g in _int_columns(d_in)], n)
+    bnd = [(cols_mid[down[row]], {down[k]: v for k, v in col.items()})
+           for row, col in ech.pivots.items()]
     pieces = {}
-    prev_cycles = []
     for c in range(max(cols_mid) + 1):
-        keep = [j for j, cv in enumerate(cols_mid) if cv <= c]
-        if not keep:
+        z = [g for lv, g in cycles if lv <= c]
+        if not z:
             continue
-        # cycles supported in F_c: kernel of d_out restricted to F_c columns
-        kb = kernel_basis([out_cols[j] for j in keep] + target_rels, d_out.rows)
-        cycles = []
-        for vec in kb:
-            g = {keep[jj]: v for jj, v in vec.items() if jj < len(keep)}
-            if g:
-                cycles.append(g)
-        # boundaries landing in F_c: combinations of gens_in whose image
-        # avoids the complement of F_c
-        outside = {j for j, cv in enumerate(cols_mid) if cv > c}
-        if outside:
-            proj = [{r: v for r, v in g.items() if r in outside} for g in gens_in]
-            bnd = []
-            for vec in kernel_basis(proj, n):
-                img = {}
-                for jj, v in vec.items():
-                    for r, w in gens_in[jj].items():
-                        nv = img.get(r, 0) + v * w
-                        if nv:
-                            img[r] = nv
-                        else:
-                            img.pop(r, None)
-                if img:
-                    bnd.append(img)
-        else:
-            bnd = gens_in
-        group, _ = subquotient(cycles, prev_cycles + bnd, n, ring)
+        small = [g for lv, g in cycles if lv < c] + [g for lv, g in bnd if lv <= c]
+        group, _ = subquotient(z, small, n, ring)
         if not group.is_trivial():
             pieces[c] = group
-        prev_cycles = cycles
     return pieces

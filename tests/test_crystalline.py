@@ -1,8 +1,8 @@
 import pytest
 
 from shukla.crystalline import (
-    Envelope, L_complex, Lprime_complex, dbar, envelope_slice, hc_layers_small,
-    hodge_hh, lprime_homology, word_product,
+    Envelope, L_complex, Lprime_complex, _form_words, _weights_upto, dbar,
+    hc_layers_small, hodge_hh,
 )
 from shukla.errors import TooManyVariables
 from shukla.gammaforms import build_gamma_forms, hc_assemble, hh_assemble, hh_layers
@@ -18,30 +18,9 @@ def envelope(ring, variables, rels):
     return Envelope.make(Presentation.make(ring, variables, rels))
 
 
-def test_envelope_slice_examples():
-    E = envelope(Z, ["x"], [{(2,): 1}])
-    words = envelope_slice(E, 1, poly_bound=1)
-    assert words == [((0,), (0,), ()), ((1,), (0,), ()),
-                     ((0,), (1,), ()), ((1,), (1,), ())]
-    E2 = envelope(Z, [], [{(): 5}])
-    words = envelope_slice(E2, 2)
-    assert words == [((), (0,), ()), ((), (1,), ()), ((), (2,), ())]
-
-
-def test_word_product_binomial():
-    E = envelope(Z, ["x"], [{(2,): 1}])
-    g1 = ((0,), (1,), ())
-    assert word_product(E, g1, g1) == {((0,), (2,), ()): 2}
-    # x * x = f inside the envelope: bumps the gamma weight
-    x = ((1,), (0,), ())
-    assert word_product(E, x, x) == {((0,), (1,), ()): 1}
-    # gamma^a gamma^b = C(a+b, a) gamma^{a+b} for small a, b
-    from math import comb
-    for a in range(1, 4):
-        for b in range(1, 4):
-            wa = ((0,), (a,), ())
-            wb = ((0,), (b,), ())
-            assert word_product(E, wa, wb) == {((0,), (a + b,), ()): comb(a + b, a)}
+def zero_forms(E, weight_max):
+    """The 0-form words of gamma weight at most weight_max."""
+    return _form_words(E, 0, _weights_upto(E.nrels, weight_max))
 
 
 def test_dbar_examples():
@@ -51,14 +30,14 @@ def test_dbar_examples():
     # de Rham on reduced powers
     assert dbar(E, {((1,), (0,), ()): 1}) == {((0,), (0,), (0,)): 1}
     # dbar of dbar is zero on every window word
-    for w in envelope_slice(E, 3):
+    for w in zero_forms(E, 3):
         img = dbar(E, {w: 1})
         assert dbar(E, img) == {}
 
 
 def test_dbar_drops_weight_by_at_most_one():
     E = envelope(Z, ["x", "y"], [{(2, 0): 1}, {(0, 2): 1}])
-    for w in envelope_slice(E, 3):
+    for w in zero_forms(E, 3):
         weight = sum(w[1])
         for w2 in dbar(E, {w: 1}):
             assert sum(w2[1]) >= weight - 1
@@ -161,4 +140,4 @@ def test_second_page_identity():
         G = build_gamma_forms(koszul_model(P), 3)
         page = cyclic_e2(G.complex, 3)
         for (a, b), grp in page.items():
-            assert grp == lprime_homology(E, b, a), (vs, a, b)
+            assert grp == Lprime_complex(E, b).homology(a), (vs, a, b)

@@ -1,0 +1,21 @@
+"""Hodge layers of small jobs over Z/4, Z/6, Z/8, Z/9 and Q against
+tests/layer_goldens.json (written by tests/make_layer_goldens.py)."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from shukla.cli import parse, run
+
+HERE = Path(__file__).resolve().parent
+GOLDENS = json.loads((HERE / "layer_goldens.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_layers_match_golden(name):
+    golden = GOLDENS[name]
+    report, ok = run(parse(golden["text"]), "layers")
+    assert ok
+    got = json.loads(json.dumps({"hh": report["hh"], "hc": report["hc"]}))
+    assert got == {"hh": golden["hh"], "hc": golden["hc"]}

@@ -151,3 +151,84 @@ def test_cyclic_total_builds_each_boundary_once(monkeypatch):
     layers = cyclic_layers(M, 3)
     assert [layers.total[n] for n in range(4)] == expected
     assert sorted(built) == [0, 1, 2, 3, 4]
+
+
+def _graded_pieces_per_level(d_in, d_out, cols_mid, ring):
+    """Reference for _column_graded_pieces: two kernels per level c, one
+    for the cycles in F_c and one for the boundaries in F_c."""
+    from shukla.linalg import _int_columns, kernel_basis, subquotient
+    n = len(cols_mid)
+    if n == 0:
+        return {}
+    out_cols = _int_columns(d_out)
+    target_rels = out_cols[n:]
+    gens_in = [g for g in _int_columns(d_in) if g]
+    pieces = {}
+    prev_cycles = []
+    for c in range(max(cols_mid) + 1):
+        keep = [j for j, cv in enumerate(cols_mid) if cv <= c]
+        if not keep:
+            continue
+        kb = kernel_basis([out_cols[j] for j in keep] + target_rels, d_out.rows)
+        cycles = []
+        for vec in kb:
+            g = {keep[jj]: v for jj, v in vec.items() if jj < len(keep)}
+            if g:
+                cycles.append(g)
+        outside = {j for j, cv in enumerate(cols_mid) if cv > c}
+        bnd = []
+        proj = [{r: v for r, v in g.items() if r in outside} for g in gens_in]
+        for vec in kernel_basis(proj, n):
+            img = {}
+            for jj, v in vec.items():
+                for r, w in gens_in[jj].items():
+                    img[r] = img.get(r, 0) + v * w
+            img = {r: v for r, v in img.items() if v}
+            if img:
+                bnd.append(img)
+        group, _ = subquotient(cycles, prev_cycles + bnd, n, ring)
+        if not group.is_trivial():
+            pieces[c] = group
+        prev_cycles = cycles
+    return pieces
+
+
+@pytest.mark.parametrize("ring", [Z, GroundRing.Zmod(4), GroundRing.Zmod(9),
+                                  GroundRing.Q()], ids=repr)
+def test_column_graded_pieces_match_per_level_reference(ring, monkeypatch):
+    # column values: the real ones of cyclic_layers, then seeded random
+    # ones in 0..3 (ties, gaps, unsorted order) and in 1..3 (no level 0)
+    import random
+    import shukla.mixed
+    from shukla.gammaforms import build_gamma_forms
+    from shukla.mixed import _column_graded_pieces, _cyclic_matrix, _cyclic_summands
+    from shukla.models import Presentation, koszul_model
+    calls = []
+
+    def counted(name):
+        original = getattr(shukla.mixed, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    for name in ("kernel_basis", "lattice_echelon"):
+        monkeypatch.setattr(shukla.mixed, name, counted(name))
+    rng = random.Random(7)
+    for rels in ([{(2,): 1}], [{(3,): 1, (1,): -1}], [{(0,): 2}, {(2,): 1}]):
+        M = build_gamma_forms(koszul_model(Presentation.make(ring, ["x"], rels)),
+                              3).complex
+        for n in range(4):
+            d_in, d_out = _cyclic_matrix(M, n + 1), _cyclic_matrix(M, n)
+            real = [n - w - i for (i, (m, w)) in _cyclic_summands(M, n)
+                    for _ in range(M.dim(m, w))]
+            for cols in (real, [rng.randint(0, 3) for _ in real],
+                         [rng.randint(1, 3) for _ in real]):
+                expected = _graded_pieces_per_level(d_in, d_out, cols, ring)
+                calls.clear()
+                got = _column_graded_pieces(d_in, d_out, cols, ring)
+                assert got == expected, (rels, n, cols)
+                # one kernel and one echelon per degree, whatever the levels
+                assert sorted(calls) == (["kernel_basis", "lattice_echelon"]
+                                         if cols else [])
