@@ -32,14 +32,13 @@ class FiniteAlgebra:
         if not self.basis:
             raise ValueError("the algebra needs at least a unit")
         r = len(self.basis)
-        ring = self.ring
         for i in range(r):
             for j in range(r):
                 mij = self.mult[(i, j)]
                 if self.mult[(j, i)] != mij:
                     raise ValueError("structure constants not commutative")
                 if i == 0:
-                    expected = {j: ring.one} if j else {0: ring.one}
+                    expected = {j: 1} if j else {0: 1}
                     if mij != expected:
                         raise ValueError("basis element 0 is not a unit")
         for i in range(r):
@@ -57,7 +56,7 @@ class FiniteAlgebra:
         ring = self.ring
         for i, c in coeffs.items():
             for k, v in self.mult[(i, j)].items():
-                w = ring.add(out.get(k, ring.zero), ring.mul(c, v))
+                w = ring.add(out.get(k, 0), ring.mul(c, v))
                 if ring.is_zero(w):
                     out.pop(k, None)
                 else:
@@ -89,7 +88,7 @@ def from_presentation(pres):
     for i, e1 in enumerate(basis):
         for j, e2 in enumerate(basis):
             prod_exps = tuple(a + b for a, b in zip(e1, e2))
-            reduced = quasi_monic_reduce(pres, {prod_exps: ring.one})
+            reduced = quasi_monic_reduce(pres, {prod_exps: 1})
             mult[(i, j)] = {idx[e]: c for e, c in reduced.items()}
     return FiniteAlgebra(ring, basis, mult)
 
@@ -134,11 +133,11 @@ def _hochschild_boundary(algebra, q, source_labels, target_index):
     mat = SparseMatrix(len(target_index), len(source_labels), ring)
     for col, lab in enumerate(source_labels):
         for i in range(q):
-            sign = ring.one if i % 2 == 0 else ring.neg(ring.one)
+            sign = 1 if i % 2 == 0 else -1
             prod = algebra.product(lab[i], lab[i + 1])
             tensor = lab[:i] + (0,) + lab[i + 2:]
             _add_tensor(algebra, mat, target_index, col, tensor, sign, i, prod)
-        sign = ring.one if q % 2 == 0 else ring.neg(ring.one)
+        sign = 1 if q % 2 == 0 else -1
         prod = algebra.product(lab[q], lab[0])
         tensor = (0,) + lab[1:q]
         _add_tensor(algebra, mat, target_index, col, tensor, sign, 0, prod)
@@ -150,7 +149,7 @@ def _connes_boundary(algebra, q, source_labels, target_index):
     mat = SparseMatrix(len(target_index), len(source_labels), ring)
     for col, lab in enumerate(source_labels):
         for i in range(q + 1):
-            sign = ring.one if (q * i) % 2 == 0 else ring.neg(ring.one)
+            sign = 1 if (q * i) % 2 == 0 else -1
             rotated = lab[i:] + lab[:i]
             if any(x == 0 for x in rotated):
                 continue  # some unit lands in an interior slot

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .baroracle import cyclic_mixed, from_presentation
 from .crystalline import Envelope, hc_layers_small, hodge_hh
-from .errors import EngineError, NotQuasiMonic, ParseError, TooManyVariables, UnitP
+from .errors import EngineError, ParseError, TooManyVariables, UnitP
 from .gammaforms import (
     build_gamma_forms, hc_assemble, hh_assemble, hh_layers, witness_nondegeneracy,
 )
@@ -423,18 +423,19 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for selftest randomization")
     args = ap.parse_args(argv)
-    if args.input:
-        with open(args.input, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
     try:
+        if args.input:
+            with open(args.input, encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = sys.stdin.read()
         job = parse(text)
         if args.nmax is not None:
             if args.nmax < 0:
                 raise ParseError("--nmax must be >= 0")
             job.n_max = args.nmax
-    except ParseError as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
+        # unreadable input has no meaning either
         payload = {"error": {"type": "ParseError", "detail": str(exc)}}
         _emit(payload, args.json_out)
         return 2

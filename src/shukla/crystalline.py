@@ -40,21 +40,21 @@ class Envelope:
 
     presentation: object
     bounds: tuple        # exponent bound per variable
-    var_rules: tuple     # (relation index, variable, m, lower poly)
+    var_rules: dict      # variable -> (relation index, m, lower poly)
     const_rules: tuple   # (relation index, c)
 
     @staticmethod
     def make(pres):
         pres.require_quasi_monic()
         bounds = tuple(pres.variable_bounds())
-        var_rules = []
+        var_rules = {}
         const_rules = []
         for t, d in enumerate(pres.quasi_monic):
             if d[0] == "var":
-                var_rules.append((t, d[1], d[2], d[3]))
+                var_rules[d[1]] = (t, d[2], d[3])
             else:
                 const_rules.append((t, d[1]))
-        return Envelope(pres, bounds, tuple(var_rules), tuple(const_rules))
+        return Envelope(pres, bounds, var_rules, tuple(const_rules))
 
     @property
     def ring(self):
@@ -73,7 +73,6 @@ def _push_coefficient(env, terms, Q, out, sign=1):
     """Rewrite integer-coefficient terms {exps: c} times gamma^Q into
     reduced words, bumping gamma exponents along the way."""
     work = [(e, c, Q) for e, c in terms.items()]
-    rules = {v: (t, m, lower) for t, v, m, lower in env.var_rules}
     while work:
         e, c, Q = work.pop()
         if c == 0:
@@ -89,7 +88,7 @@ def _push_coefficient(env, terms, Q, out, sign=1):
             if out[key] == 0:
                 del out[key]
             continue
-        t, m, lower = rules[hit]
+        t, m, lower = env.var_rules[hit]
         rest = tuple(v - (m if i == hit else 0) for i, v in enumerate(e))
         # x_hit^m = f_t + lower; the f_t branch bumps gamma_t
         bumped = tuple(q + (1 if i == t else 0) for i, q in enumerate(Q))
@@ -258,7 +257,7 @@ def _build_filtered(env, p, graded):
         tgt_words, tgt_index, _ = positions[j - 1]
         mat = SparseMatrix(len(tgt_words), len(src_words), ring)
         for col, w in enumerate(src_words):
-            img = dbar(env, {w: ring.one}, weight_cap=j - 1)
+            img = dbar(env, {w: 1}, weight_cap=j - 1)
             for w2, c in img.items():
                 if graded and sum(w2[1]) != j - 1:
                     raise AssertionError("derivation dropped weight by more than one")

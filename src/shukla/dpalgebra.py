@@ -14,6 +14,7 @@ D(gamma_q(v)) = gamma_{q-1}(v) D(v).
 """
 
 from dataclasses import dataclass, field
+from itertools import count
 from math import comb
 
 from .errors import NotInIdeal, TruncationOverflow, UndefinedGenerator
@@ -94,10 +95,10 @@ class GradedAlgebra:
         return e
 
     def one(self):
-        return self.element({(): self.ring.one})
+        return self.element({(): 1})
 
     def gen_element(self, name, exp=1):
-        return self.element({self.monomial([(name, exp)]): self.ring.one})
+        return self.element({self.monomial([(name, exp)]): 1})
 
     def mono_hdeg(self, mono):
         return sum(self.generators[i].hdeg * e for i, e in mono)
@@ -154,7 +155,7 @@ class Element:
 
     def _add_term(self, mono, coeff):
         ring = self.algebra.ring
-        c = ring.add(self.terms.get(mono, ring.zero), coeff)
+        c = ring.add(self.terms.get(mono, 0), coeff)
         if ring.is_zero(c):
             self.terms.pop(mono, None)
         else:
@@ -221,32 +222,45 @@ class GammaDerivation:
             raise UndefinedGenerator(f"no value for generator {name!r}") from None
 
 
+def _leibniz(deriv, mono):
+    """A gamma-derivation on one monomial: {monomial: coefficient}.
+
+    Letter by letter, D(prefix * g^e * suffix) contributes
+    (-1)^|prefix| (prefix * g^(e-1)) * D(g) * suffix, times e for a
+    polynomial letter.  prefix * g^(e-1) is itself a monomial, because
+    every prefix index is below g's.  Coefficients are not reduced in
+    the ring, and a monomial may carry a zero sum.
+    """
+    alg = deriv.algebra
+    out = {}
+    prefix_deg = 0
+    for pos, (gi, exp) in enumerate(mono):
+        g = alg.generators[gi]
+        val = deriv.value_of(g.name)
+        if val.terms:
+            head = mono[:pos] + ((gi, exp - 1),) if exp > 1 else mono[:pos]
+            tail = mono[pos + 1:]
+            factor = exp if g.kind == POLYNOMIAL else 1
+            if prefix_deg % 2:
+                factor = -factor
+            for vm, vc in val.terms.items():
+                k1, m = alg.mono_mul(head, vm)
+                if m is None:
+                    continue
+                k2, m = alg.mono_mul(m, tail)
+                if m is not None:
+                    out[m] = out.get(m, 0) + factor * k1 * k2 * vc
+        prefix_deg += exp * g.hdeg
+    return out
+
+
 def derive(deriv, e):
     """Apply a gamma-derivation to an element by the graded Leibniz rule."""
-    alg = e.algebra
-    ring = alg.ring
-    out = Element(alg)
+    ring = e.algebra.ring
+    out = Element(e.algebra)
     for mono, coeff in e.terms.items():
-        prefix_deg = 0
-        for pos, (gi, exp) in enumerate(mono):
-            g = alg.generators[gi]
-            val = deriv.value_of(g.name)
-            if not val.is_zero():
-                if g.kind == POLYNOMIAL:
-                    stub = Element(alg, {((gi, exp - 1),) if exp > 1 else (): ring.one})
-                    letter = stub * val.scale(exp)
-                elif g.kind == DIVIDED_POWER:
-                    stub = Element(alg, {((gi, exp - 1),) if exp > 1 else (): ring.one})
-                    letter = stub * val
-                else:
-                    letter = val
-                prefix = Element(alg, {mono[:pos]: ring.one})
-                suffix = Element(alg, {mono[pos + 1:]: ring.one})
-                term = (prefix * letter) * suffix
-                sign = ring.neg(coeff) if prefix_deg % 2 else coeff
-                for m, c in term.terms.items():
-                    out._add_term(m, ring.mul(c, sign))
-            prefix_deg += exp * g.hdeg
+        for m, c in _leibniz(deriv, mono).items():
+            out._add_term(m, ring.mul(c, coeff))
     return out
 
 
@@ -271,7 +285,7 @@ class Slice:
 
     def vector_of(self, element):
         """Coordinates of an element supported on this slice."""
-        vec = [self.algebra.ring.zero] * self.dim
+        vec = [0] * self.dim
         for m, c in element.terms.items():
             vec[self.index[m]] = c
         return vec
@@ -300,55 +314,28 @@ def basis_slice(algebra, hdeg, weight, poly_bound=None):
             raise ValueError(f"slice on {g.name!r} is infinite without a poly bound")
     out = []
 
+    # generators in table order, exponents ascending: the monomials come
+    # out sorted by exponent vector
     def rec(i, h, w, budget, acc):
-        if h == 0 and w == 0 and i == n:
-            out.append(tuple(acc))
-            return
         if i == n:
+            if h == 0 and w == 0:
+                out.append(tuple(acc))
             return
         g = gens[i]
-        max_e = _max_exponent(g, h, w, budget, poly_bound)
-        for e in range(max_e + 1):
-            if e:
-                acc.append((i, e))
+        for e in range(2) if g.kind == EXTERIOR else count():
             nh = h - e * g.hdeg
             nw = w - e * g.weight
             nb = budget - e * g.poly_weight if budget is not None else None
-            if nh >= 0 and nw >= 0 and (nb is None or nb >= 0):
-                rec(i + 1, nh, nw, nb, acc)
+            if nh < 0 or nw < 0 or (nb is not None and nb < 0):
+                break
+            if e:
+                acc.append((i, e))
+            rec(i + 1, nh, nw, nb, acc)
             if e:
                 acc.pop()
 
     rec(0, hdeg, weight, poly_bound, [])
-    key_order = []
-    for m in out:
-        vec = [0] * n
-        for i, e in m:
-            vec[i] = e
-        key_order.append((tuple(vec), m))
-    key_order.sort()
-    monos = tuple(m for _, m in key_order)
-    return Slice(algebra, hdeg, weight, poly_bound, monos)
-
-
-def _max_exponent(g, h, w, budget, poly_bound):
-    if g.kind == EXTERIOR:
-        cap = 1
-    else:
-        cap = None
-    caps = []
-    if g.hdeg > 0:
-        caps.append(h // g.hdeg)
-    if g.weight > 0:
-        caps.append(w // g.weight)
-    if g.poly_weight > 0 and budget is not None:
-        caps.append(budget // g.poly_weight)
-    if cap is not None:
-        caps.append(cap)
-    if not caps:
-        # degree 0, weight 0, no poly bound: only valid for exponent 0
-        return 0
-    return max(0, min(caps))
+    return Slice(algebra, hdeg, weight, poly_bound, tuple(out))
 
 
 def derivation_matrix(deriv, source, target):
@@ -361,8 +348,9 @@ def derivation_matrix(deriv, source, target):
     ring = alg.ring
     m = SparseMatrix(target.dim, source.dim, ring)
     for j, mono in enumerate(source.monomials):
-        image = derive(deriv, Element(alg, {mono: ring.one}))
-        for im, c in image.terms.items():
+        for im, c in _leibniz(deriv, mono).items():
+            if ring.is_zero(c):
+                continue
             row = target.index.get(im)
             if row is None:
                 pw = alg.mono_poly_weight(im)
@@ -373,7 +361,7 @@ def derivation_matrix(deriv, source, target):
                 raise AssertionError(
                     f"image {alg.mono_str(im)} missing from slice "
                     f"({target.hdeg},{target.weight})")
-            m.add_at(row, j, c)
+            m[row, j] = c
     return m
 
 

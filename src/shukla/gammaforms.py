@@ -26,23 +26,22 @@ from .dpalgebra import (
 )
 from .errors import CompositionNonzero, HypothesisViolated, UnitP
 from .linalg import preimage
-from .mixed import MixedComplex, cyclic_layers, hochschild_layers, hochschild_total
+from .mixed import (
+    MixedComplex, _total_matrix, cyclic_layers, hochschild_layers, hochschild_total,
+)
 from .models import FreeDGA, check_boundary_square, tate_extend
 
 
 @dataclass
 class GammaFormsComplex:
-    """A model, its extended algebra with d-generators, both derivations,
-    the slice windows and the assembled mixed complex."""
+    """A model, its extended algebra with d-generators, the derivation
+    delta, the slice windows and the assembled mixed complex."""
 
     model: FreeDGA
     algebra: GradedAlgebra
-    d_name: dict
     delta: GammaDerivation
-    d: GammaDerivation
     slices: dict          # (hdeg, weight) -> Slice
     complex: MixedComplex
-    n_max: int
     poly_bound: object
 
 
@@ -62,25 +61,22 @@ def build_gamma_forms(model, n_max, poly_bound=None):
         raise CompositionNonzero("model boundary does not square to zero")
     base = model.algebra
     gens = list(base.generators)
-    d_name = {}
     for g in base.generators:
-        dname = "d" + g.name
         hdeg = g.hdeg + 1
         kind = EXTERIOR if hdeg % 2 else DIVIDED_POWER
-        gens.append(Generator(dname, hdeg, kind, weight=1,
+        gens.append(Generator("d" + g.name, hdeg, kind, weight=1,
                               poly_weight=g.poly_weight))
-        d_name[g.name] = dname
     alg = GradedAlgebra(base.ring, gens)
     d_values = {}
     for g in base.generators:
-        d_values[g.name] = alg.gen_element(d_name[g.name])
-        d_values[d_name[g.name]] = Element(alg)
+        d_values[g.name] = alg.gen_element("d" + g.name)
+        d_values["d" + g.name] = Element(alg)
     d = GammaDerivation(alg, +1, d_values)
     delta_values = {}
     for g in base.generators:
         bval = Element(alg, model.boundary.value_of(g.name).terms)
         delta_values[g.name] = bval
-        delta_values[d_name[g.name]] = derive(d, bval).scale(-1)
+        delta_values["d" + g.name] = derive(d, bval).scale(-1)
     delta = GammaDerivation(alg, -1, delta_values)
 
     if model.has_degree_zero_generators():
@@ -107,8 +103,7 @@ def build_gamma_forms(model, n_max, poly_bound=None):
                     table[((h, q), key)] = mat
     cplx = MixedComplex(base.ring, {k: s.monomials for k, s in slices.items() if s.dim},
                         b=maps_b, B=maps_B, window_total=htop)
-    return GammaFormsComplex(model, alg, d_name, delta, d, slices, cplx,
-                             n_max, poly_bound)
+    return GammaFormsComplex(model, alg, delta, slices, cplx, poly_bound)
 
 
 def hh_assemble(G, n_max):
@@ -183,14 +178,13 @@ def witness_nondegeneracy(ring, p, allow_unit=False):
     model = witness_model(ring, 2 * p + 2)
     G = build_gamma_forms(model, 2 * p + 1)
     alg = G.algebra
-    gamma = alg.element({(("dy", p),): ring.one})
+    gamma = alg.element({(("dy", p),): 1})
     cycle = derive(G.delta, gamma).is_zero()
-    beta = alg.element({(("dy", p - 1),): ring.one}) * alg.gen_element("dz")
+    beta = alg.element({(("dy", p - 1),): 1}) * alg.gen_element("dz")
     beta_identity = derive(G.delta, beta) == gamma.scale(-p)
     src = G.slices[(2 * p + 1, p)]
     tgt = G.slices[(2 * p, p)]
-    mat = derivation_matrix(G.delta, src, tgt)
-    target_vec = tgt.vector_of(gamma)
-    sol = preimage(mat, target_vec, ring)
+    mat = _total_matrix(G.complex, 2 * p + 1, p)
+    sol = preimage(mat, tgt.vector_of(gamma), ring)
     pre_elem = src.element_of(sol) if sol is not None else None
     return WitnessReport(p, cycle, sol is not None, beta_identity, pre_elem)

@@ -43,8 +43,9 @@ def xgcd(a, b):
 class GroundRing:
     """The coefficient ring: Z, Z/m (m >= 2) or Q.
 
-    Elements are plain ints (Z and Z/m, the latter normalized to
-    0..m-1) or Fractions (Q).  No floating point anywhere.
+    Elements are plain ints: over Z/m normalized to 0..m-1, over Q
+    kept an int whenever integral and a Fraction only otherwise.  0 and
+    1 are therefore the same in every ring.  No floating point anywhere.
     """
 
     __slots__ = ("kind", "modulus")
@@ -72,17 +73,11 @@ class GroundRing:
     def Zmod(m):
         return GroundRing("Zmod", m)
 
-    @property
-    def zero(self):
-        return Fraction(0) if self.kind == "Q" else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.kind == "Q" else 1
-
     def normalize(self, x):
         if self.kind == "Q":
-            return x if isinstance(x, Fraction) else Fraction(x)
+            if isinstance(x, Fraction) and x.denominator == 1:
+                return x.numerator
+            return x
         if self.kind == "Zmod":
             return x % self.modulus
         return x
@@ -112,7 +107,7 @@ class GroundRing:
         if self.kind == "Q":
             if a == 0:
                 raise ZeroDivisionError("0 is not invertible")
-            return 1 / a
+            return self.normalize(Fraction(1, a))
         if self.kind == "Z":
             if a not in (1, -1):
                 raise ZeroDivisionError(f"{a} is not a unit in Z")
@@ -150,7 +145,7 @@ class SparseMatrix:
                 self[i, j] = v
 
     def __getitem__(self, key):
-        return self.entries.get(key, self.ring.zero)
+        return self.entries.get(key, 0)
 
     def __setitem__(self, key, value):
         i, j = key
@@ -169,7 +164,7 @@ class SparseMatrix:
     def identity(n, ring):
         m = SparseMatrix(n, n, ring)
         for i in range(n):
-            m[i, i] = ring.one
+            m[i, i] = 1
         return m
 
     @staticmethod
@@ -183,7 +178,7 @@ class SparseMatrix:
         return m
 
     def to_rows(self):
-        out = [[self.ring.zero] * self.cols for _ in range(self.rows)]
+        out = [[0] * self.cols for _ in range(self.rows)]
         for (i, j), v in self.entries.items():
             out[i][j] = v
         return out
@@ -202,7 +197,7 @@ class SparseMatrix:
         for (i, j), v in self.entries.items():
             for (k, w) in by_row.get(j, ()):
                 key = (i, k)
-                acc[key] = acc.get(key, ring.zero) + v * w
+                acc[key] = acc.get(key, 0) + v * w
         for key, v in acc.items():
             out[key] = v
         return out
@@ -220,7 +215,7 @@ class SparseMatrix:
 
     def apply(self, vec):
         """Matrix times a dense coordinate list."""
-        out = [self.ring.zero] * self.rows
+        out = [0] * self.rows
         for (i, j), v in self.entries.items():
             if vec[j]:
                 out[i] = self.ring.add(out[i], v * vec[j])
@@ -324,7 +319,7 @@ def dense_snf(a, want_u=False, want_v=False, want_uinv=False):
     a = [list(map(int, row)) for row in a]
     m = len(a)
     n = len(a[0]) if m else 0
-    u = [[int(i == j) for j in range(m)] for i in range(m)] if (want_u or want_uinv) else None
+    u = [[int(i == j) for j in range(m)] for i in range(m)] if want_u else None
     uinv = [[int(i == j) for j in range(m)] for i in range(m)] if want_uinv else None
     v = [[int(i == j) for j in range(n)] for i in range(n)] if want_v else None
 

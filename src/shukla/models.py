@@ -14,8 +14,8 @@ degree-0 generators by killing homology classes one degree at a time.
 from dataclasses import dataclass, field
 
 from .dpalgebra import (
-    DIVIDED_POWER, EXTERIOR, POLYNOMIAL, Element, GammaDerivation, Generator,
-    GradedAlgebra, basis_slice, derivation_matrix, derive,
+    EXTERIOR, POLYNOMIAL, Element, GammaDerivation, Generator, GradedAlgebra,
+    basis_slice, derivation_matrix, derive,
 )
 from .errors import NotQuasiMonic, UnsupportedV0
 from .linalg import GroundRing, SparseMatrix, _int_columns, homology_from_presentation
@@ -93,7 +93,7 @@ class Presentation:
                 rel = poly_scale(rel, inv, ring)
                 lower = dict(rel)
                 lower.pop(lead_e)
-                lower = poly_scale(lower, ring.neg(ring.one), ring)
+                lower = poly_scale(lower, -1, ring)
                 if i in used_vars:
                     data.append(None)
                     normalized.append(rel)
@@ -172,7 +172,7 @@ def quasi_monic_reduce(pres, poly):
                     work.append((ne, ring.mul(c, lc)))
                 break
         else:
-            v = ring.add(out.get(e, ring.zero), c)
+            v = ring.add(out.get(e, 0), c)
             if ring.is_zero(v):
                 out.pop(e, None)
             else:
@@ -258,10 +258,6 @@ class TateTower:
     model: FreeDGA
     stages: list = field(default_factory=list)
 
-    @staticmethod
-    def start(model):
-        return TateTower(model, [])
-
 
 def _model_with_generators(model, new_gens, new_values):
     """Rebuild a model with generators appended; indices are preserved."""
@@ -274,7 +270,7 @@ def _model_with_generators(model, new_gens, new_values):
     return FreeDGA(alg, GammaDerivation(alg, -1, values), model.presentation)
 
 
-def tate_extend(tower, target_degree):
+def tate_extend(model, target_degree):
     """Kill homology below target_degree by adjoining generators.
 
     Requires a model with no degree-0 generators (each degree slice is
@@ -283,17 +279,14 @@ def tate_extend(tower, target_degree):
     factor of H_m, with boundary a cycle representative chosen in Smith
     normal form order.
     """
-    if isinstance(tower, FreeDGA):
-        tower = TateTower.start(tower)
-    model = tower.model
     if model.has_degree_zero_generators():
         raise UnsupportedV0("tate_extend needs all generators in degree >= 1")
     ring = model.ring
-    stages = list(tower.stages)
-    counter = sum(len(s.added) for s in stages)
+    stages = []
+    counter = 0
     for m in range(1, target_degree):
         alg = model.algebra
-        s_low = basis_slice(alg, m - 1, 0) if m >= 1 else None
+        s_low = basis_slice(alg, m - 1, 0)
         s_mid = basis_slice(alg, m, 0)
         s_high = basis_slice(alg, m + 1, 0)
         d_out = derivation_matrix(model.boundary, s_mid, s_low)
@@ -304,7 +297,7 @@ def tate_extend(tower, target_degree):
         added = []
         vals = []
         if gens:
-            for d, vec in gens:
+            for _, vec in gens:
                 counter += 1
                 name = f"w{counter}"
                 hdeg = m + 1

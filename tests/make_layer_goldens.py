@@ -29,6 +29,10 @@ FIXTURES = {
     "Q_x2_n5": ("Q", "x", ("x^2",), 5),
     "Q_x3mx_n3": ("Q", "x", ("x^3-x",), 3),
     "Q_x2_y2_n2": ("Q", "x y", ("x^2", "y^2"), 2),
+    # a Fraction or a non-1 unit enters the normalized relations
+    "Q_2x2m1_n4": ("Q", "x", ("2*x^2-1",), 4),
+    "Q_3x2my_2y2_n2": ("Q", "x y", ("3*x^2-y", "2*y^2"), 2),
+    "Z6_5x2p3_n3": ("Z/6", "x", ("5*x^2+3",), 3),
 }
 
 

@@ -130,6 +130,19 @@ def test_cli_parse_error_exit(tmp_path):
                  "--json", str(tmp_path / "e.json")]) == 2
 
 
+@pytest.mark.parametrize("name, data", [
+    ("missing.txt", None),
+    ("binary.txt", b"ring Z\nvars x\nrel x^2\xff\n"),
+], ids=["missing", "not_utf8"])
+def test_cli_unreadable_input_is_a_parse_error(tmp_path, name, data):
+    src = tmp_path / name
+    if data is not None:
+        src.write_bytes(data)
+    out = tmp_path / "e.json"
+    assert main(["--input", str(src), "--cmd", "hh", "--json", str(out)]) == 2
+    assert json.loads(out.read_text())["error"]["type"] == "ParseError"
+
+
 def test_cli_nmax_override(tmp_path):
     src = tmp_path / "job.txt"
     src.write_text("ring Z\nvars x\nrel x^2\n", encoding="utf-8")

@@ -1,12 +1,14 @@
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from shukla.errors import NotInIdeal, TruncationOverflow, UndefinedGenerator
 from shukla.dpalgebra import (
     DIVIDED_POWER, EXTERIOR, POLYNOMIAL, Element, GammaDerivation, Generator,
-    GradedAlgebra, basis_slice, contraction_complex, derivation_matrix, derive,
-    homotopy_h,
+    GradedAlgebra, Slice, basis_slice, contraction_complex, derivation_matrix,
+    derive, homotopy_h,
 )
 from shukla.linalg import GroundRing
 
@@ -161,7 +163,6 @@ def test_derivation_matrix_examples():
         "dx": Element(alg),
         "dy": alg.element({(("x", 1), ("dx", 1)): -2}),
     })
-    from shukla.dpalgebra import Slice
     src = Slice(alg, 2, 1, None, (alg.monomial([("dy", 1)]),))
     tgt = Slice(alg, 1, 1, None, (alg.monomial([("x", 1), ("dx", 1)]),))
     m = derivation_matrix(delta, src, tgt)
@@ -284,3 +285,124 @@ def test_homotopy_drops_w_adic_filtration():
         h = homotopy_h(data, e)
         for m in h.terms:
             assert w_multiplicity(m) >= max(r - 1, 0)
+
+
+def _reference_derive(deriv, e):
+    """D by whole-Element products, (prefix * (stub * D(g))) * suffix per
+    letter: the reference derive and derivation_matrix must match."""
+    alg = e.algebra
+    ring = alg.ring
+    out = Element(alg)
+    for mono, coeff in e.terms.items():
+        prefix_deg = 0
+        for pos, (gi, exp) in enumerate(mono):
+            g = alg.generators[gi]
+            val = deriv.value_of(g.name)
+            if not val.is_zero():
+                if g.kind == POLYNOMIAL:
+                    stub = Element(alg, {((gi, exp - 1),) if exp > 1 else (): 1})
+                    letter = stub * val.scale(exp)
+                elif g.kind == DIVIDED_POWER:
+                    stub = Element(alg, {((gi, exp - 1),) if exp > 1 else (): 1})
+                    letter = stub * val
+                else:
+                    letter = val
+                prefix = Element(alg, {mono[:pos]: 1})
+                suffix = Element(alg, {mono[pos + 1:]: 1})
+                term = (prefix * letter) * suffix
+                sign = ring.neg(coeff) if prefix_deg % 2 else coeff
+                for m, c in term.terms.items():
+                    out._add_term(m, ring.mul(c, sign))
+            prefix_deg += exp * g.hdeg
+    return out
+
+
+def _all_kinds_algebra(ring, rng, with_degree_zero=True):
+    """Polynomial in degrees 0 and 2, exterior in 1 and 3, divided-power
+    in 2 and 4, in a shuffled table order."""
+    gens = [
+        Generator("u", 2, POLYNOMIAL, poly_weight=1),
+        Generator("y", 1, EXTERIOR, poly_weight=2),
+        Generator("z", 3, EXTERIOR),
+        Generator("g", 2, DIVIDED_POWER, weight=1),
+        Generator("h", 4, DIVIDED_POWER, weight=1, poly_weight=1),
+    ]
+    if with_degree_zero:
+        gens.append(Generator("x", 0, POLYNOMIAL, poly_weight=1))
+    rng.shuffle(gens)
+    return GradedAlgebra(ring, gens)
+
+
+def _random_scalar(ring, rng):
+    c = rng.randint(-6, 6)
+    if ring.kind == "Q" and rng.random() < 0.5:
+        return Fraction(c, rng.randint(1, 4))
+    return c
+
+
+def _random_element_of(alg, rng, terms):
+    e = Element(alg)
+    for _ in range(terms):
+        letters = []
+        for g in alg.generators:
+            e_max = 1 if g.kind == EXTERIOR else 2
+            if rng.random() < 0.4:
+                letters.append((g.name, rng.randint(1, e_max)))
+        e._add_term(alg.monomial(letters), _random_scalar(alg.ring, rng))
+    return e
+
+
+@pytest.mark.parametrize("ring", [GroundRing.Z(), GroundRing.Zmod(4),
+                                  GroundRing.Zmod(9), GroundRing.Q()],
+                         ids=repr)
+def test_derive_and_matrix_match_element_products(ring):
+    rng = random.Random(8)
+    for _ in range(12):
+        alg = _all_kinds_algebra(ring, rng)
+        deriv = GammaDerivation(alg, -1, {
+            g.name: _random_element_of(alg, rng, rng.randint(0, 3))
+            for g in alg.generators})
+        for _ in range(10):
+            e = _random_element_of(alg, rng, 3)
+            assert derive(deriv, e) == _reference_derive(deriv, e)
+        # the matrix on each slice, into a target holding every image monomial
+        for h in range(1, 5):
+            for w in range(3):
+                src = basis_slice(alg, h, w, poly_bound=2)
+                images = [_reference_derive(deriv, Element(alg, {m: 1}))
+                          for m in src.monomials]
+                tgt = Slice(alg, h - 1, w, None,
+                            tuple(sorted({m for im in images for m in im.terms})))
+                expected = {(tgt.index[m], j): c for j, im in enumerate(images)
+                            for m, c in im.terms.items()}
+                assert derivation_matrix(deriv, src, tgt).entries == expected
+
+
+def _brute_force_grades(alg):
+    """(exponent vector, hdeg, weight, poly weight) of every monomial with
+    exponents up to 3, sorted by exponent vector."""
+    gens = alg.generators
+    out = []
+    for vec in product(range(4), repeat=len(gens)):
+        if all(e <= 1 for g, e in zip(gens, vec) if g.kind == EXTERIOR):
+            out.append((vec, sum(g.hdeg * e for g, e in zip(gens, vec)),
+                        sum(g.weight * e for g, e in zip(gens, vec)),
+                        sum(g.poly_weight * e for g, e in zip(gens, vec))))
+    return out
+
+
+@pytest.mark.parametrize("with_degree_zero", [True, False])
+def test_basis_slice_matches_brute_force_in_order(with_degree_zero):
+    # exponents up to 3 cover every slice below: hdeg <= 5, bound <= 3
+    rng = random.Random(5)
+    for _ in range(4):
+        alg = _all_kinds_algebra(Z, rng, with_degree_zero)
+        grades = _brute_force_grades(alg)
+        for bound in (0, 2, 3) if with_degree_zero else (None, 1, 3):
+            for h in range(6):
+                for w in range(3):
+                    expected = tuple(
+                        tuple((i, e) for i, e in enumerate(vec) if e)
+                        for vec, vh, vw, vp in grades
+                        if vh == h and vw == w and (bound is None or vp <= bound))
+                    assert basis_slice(alg, h, w, bound).monomials == expected

@@ -191,3 +191,11 @@ def test_model_independence_smoke():
     f2 = hc_assemble(G2, 3)
     assert f1.total == f2.total
     assert f1.layers == f2.layers
+
+
+def test_q_forms_complex_with_integer_relations_has_int_entries():
+    G = forms_of(Q, ["x", "y"], [{(2, 0): 1}, {(0, 2): 1}], n_max=3)
+    blocks = list(G.complex.b.values()) + list(G.complex.B.values())
+    assert G.complex.b and G.complex.B
+    for block in blocks:
+        assert all(type(v) is int for v in block.entries.values())

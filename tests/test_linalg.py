@@ -519,3 +519,28 @@ def test_integer_rank_matches_rational():
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
         M = mat(rows)
         assert integer_rank(_int_columns(M), m) == rational_rank(rows)
+
+
+def test_q_scalars_stay_ints_when_integral():
+    two = Q.normalize(Fraction(4, 2))
+    assert two == 2 and type(two) is int
+    assert Q.inv(2) == Fraction(1, 2)
+    back = Q.inv(Fraction(1, 2))
+    assert back == 2 and type(back) is int
+    assert type(Q.mul(Fraction(2, 3), Fraction(3, 2))) is int
+    with pytest.raises(ZeroDivisionError):
+        Q.inv(0)
+
+
+def test_dense_snf_tracks_u_only_on_request():
+    rng = random.Random(31)
+    for _ in range(100):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        u, s, v, uinv = dense_snf(rows, want_u=True, want_v=True, want_uinv=True)
+        assert (mat(u) * mat(uinv)).to_rows() == [[int(i == j) for j in range(m)]
+                                                  for i in range(m)]
+        assert (mat(u) * mat(rows)) * mat(v) == mat(s)
+        u_alone, s_alone, _, uinv_alone = dense_snf(rows, want_uinv=True)
+        assert u_alone is None
+        assert uinv_alone == uinv and s_alone == s
