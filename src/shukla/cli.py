@@ -15,6 +15,7 @@ check passed.
 """
 
 import argparse
+import contextlib
 import json
 import random
 import re
@@ -423,35 +424,39 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for selftest randomization")
     args = ap.parse_args(argv)
-    try:
-        if args.input:
-            with open(args.input, encoding="utf-8") as fh:
-                text = fh.read()
-        else:
-            text = sys.stdin.read()
-        job = parse(text)
-        if args.nmax is not None:
-            if args.nmax < 0:
-                raise ParseError("--nmax must be >= 0")
-            job.n_max = args.nmax
-    except (ParseError, OSError, UnicodeDecodeError) as exc:
-        # unreadable input has no meaning either
-        payload = {"error": {"type": "ParseError", "detail": str(exc)}}
-        _emit(payload, args.json_out)
-        return 2
-    job.seed = args.seed
-    report, ok = run(job, args.cmd)
-    _emit(report, args.json_out)
-    return 0 if ok else 1
+    with contextlib.ExitStack() as stack:
+        out = sys.stdout
+        try:
+            # opened before the job runs, so a bad report path costs no
+            # work; append mode keeps the file until the report replaces it
+            if args.json_out:
+                out = stack.enter_context(open(args.json_out, "a", encoding="utf-8"))
+            if args.input:
+                with open(args.input, encoding="utf-8") as fh:
+                    text = fh.read()
+            else:
+                text = sys.stdin.read()
+            job = parse(text)
+            if args.nmax is not None:
+                if args.nmax < 0:
+                    raise ParseError("--nmax must be >= 0")
+                job.n_max = args.nmax
+        except (ParseError, OSError, UnicodeDecodeError) as exc:
+            # unreadable input has no meaning either
+            payload = {"error": {"type": "ParseError", "detail": str(exc)}}
+            _emit(payload, out)
+            return 2
+        job.seed = args.seed
+        report, ok = run(job, args.cmd)
+        _emit(report, out)
+        return 0 if ok else 1
 
 
-def _emit(payload, path):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(payload, out):
+    """Write the report to out; a report file loses its old contents."""
+    if out is not sys.stdout:
+        out.truncate(0)
+    out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -1,20 +1,20 @@
 """Exact scalar arithmetic and integer matrix kernels.
 
 Everything here is exact: integers, integers mod m, or rationals.  The
-work is integer elimination, and the ground ring k is decided in two
+work is integer elimination, and the ground ring k is decided in three
 places only:
 
 - `_int_columns` is the lift of a matrix over k to integer columns.  Q
   entries are scaled to integers; over Z/m one relation column m*e_i
   per row follows the matrix's own columns, so a lifted d_in carries the
   middle relations and a lifted d_out the target relations.
-- `subquotient` returns (big/small) (x) k: the integer group over Z and
-  Z/m (over Z/m the small lattice already holds every m*e_i), its free
-  part over Q.
+- `_tensor` returns an integer group (x) k: the group itself over Z and
+  Z/m (over Z/m the lattices already hold every m*e_i), its free part
+  over Q.  `subquotient` and `homology_at` report through it.
+- `preimage` asks `is_unit` and `inv` of the ring about one integer g,
+  the gcd of the last coordinates of the kernel of [M | b].
 
-Every other module hands integer columns and the ring to these.  Over Z
-and Q, `homology_at` only needs invariant factors or ranks and skips the
-subquotient; `preimage` solves over Q by rational elimination.
+Every other module hands integer columns and the ring to these.
 """
 
 import heapq
@@ -289,9 +289,6 @@ class HomologyGroup:
     def __str__(self):
         parts = ["Z"] * self.free_rank + [f"C{d}" for d in self.invariant_factors]
         return " x ".join(parts) if parts else "0"
-
-
-TRIVIAL_GROUP = HomologyGroup(0, ())
 
 
 # ---------------------------------------------------------------------------
@@ -602,18 +599,15 @@ def kernel_basis(columns, nrows):
             for wit in ech.null_witnesses]
 
 
-def integer_rank(columns, nrows):
-    ech = ColumnEchelon(nrows)
-    for col in columns:
-        ech.add(col)
-    return len(ech.pivots)
-
-
 def lattice_echelon(columns, nrows):
     ech = ColumnEchelon(nrows)
     for col in columns:
         ech.add(col)
     return ech
+
+
+def integer_rank(columns, nrows):
+    return len(lattice_echelon(columns, nrows).pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -779,16 +773,25 @@ def invariant_factors_sparse(columns, nrows):
 # Subquotients of integer lattices and homology of two-step complexes.
 # ---------------------------------------------------------------------------
 
+def _tensor(free, factors, ring):
+    """The integer group Z^free + sum Z/d over factors, tensored with k.
+
+    Over Z/m the lattices it comes from already hold every m*e_i, so
+    the group is its own tensor with k; over Q the torsion dies.
+    """
+    if ring.kind == "Q":
+        factors = ()
+    return HomologyGroup.from_factors(free, factors)
+
+
 def subquotient(gens_big, gens_small, nrows, ring, want_generators=False):
     """(span gens_big) / (span gens_small) (x) k, gens_small inside.
 
-    Vectors are dicts row -> int in an ambient Z^nrows.  Over Z and Z/m
-    this is the integer group itself; over Q its torsion is dropped.
-    When want_generators is set, also returns a list (d_i, vector) with
-    one representative per invariant factor d_i != 1 of the result
-    (d_i = 0 means a free generator).
+    Vectors are dicts row -> int in an ambient Z^nrows.  When
+    want_generators is set, also returns a list (d_i, vector) with one
+    representative per invariant factor d_i != 1 of the result (d_i = 0
+    means a free generator).
     """
-    free_only = ring.kind == "Q"
     ech = lattice_echelon(gens_big, nrows)
     basis = ech.basis()
     r = len(basis)
@@ -801,9 +804,7 @@ def subquotient(gens_big, gens_small, nrows, ring, want_generators=False):
         expr_cols.append({idx[row]: q for row, q in coords.items() if q})
     if not want_generators:
         factors, rank = invariant_factors_sparse(expr_cols, r)
-        if free_only:
-            factors = ()
-        return HomologyGroup.from_factors(r - rank, factors), None
+        return _tensor(r - rank, factors, ring), None
     dense = [[0] * len(expr_cols) for _ in range(r)]
     for j, col in enumerate(expr_cols):
         for i, v in col.items():
@@ -811,12 +812,11 @@ def subquotient(gens_big, gens_small, nrows, ring, want_generators=False):
     _, s, _, uinv = dense_snf(dense, want_uinv=True)
     diag = [s[i][i] for i in range(min(r, len(expr_cols)))]
     diag += [0] * (r - len(diag))
-    factors = [] if free_only else [d for d in diag if d not in (0, 1)]
-    rank = sum(1 for d in diag if d)
+    group = _tensor(diag.count(0), [d for d in diag if d], ring)
     gens = []
     for i, d in enumerate(diag):
-        if d == 1 or (free_only and d):
-            continue
+        if d and d not in group.invariant_factors:
+            continue  # a unit, or torsion that dies in k
         vec = {}
         for k in range(r):
             c = uinv[k][i]
@@ -828,7 +828,7 @@ def subquotient(gens_big, gens_small, nrows, ring, want_generators=False):
                     else:
                         vec.pop(row, None)
         gens.append((d, vec))
-    return HomologyGroup.from_factors(r - rank, factors), gens
+    return group, gens
 
 
 def homology_from_presentation(d_in_cols, d_out_cols, mid_dim, out_dim, ring,
@@ -866,89 +866,33 @@ def homology_at(d_in, d_out, ring):
         group, _ = homology_from_presentation(
             _int_columns(d_in), _int_columns(d_out), n, d_out.rows, ring)
         return group
-    # Each integer copy is built when it is needed and dropped after, so
-    # the two are never alive together.
-    if ring.kind == "Z":
-        # torsion of ker/im equals torsion of Z^n/im since the quotient
-        # by the kernel is free
-        factors, r_in = invariant_factors_sparse(_int_columns(d_in), n)
-    else:
-        factors, r_in = (), integer_rank(_int_columns(d_in), n)
+    # Torsion of ker/im equals torsion of Z^n/im since the quotient by
+    # the kernel is free.  Each integer copy is built when it is needed
+    # and dropped after, so the two are never alive together.
+    factors, r_in = invariant_factors_sparse(_int_columns(d_in), n)
     free = n - r_in - integer_rank(_int_columns(d_out), d_out.rows)
-    return HomologyGroup.from_factors(free, factors)
+    return _tensor(free, factors, ring)
 
 
 def preimage(matrix, b, ring):
     """Some x with M x = b over the ring, or None if b is not in the image.
 
-    b is a dense list of scalars; the returned x is a dense list.
+    b is a dense list of scalars; the returned x is a dense list.  An
+    integer kernel vector (y, t) of the lift of [M | b] says M y + t b = 0
+    over k.  Its t run over an ideal gZ, and b is in the image exactly
+    when g is a unit of k; then x = -y / g for the vector with t = g.
     """
     n = matrix.cols
-    if ring.kind == "Q":
-        # rational elimination takes the entries as they are
-        cols = [dict() for _ in range(n)]
-        for (i, j), v in matrix.entries.items():
-            cols[j][i] = v
-        target = {i: Fraction(v) for i, v in enumerate(b) if v}
-        return _solve_rational(cols, target, matrix.rows)
-    target = {i: int(v) for i, v in enumerate(b) if int(v)}
-    sol = _solve_integer(_int_columns(matrix), target, matrix.rows)
-    if sol is None:
+    aug = SparseMatrix(matrix.rows, n + 1, ring, matrix.entries)
+    for i, v in enumerate(b):
+        aug[i, n] = v
+    g, y = 0, [0] * n
+    for vec in kernel_basis(_int_columns(aug), matrix.rows):
+        t = vec.get(n, 0)
+        if t:
+            g, s, u = xgcd(g, t)
+            y = [s * a + u * vec.get(j, 0) for j, a in enumerate(y)]
+    if not ring.is_unit(g):
         return None
-    return [ring.normalize(x) for x in sol[:n]]
-
-
-def _solve_integer(columns, target, nrows):
-    ech = ColumnEchelon(nrows)
-    n = len(columns)
-    for j, col in enumerate(columns):
-        aug = dict(col)
-        aug[nrows + j] = 1
-        ech.add(aug)
-    _, rem = ech.reduce(dict(target))
-    if any(r < nrows for r in rem):
-        return None
-    # target = sum q*piv, and each pivot's witness part records its
-    # expression in the original columns, so x = -(witness remainder)
-    x = [0] * n
-    for row, val in rem.items():
-        x[row - nrows] = -val
-    return x
-
-
-def _solve_rational(columns, target, nrows):
-    """Solve M x = b over Q by fraction-free Gaussian elimination."""
-    rows = sorted({r for c in columns for r in c} | set(target))
-    ridx = {r: i for i, r in enumerate(rows)}
-    m = len(rows)
-    n = len(columns)
-    a = [[Fraction(0)] * (n + 1) for _ in range(m)]
-    for j, col in enumerate(columns):
-        for r, v in col.items():
-            a[ridx[r]][j] = Fraction(v)
-    for r, v in target.items():
-        a[ridx[r]][n] = Fraction(v)
-    piv_cols = []
-    ri = 0
-    for j in range(n):
-        p = next((i for i in range(ri, m) if a[i][j]), None)
-        if p is None:
-            continue
-        a[ri], a[p] = a[p], a[ri]
-        pv = a[ri][j]
-        a[ri] = [x / pv for x in a[ri]]
-        for i in range(m):
-            if i != ri and a[i][j]:
-                f = a[i][j]
-                a[i] = [x - f * y for x, y in zip(a[i], a[ri])]
-        piv_cols.append(j)
-        ri += 1
-        if ri == m:
-            break
-    # rows past the last pivot are all-zero in the coefficient block
-    if any(a[i][n] for i in range(ri, m)):
-        return None
-    x = [Fraction(0)] * n
-    for i, j in enumerate(piv_cols):
-        x[j] = a[i][n]
-    return x
+    scale = ring.inv(g)
+    return [ring.normalize(-a * scale) for a in y]

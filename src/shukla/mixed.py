@@ -291,13 +291,22 @@ def _column_graded_pieces(d_in, d_out, cols_mid, ring):
                            for g in _int_columns(d_in)], n)
     bnd = [(cols_mid[down[row]], {down[k]: v for k, v in col.items()})
            for row, col in ech.pivots.items()]
+    # p_c keeps the columns of value c, numbered within that value.  On
+    # Z n F_c its kernel is Z n F_{c-1}, and a boundary pivot column of
+    # value below c has no entry of value c, so piece c is the subquotient
+    # of the p_c images of the cycles and boundaries of value exactly c.
+    slot, width = [], {}
+    for c in cols_mid:
+        slot.append(width.get(c, 0))
+        width[c] = slot[-1] + 1
+    z, b = {}, {}
+    for at, vectors in ((z, cycles), (b, bnd)):
+        for c, g in vectors:
+            at.setdefault(c, []).append(
+                {slot[j]: v for j, v in g.items() if cols_mid[j] == c})
     pieces = {}
-    for c in range(max(cols_mid) + 1):
-        z = [g for lv, g in cycles if lv <= c]
-        if not z:
-            continue
-        small = [g for lv, g in cycles if lv < c] + [g for lv, g in bnd if lv <= c]
-        group, _ = subquotient(z, small, n, ring)
+    for c in sorted(z):
+        group, _ = subquotient(z[c], b.get(c, []), width[c], ring)
         if not group.is_trivial():
             pieces[c] = group
     return pieces

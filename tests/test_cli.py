@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -143,6 +144,24 @@ def test_cli_unreadable_input_is_a_parse_error(tmp_path, name, data):
     assert json.loads(out.read_text())["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize("out", ["missing_dir/out.json", "."],
+                         ids=["missing_dir", "directory"])
+def test_cli_unwritable_report_path_is_a_parse_error(tmp_path, capsys, out):
+    src = tmp_path / "job.txt"
+    src.write_text("ring Z\nvars x\nrel x^2\nnmax 2\n", encoding="utf-8")
+    assert main(["--input", str(src), "--cmd", "hh",
+                 "--json", str(tmp_path / out)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ParseError"
+
+
+def test_cli_report_may_replace_its_own_input(tmp_path):
+    src = tmp_path / "job.txt"
+    src.write_text("ring Z\nvars x\nrel x^2\nnmax 2\n", encoding="utf-8")
+    assert main(["--input", str(src), "--cmd", "hh", "--json", str(src)]) == 0
+    assert set(json.loads(src.read_text())["hh"]) == {"0", "1", "2"}
+
+
 def test_cli_nmax_override(tmp_path):
     src = tmp_path / "job.txt"
     src.write_text("ring Z\nvars x\nrel x^2\n", encoding="utf-8")
@@ -219,3 +238,16 @@ def test_cli_hc_matches_layers_totals(ring):
         for mode in ("hh", "hc"):
             for key, g in layers[mode]["layers"].items():
                 assert g["torsion"] == [], (mode, key)
+
+
+def test_cli_selftest_passes_for_two_seeds(monkeypatch, capsys):
+    contraction_cases = set()
+    for seed in ("0", "1"):
+        monkeypatch.setattr("sys.stdin", io.StringIO("ring Z\n"))
+        assert main(["--cmd", "selftest", "--seed", seed]) == 0
+        results = json.loads(capsys.readouterr().out)["selftest"]
+        assert results["snf"] == {"cases": 100, "failures": 0}
+        assert results["contraction"]["failures"] == 0
+        assert results["validate_fixture"] == {"bar": True, "gamma_forms": True}
+        contraction_cases.add(results["contraction"]["cases"])
+    assert len(contraction_cases) == 2

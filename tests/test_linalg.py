@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -477,6 +478,56 @@ def test_preimage_rational():
     assert x == [Fraction(1, 2), Fraction(1, 3)]
     M2 = SparseMatrix.from_rows([[1, 1], [2, 2]], Q)
     assert preimage(M2, [1, 3], Q) is None
+
+
+@pytest.mark.parametrize("m", [4, 6, 9])
+def test_preimage_matches_brute_force_mod_m(m):
+    ring = GroundRing.Zmod(m)
+    rng = random.Random(m)
+    cases = [(SparseMatrix(2, 0, ring), [0, 0]),
+             (SparseMatrix(2, 0, ring), [1, 0]),
+             (SparseMatrix(2, 3, ring), [0, 0]),
+             (SparseMatrix(2, 3, ring), [0, m - 1])]
+    for _ in range(60):
+        r, n = rng.randint(1, 3), rng.randint(1, 3)
+        M = mat([[rng.randrange(m) for _ in range(n)] for _ in range(r)], ring)
+        b = [rng.randrange(m) if rng.randrange(5) else 0 for _ in range(r)]
+        cases.append((M, b))
+    for M, b in cases:
+        hit = any(M.apply(list(x)) == b
+                  for x in itertools.product(range(m), repeat=M.cols))
+        x = preimage(M, b, ring)
+        assert (x is not None) == hit, (M.to_rows(), b)
+        if x is not None:
+            assert M.apply(x) == b
+            assert all(0 <= v < m for v in x)
+
+
+def test_preimage_rational_exists_iff_rank_does_not_grow():
+    rng = random.Random(23)
+    cases = [([[], []], [0, 0]), ([[], []], [0, Fraction(1, 2)]),
+             ([[0, 0]] * 3, [0, 0, 0]), ([[0, 0]] * 3, [1, 0, 0])]
+    for _ in range(80):
+        r, n = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                 for _ in range(n)] for _ in range(r)]
+        if rng.randrange(2):
+            x0 = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+            b = mat(rows, Q).apply(x0)
+        else:
+            b = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(r)]
+        cases.append((rows, b))
+    for rows, b in cases:
+        M = SparseMatrix(len(rows), len(rows[0]), Q)
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                M[i, j] = v
+        grows = (rational_rank([row + [v] for row, v in zip(rows, b)])
+                 > rational_rank(rows))
+        x = preimage(M, b, Q)
+        assert (x is None) == grows, (rows, b)
+        if x is not None:
+            assert M.apply(x) == b
 
 
 def test_homology_group_normalization():
