@@ -15,7 +15,7 @@ from .dpalgebra import (
 )
 from .models import (
     FreeDGA, Presentation, TateTower, check_boundary_square, koszul_model,
-    quasi_monic_reduce, tate_extend, trivial_model,
+    quasi_monic_reduce, rewrite, tate_extend,
 )
 from .mixed import (
     FilteredGroups, MixedComplex, cyclic_e2, cyclic_layers, cyclic_total,
@@ -27,7 +27,7 @@ from .gammaforms import (
 )
 from .baroracle import FiniteAlgebra, cyclic_mixed, from_presentation
 from .crystalline import (
-    Envelope, L_complex, Lprime_complex, dbar, hc_layers_small, hodge_hh,
+    L_complex, Lprime_complex, dbar, hc_layers_small, hodge_hh,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -78,7 +78,7 @@ class FiniteAlgebra:
 def from_presentation(pres):
     """Finite free algebra on the reduced monomial basis of a quasi-monic
     presentation; raises NotQuasiMonic when no finite free basis exists."""
-    if pres.const_relations:
+    if pres.consts:
         raise NotQuasiMonic("constant relations leave A non-free over k; "
                             "use the model pipelines instead")
     basis = tuple(pres.reduced_monomials())

@@ -23,14 +23,14 @@ import sys
 from dataclasses import dataclass, field
 
 from .baroracle import cyclic_mixed, from_presentation
-from .crystalline import Envelope, hc_layers_small, hodge_hh
-from .errors import EngineError, ParseError, TooManyVariables, UnitP
+from .crystalline import hc_layers_small, hodge_hh
+from .errors import EngineError, ParseError, TooManyVariables
 from .gammaforms import (
     build_gamma_forms, hc_assemble, hh_assemble, hh_layers, witness_nondegeneracy,
 )
 from .linalg import GroundRing
 from .mixed import cyclic_total, hochschild_total, validate
-from .models import Presentation, koszul_model, trivial_model
+from .models import Presentation, koszul_model
 
 
 @dataclass
@@ -216,11 +216,7 @@ def _groups_json(groups):
 
 def _forms_complex(job):
     pres = job.presentation()
-    if pres.variables or pres.relations:
-        model = koszul_model(pres)
-    else:
-        model = trivial_model(job.ring)
-    return pres, build_gamma_forms(model, job.n_max, job.poly_bound)
+    return pres, build_gamma_forms(koszul_model(pres), job.n_max, job.poly_bound)
 
 
 def run(job, command):
@@ -289,16 +285,15 @@ def _run_compare(job, report):
     hc_cols = {"gamma_forms": dict(enumerate(cyclic_total(G.complex, n)))}
     hc_weak = {}
     if pres.is_quasi_monic:
-        env = Envelope.make(pres)
-        crys = hodge_hh(env, n)
+        crys = hodge_hh(pres, n)
         hh_cols["crystalline"] = {k: crys.total[k] for k in sorted(crys.total)}
         try:
-            crys_hc = hc_layers_small(env, n)
+            crys_hc = hc_layers_small(pres, n)
             hc_weak["crystalline"] = {k: crys_hc.total[k]
                                       for k in sorted(crys_hc.total)}
         except TooManyVariables:
             pass
-        if not pres.const_relations:
+        if not pres.consts:
             A = from_presentation(pres)
             cplx = cyclic_mixed(A, n)
             hh_cols["oracle"] = dict(enumerate(hochschild_total(cplx, n)))
@@ -338,12 +333,8 @@ def _run_witness(job, command, report):
     if p < 2:
         raise ParseError(f"witness24 needs p >= 2, got {p}")
     ring = job.ring
-    try:
-        w = witness_nondegeneracy(ring, p)
-        unit = False
-    except UnitP:
-        w = witness_nondegeneracy(ring, p, allow_unit=True)
-        unit = True
+    unit = ring.is_unit(ring.normalize(p))
+    w = witness_nondegeneracy(ring, p, allow_unit=True)
     report["witness"] = w.to_json()
     report["p"] = p
     report["p_is_unit"] = unit

@@ -2,10 +2,14 @@
 filtered de Rham complexes built from them.
 
 The envelope of R = k[x_1..x_n] along relations f_1..f_r is presented
-on formal words gamma^Q(f) x^alpha with alpha reduced; multiplying an
-unreduced coefficient back in rewrites x_i^{m_i} into (lower terms plus
-a weight bump), using f_i^s gamma_q(f_i) = ((q+s)!/q!) gamma_{q+s}(f_i).
-Constant relations c contribute honest module relations
+on formal words gamma^Q(f) x^alpha with alpha reduced.  Words are
+(alpha, Q, S): reduced variable exponents, one gamma exponent per
+relation, and a sorted tuple of form indices (the dx factors); the
+weight of a word is sum(Q).  Multiplying an unreduced coefficient back
+in rewrites x_i^{m_i} into (lower terms plus a weight bump), using
+f_i^s gamma_q(f_i) = ((q+s)!/q!) gamma_{q+s}(f_i); the rules and the
+rewrite loop are the Presentation's (`models.rewrite`).  Constant
+relations c contribute honest module relations
 c * w = (q_t + 1) * w^{+t} instead of rewrites.
 
 The gamma-filtration is by total weight |Q|.  From its graded pieces
@@ -18,7 +22,8 @@ complexes over k:
 with the induced derivation lowering the position.  Homology of the
 level complex at position n - p gives the weight-p Hodge layer of
 Hochschild homology in degree n; the prime complex plays the same role
-on the cyclic side (exactly, for at most two variables).
+on the cyclic side (exactly, for at most two variables).  Every
+function here takes a quasi-monic `Presentation`.
 """
 
 from dataclasses import dataclass
@@ -27,87 +32,18 @@ from itertools import combinations
 from .errors import TooManyVariables
 from .linalg import HomologyGroup, SparseMatrix, _int_columns, homology_from_presentation
 from .mixed import FilteredGroups
+from .models import Presentation, rewrite
 
 
-@dataclass
-class Envelope:
-    """Envelope data for a quasi-monic presentation.
-
-    Words are (alpha, Q, S): reduced variable exponents, one gamma
-    exponent per relation, and a sorted tuple of form indices (the
-    dx factors).  The weight of a word is sum(Q).
-    """
-
-    presentation: object
-    bounds: tuple        # exponent bound per variable
-    var_rules: dict      # variable -> (relation index, m, lower poly)
-    const_rules: tuple   # (relation index, c)
-
-    @staticmethod
-    def make(pres):
-        pres.require_quasi_monic()
-        bounds = tuple(pres.variable_bounds())
-        var_rules = {}
-        const_rules = []
-        for t, d in enumerate(pres.quasi_monic):
-            if d[0] == "var":
-                var_rules[d[1]] = (t, d[2], d[3])
-            else:
-                const_rules.append((t, d[1]))
-        return Envelope(pres, bounds, var_rules, tuple(const_rules))
-
-    @property
-    def ring(self):
-        return self.presentation.ring
-
-    @property
-    def nvars(self):
-        return len(self.presentation.variables)
-
-    @property
-    def nrels(self):
-        return len(self.presentation.relations)
-
-
-def _push_coefficient(env, terms, Q, out, sign=1):
-    """Rewrite integer-coefficient terms {exps: c} times gamma^Q into
-    reduced words, bumping gamma exponents along the way."""
-    work = [(e, c, Q) for e, c in terms.items()]
-    while work:
-        e, c, Q = work.pop()
-        if c == 0:
-            continue
-        hit = None
-        for i, b in enumerate(env.bounds):
-            if e[i] >= b:
-                hit = i
-                break
-        if hit is None:
-            key = (e, Q)
-            out[key] = out.get(key, 0) + c * sign
-            if out[key] == 0:
-                del out[key]
-            continue
-        t, m, lower = env.var_rules[hit]
-        rest = tuple(v - (m if i == hit else 0) for i, v in enumerate(e))
-        # x_hit^m = f_t + lower; the f_t branch bumps gamma_t
-        bumped = tuple(q + (1 if i == t else 0) for i, q in enumerate(Q))
-        work.append((rest, c * (Q[t] + 1), bumped))
-        for le, lc in lower.items():
-            ne = tuple(a + b for a, b in zip(rest, le))
-            work.append((ne, c * lc, Q))
-    return out
-
-
-def dbar(env, element, weight_cap=None):
+def dbar(pres, element, weight_cap=None):
     """The gamma-derivation extending de Rham d on envelope forms.
 
     element: dict word -> integer coefficient.  Terms whose weight
     exceeds weight_cap are dropped (the quotient by that filtration
     level); without a cap the result is exact.
     """
-    variables = env.presentation.variables
-    relations = env.presentation.relations
+    variables = pres.variables
+    relations = pres.relations
     out = {}
 
     def add(word, c):
@@ -147,9 +83,7 @@ def dbar(env, element, weight_cap=None):
                            for e, c in dpart.items()}
                 sign = (-1) ** sum(1 for s in S if s < j)
                 ns = tuple(sorted(S + (j,)))
-                pushed = {}
-                _push_coefficient(env, shifted, Qm, pushed)
-                for (na, nq), c in pushed.items():
+                for (na, nq), c in rewrite(pres, shifted, Qm).items():
                     if weight_cap is not None and sum(nq) > weight_cap:
                         continue
                     add((na, nq, ns), coeff * c * sign)
@@ -172,13 +106,14 @@ def _weights_upto(r, wmax):
     return sorted(out, key=lambda q: (sum(q), q))
 
 
-def _form_words(env, form_degree, weights):
+def _form_words(pres, form_degree, weights):
     """Words with the given dx-degree and gamma weight in `weights`."""
-    if form_degree > env.nvars or form_degree < 0:
+    nvars = len(pres.variables)
+    if form_degree > nvars or form_degree < 0:
         return []
     words = []
-    ss = list(combinations(range(env.nvars), form_degree))
-    for alpha in env.presentation.reduced_monomials():
+    ss = list(combinations(range(nvars), form_degree))
+    for alpha in pres.reduced_monomials():
         for Q in weights:
             for S in ss:
                 words.append((alpha, Q, tuple(S)))
@@ -186,16 +121,16 @@ def _form_words(env, form_degree, weights):
     return words
 
 
-def _weights_exact(env, w):
-    return [q for q in _weights_upto(env.nrels, w) if sum(q) == w]
+def _weights_exact(pres, w):
+    return [q for q in _weights_upto(len(pres.relations), w) if sum(q) == w]
 
 
-def _relation_vectors(env, words, index, weight_cap):
+def _relation_vectors(pres, words, index, weight_cap):
     """Module relations on the span of `words` beyond the ring's own: the
     constant-relation bumps c*w = (q_t+1)*w^{+t} (bump dropped beyond
     the cap, i.e. in the quotient by that filtration level)."""
     rels = []
-    for t, c in env.const_rules:
+    for t, c in pres.consts:
         for w in words:
             alpha, Q, S = w
             vec = {index[w]: int(c)}
@@ -216,7 +151,7 @@ class FilteredComplex:
     """A chain complex of presented k-modules, positions 0..p, with the
     differential lowering the position by one."""
 
-    env: Envelope
+    pres: Presentation
     hodge: int
     positions: list      # list of (words, index, relation vectors)
     mats: dict           # j -> SparseMatrix, position j -> j-1
@@ -228,7 +163,7 @@ class FilteredComplex:
         n = len(words)
         if n == 0:
             return HomologyGroup(0, ())
-        ring = self.env.ring
+        ring = self.pres.ring
         # a missing map is zero: positions run 0..hodge
         d_in = self.mats.get(j + 1, SparseMatrix(n, 0, ring))
         d_out = self.mats.get(j, SparseMatrix(0, n, ring))
@@ -239,25 +174,26 @@ class FilteredComplex:
         return group
 
 
-def _build_filtered(env, p, graded):
+def _build_filtered(pres, p, graded):
     """Shared builder: graded=True gives the level complex (weight
     exactly i at position i), graded=False the prime complex (weight
     at most i, quotient by F_{i+1})."""
     positions = []
     for i in range(p + 1):
-        weights = _weights_exact(env, i) if graded else _weights_upto(env.nrels, i)
-        words = _form_words(env, p - i, weights)
+        weights = (_weights_exact(pres, i) if graded
+                   else _weights_upto(len(pres.relations), i))
+        words = _form_words(pres, p - i, weights)
         index = {w: j for j, w in enumerate(words)}
-        rels = _relation_vectors(env, words, index, i)
+        rels = _relation_vectors(pres, words, index, i)
         positions.append((words, index, rels))
     mats = {}
-    ring = env.ring
+    ring = pres.ring
     for j in range(1, p + 1):
         src_words, _, _ = positions[j]
         tgt_words, tgt_index, _ = positions[j - 1]
         mat = SparseMatrix(len(tgt_words), len(src_words), ring)
         for col, w in enumerate(src_words):
-            img = dbar(env, {w: 1}, weight_cap=j - 1)
+            img = dbar(pres, {w: 1}, weight_cap=j - 1)
             for w2, c in img.items():
                 if graded and sum(w2[1]) != j - 1:
                     raise AssertionError("derivation dropped weight by more than one")
@@ -266,24 +202,24 @@ def _build_filtered(env, p, graded):
                     raise AssertionError(f"image word {w2} missing at position {j - 1}")
                 mat.add_at(row, col, c)
         mats[j] = mat
-    return FilteredComplex(env, p, positions, mats)
+    return FilteredComplex(pres, p, positions, mats)
 
 
-def L_complex(env, p):
+def L_complex(pres, p):
     """The level complex of Hodge index p: position i carries the weight-i
     graded piece of the p-i forms."""
-    return _build_filtered(env, p, graded=True)
+    return _build_filtered(pres, p, graded=True)
 
 
-def Lprime_complex(env, p):
+def Lprime_complex(pres, p):
     """The truncated complex of Hodge index p: position i carries the
     p-i forms modulo filtration weight i+1."""
-    return _build_filtered(env, p, graded=False)
+    return _build_filtered(pres, p, graded=False)
 
 
-def _layer_table(env, n_max, make_complex):
+def _layer_table(pres, n_max, make_complex):
     """Totals and layers whose (n, p) entry is the homology of the
-    complex make_complex(env, p) at position n - p."""
+    complex make_complex(pres, p) at position n - p."""
     layers = {}
     totals = {}
     complexes = {}
@@ -294,7 +230,7 @@ def _layer_table(env, n_max, make_complex):
             if j > p:
                 continue  # positions run 0..p
             if p not in complexes:
-                complexes[p] = make_complex(env, p)
+                complexes[p] = make_complex(pres, p)
             g = complexes[p].homology(j)
             if not g.is_trivial():
                 layers[(n, p)] = g
@@ -303,17 +239,17 @@ def _layer_table(env, n_max, make_complex):
     return FilteredGroups(totals, layers)
 
 
-def hodge_hh(env, n_max):
+def hodge_hh(pres, n_max):
     """Hochschild homology with its Hodge decomposition: the (n, p) layer
     is the homology of the level complex L^p at position n - p."""
-    return _layer_table(env, n_max, L_complex)
+    return _layer_table(pres, n_max, L_complex)
 
 
-def hc_layers_small(env, n_max):
+def hc_layers_small(pres, n_max):
     """Cyclic homology layers via the truncated complexes, valid for
     presentations in at most two variables."""
-    if env.nvars > 2:
+    if len(pres.variables) > 2:
         raise TooManyVariables(
             "the truncated-complex layer formula holds for <= 2 variables; "
             "use the forms-complex cyclic assembly instead")
-    return _layer_table(env, n_max, Lprime_complex)
+    return _layer_table(pres, n_max, Lprime_complex)

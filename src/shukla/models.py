@@ -1,10 +1,13 @@
 """Presentations and free DG models.
 
 A presentation is a ground ring, a list of degree-0 variables and a
-list of relation polynomials.  Quasi-monic relations (unit leading term
-x_i^m, or a nonzero constant) give the quotient algebra a finite free
-coefficient basis by rewriting; that structure also drives the
-crystalline module and the bar oracle.
+list of relation polynomials.  `Presentation` holds the rewriting of the
+quotient algebra A: a quasi-monic relation with unit leading term x_i^m
+becomes the rule x_i^m = f_t + lower, and a nonzero constant relation is
+kept as a constant.  `rewrite` is the one loop that applies the rules;
+the crystalline pipeline reads it in the divided-power envelope, and
+`quasi_monic_reduce` gives normal forms on the finite free basis the
+bar oracle multiplies in.
 
 Models: the Koszul model of a presentation adjoins one exterior
 degree-1 generator per relation.  Tate towers extend a model with no
@@ -24,19 +27,6 @@ from .linalg import GroundRing, SparseMatrix, _int_columns, homology_from_presen
 # with the presentation's variable list.
 
 
-def poly_is_zero(p):
-    return not p
-
-
-def poly_scale(p, c, ring):
-    out = {}
-    for e, v in p.items():
-        w = ring.mul(v, c)
-        if not ring.is_zero(w):
-            out[e] = w
-    return out
-
-
 def _grlex_key(exps):
     return (sum(exps), exps)
 
@@ -49,95 +39,64 @@ def leading_term(p):
 
 @dataclass
 class Presentation:
-    """ring, variables and relations, with quasi-monic data when it exists.
+    """ring, variables and relations, with the rewrite rules of A.
 
-    quasi_monic holds one entry per relation: ("var", i, m, lower) for a
-    relation x_i^m - lower with unit leading coefficient (normalized so
-    the leading coefficient is 1), ("const", c) for a nonzero constant
-    relation, or None when the relation fits neither pattern.
+    rules maps a variable index i to (t, m, lower), in index order:
+    relation t is x_i^m - lower, scaled so its leading coefficient is 1,
+    and it is the first such relation for x_i.  consts holds (t, c) for
+    each constant relation c kept as a module relation: |c| >= 2 over Z,
+    any nonzero c over Z/m.  Every other relation (a non-unit or mixed
+    leading term, a second pure power of a variable, a unit constant
+    over Z, any constant over Q) leaves the presentation not quasi-monic.
     """
 
     ring: GroundRing
     variables: tuple
     relations: tuple
-    quasi_monic: tuple = ()
+    rules: dict = field(default_factory=dict)
+    consts: tuple = ()
 
     @staticmethod
     def make(ring, variables, relations):
-        variables = tuple(variables)
         normalized = []
-        data = []
-        used_vars = set()
-        for rel in relations:
+        rules = {}
+        consts = []
+        for t, rel in enumerate(relations):
             rel = {tuple(e): ring.normalize(c) for e, c in rel.items()
-                   if not ring.is_zero(ring.normalize(c))}
-            if poly_is_zero(rel):
+                   if not ring.is_zero(c)}
+            if not rel:
                 raise ValueError("zero relation")
             lead_e, lead_c = leading_term(rel)
-            if sum(lead_e) == 0:
-                # constant relation
-                c = lead_c
-                normalized.append(rel)
-                if ring.kind == "Z" and abs(int(c)) >= 2:
-                    data.append(("const", abs(int(c))))
-                elif ring.kind == "Zmod":
-                    data.append(("const", int(c)))
-                else:
-                    data.append(None)
-                continue
             nz = [i for i, e in enumerate(lead_e) if e]
-            if len(nz) == 1 and ring.is_unit(lead_c):
-                i = nz[0]
-                m = lead_e[i]
+            if not nz:
+                if ring.kind == "Zmod" or (ring.kind == "Z" and abs(lead_c) >= 2):
+                    consts.append((t, abs(lead_c)))
+            elif len(nz) == 1 and ring.is_unit(lead_c):
                 inv = ring.inv(lead_c)
-                rel = poly_scale(rel, inv, ring)
-                lower = dict(rel)
-                lower.pop(lead_e)
-                lower = poly_scale(lower, -1, ring)
-                if i in used_vars:
-                    data.append(None)
-                    normalized.append(rel)
-                else:
-                    used_vars.add(i)
-                    data.append(("var", i, m, lower))
-                    normalized.append(rel)
-            else:
-                normalized.append(rel)
-                data.append(None)
-        return Presentation(ring, variables, tuple(normalized), tuple(data))
+                rel = {e: ring.mul(c, inv) for e, c in rel.items()}
+                if nz[0] not in rules:
+                    lower = {e: ring.neg(c) for e, c in rel.items() if e != lead_e}
+                    rules[nz[0]] = (t, lead_e[nz[0]], lower)
+            normalized.append(rel)
+        return Presentation(ring, tuple(variables), tuple(normalized),
+                            dict(sorted(rules.items())), tuple(consts))
 
     @property
     def is_quasi_monic(self):
-        return all(d is not None for d in self.quasi_monic)
+        return len(self.rules) + len(self.consts) == len(self.relations)
 
     def require_quasi_monic(self):
         if not self.is_quasi_monic:
             raise NotQuasiMonic("presentation has a relation without a "
                                 "unit pure-power leading term")
 
-    @property
-    def const_relations(self):
-        return [d[1] for d in self.quasi_monic if d and d[0] == "const"]
-
     def variable_bounds(self):
         """Exponent bound per variable, or NotQuasiMonic if one is unbounded."""
         self.require_quasi_monic()
-        bounds = [None] * len(self.variables)
-        for d in self.quasi_monic:
-            if d[0] == "var":
-                bounds[d[1]] = d[2]
-        missing = [self.variables[i] for i, b in enumerate(bounds) if b is None]
+        missing = [v for i, v in enumerate(self.variables) if i not in self.rules]
         if missing:
             raise NotQuasiMonic(f"variables {missing} carry no quasi-monic relation")
-        return bounds
-
-    def coefficient_modulus(self):
-        """Effective modulus on coefficients of the quotient algebra."""
-        from math import gcd
-        m = self.ring.modulus or 0
-        for c in self.const_relations:
-            m = gcd(m, int(c))
-        return m
+        return [m for _, m, _ in self.rules.values()]
 
     def reduced_monomials(self):
         """The monomial basis {x^a : a_i < m_i} of the quotient, sorted."""
@@ -148,38 +107,58 @@ class Presentation:
         return sorted(exps, key=_grlex_key)
 
 
+def rewrite(pres, terms, Q):
+    """Rewrite terms {exps: c} times gamma^Q into {(exps, Q'): c}, with
+    every exponent below its rule's bound.
+
+    Rule t is x_i^m = f_t + lower, and f_t gamma^Q = (Q_t + 1)
+    gamma^(Q + e_t) in the divided-power envelope, so each rewrite also
+    spawns a term one weight up.  The first variable, by index, that
+    meets its bound is rewritten; a variable without a rule is left as
+    it is.  Coefficients stay integers (or Fractions), unreduced.
+    """
+    out = {}
+    work = [(e, c, Q) for e, c in terms.items()]
+    while work:
+        e, c, Q = work.pop()
+        if c == 0:
+            continue
+        for i, (t, m, lower) in pres.rules.items():
+            if e[i] >= m:
+                break
+        else:
+            key = (e, Q)
+            c += out.get(key, 0)
+            if c:
+                out[key] = c
+            else:
+                del out[key]
+            continue
+        rest = tuple(v - (m if j == i else 0) for j, v in enumerate(e))
+        bumped = tuple(q + (1 if s == t else 0) for s, q in enumerate(Q))
+        work.append((rest, c * (Q[t] + 1), bumped))
+        for le, lc in lower.items():
+            work.append((tuple(a + b for a, b in zip(rest, le)), c * lc, Q))
+    return out
+
+
 def quasi_monic_reduce(pres, poly):
     """Normal form of a polynomial modulo the quasi-monic relations.
 
-    Rewrites x_i^{m_i} -> lower terms until every exponent is reduced,
-    then reduces coefficients modulo the effective modulus.  The result
-    is supported on the finite reduced monomial basis.
+    The weight-0 part of `rewrite` (f_t = 0 in A), normalized in the
+    ring.  The rules have pairwise coprime leading terms x_i^{m_i}, so
+    they form a Groebner basis and the normal form does not depend on
+    the order in which they are applied.  Domain: presentations without
+    constant relations (`from_presentation` refuses those first); a
+    constant relation's reduction of coefficients is not applied.
     """
     pres.require_quasi_monic()
-    ring = pres.ring
-    rules = {d[1]: (d[2], d[3]) for d in pres.quasi_monic if d[0] == "var"}
-    work = [(e, c) for e, c in poly.items()]
+    zero = (0,) * len(pres.relations)
     out = {}
-    while work:
-        e, c = work.pop()
-        if ring.is_zero(c):
-            continue
-        for i, (m, lower) in rules.items():
-            if e[i] >= m:
-                rest = tuple(v - (m if j == i else 0) for j, v in enumerate(e))
-                for le, lc in lower.items():
-                    ne = tuple(a + b for a, b in zip(rest, le))
-                    work.append((ne, ring.mul(c, lc)))
-                break
-        else:
-            v = ring.add(out.get(e, 0), c)
-            if ring.is_zero(v):
-                out.pop(e, None)
-            else:
-                out[e] = v
-    modulus = pres.coefficient_modulus()
-    if modulus:
-        out = {e: c % modulus for e, c in out.items() if c % modulus}
+    for (e, Q), c in rewrite(pres, poly, zero).items():
+        c = pres.ring.normalize(c)
+        if Q == zero and c:
+            out[e] = c
     return out
 
 
@@ -229,12 +208,6 @@ def koszul_model(pres):
     for name, rel in zip(rel_names, pres.relations):
         values[name] = poly_to_element(alg, pres.variables, rel)
     return FreeDGA(alg, GammaDerivation(alg, -1, values), pres)
-
-
-def trivial_model(ring):
-    """The zero-generator model of the ground ring itself."""
-    alg = GradedAlgebra(ring, [])
-    return FreeDGA(alg, GammaDerivation(alg, -1, {}))
 
 
 def check_boundary_square(model):

@@ -3,10 +3,13 @@
     python3 tests/make_layer_goldens.py
 
 Runs the `layers` command once on each fixture below and stores the job
-text with the `hh` and `hc` fields of its report.  Refuses to write if
-any job fails.  test_layer_goldens.py checks the source tree against the
-file; the fixtures cover the rings the benchmark corpus leaves out of its
-one `layers` job (over Z), each in well under a second.
+text with the `hh` and `hc` fields of its report.  It also runs `compare`
+on each fixture that is flat over its ring and stores the `hh`, `hc`,
+`agree` and `all_agree` fields; a constant relation over Z/m leaves A
+not flat, and there the pipelines disagree by design.  Refuses to write
+if any job fails.  test_layer_goldens.py checks the source tree against
+the file; the fixtures cover the rings the benchmark corpus leaves out of
+its one `layers` job (over Z), each in well under a second.
 """
 
 import json
@@ -43,16 +46,29 @@ def job_text(ring, variables, relations, nmax):
     return "\n".join(lines) + "\n"
 
 
+def is_flat(ring, relations):
+    """False for a constant relation over Z/m, the one non-flat case here."""
+    return not (ring.startswith("Z/") and any(r.isdigit() for r in relations))
+
+
+def checked_run(name, text, command, fields):
+    from shukla.cli import parse, run
+    report, ok = run(parse(text), command)
+    if not ok:
+        sys.exit(f"{name} {command}: ok=False: {report}")
+    return {f: report[f] for f in fields}
+
+
 def main():
     sys.path.insert(0, str(HERE.parent / "src"))
-    from shukla.cli import parse, run
     goldens = {}
-    for name, fixture in FIXTURES.items():
-        text = job_text(*fixture)
-        report, ok = run(parse(text), "layers")
-        if not ok:
-            sys.exit(f"{name}: ok=False: {report}")
-        goldens[name] = {"text": text, "hh": report["hh"], "hc": report["hc"]}
+    for name, (ring, variables, relations, nmax) in FIXTURES.items():
+        text = job_text(ring, variables, relations, nmax)
+        goldens[name] = {"text": text,
+                         **checked_run(name, text, "layers", ("hh", "hc"))}
+        if is_flat(ring, relations):
+            goldens[name]["compare"] = checked_run(
+                name, text, "compare", ("hh", "hc", "agree", "all_agree"))
         print(name, "ok", flush=True)
     GOLDENS.write_text(json.dumps(goldens, indent=1, sort_keys=True) + "\n")
 

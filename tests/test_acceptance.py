@@ -10,7 +10,7 @@ from math import comb
 
 from shukla.baroracle import cyclic_mixed, from_presentation
 from shukla.cli import parse, run
-from shukla.crystalline import Envelope, hc_layers_small, hodge_hh
+from shukla.crystalline import hc_layers_small, hodge_hh
 from shukla.dpalgebra import (
     DIVIDED_POWER, EXTERIOR, POLYNOMIAL, Element, GammaDerivation, Generator,
     GradedAlgebra, contraction_complex, derive, homotopy_h,
@@ -204,8 +204,7 @@ def test_criterion_05_hodge_level_complexes():
     t0 = time.monotonic()
     for name, ring, vs, rels in Z_FIXTURES:
         P = Presentation.make(ring, vs, rels)
-        E = Envelope.make(P)
-        H = hodge_hh(E, 4)
+        H = hodge_hh(P, 4)
         G = build_gamma_forms(koszul_model(P), 4)
         FL = hh_layers(G, 4)
         for n in range(5):
@@ -221,8 +220,7 @@ def test_criterion_06_cyclic_layer_sums():
         if name not in ("Z[x]/(x^2)", "Z[x,y]/(x^2,y^2)"):
             continue
         P = Presentation.make(ring, vs, rels)
-        E = Envelope.make(P)
-        HC = hc_layers_small(E, 3)
+        HC = hc_layers_small(P, 3)
         G = build_gamma_forms(koszul_model(P), 3)
         fc = hc_assemble(G, 3)
         for n in range(4):
@@ -237,8 +235,7 @@ def test_criterion_07_shukla_fixture():
         P = Presentation.make(Z, [], [{(): p}])
         G = build_gamma_forms(koszul_model(P), 9)
         hh = hh_assemble(G, 9)
-        E = Envelope.make(P)
-        H = hodge_hh(E, 9)
+        H = hodge_hh(P, 9)
         for q in range(5):
             assert hh[2 * q] == HomologyGroup.from_factors(0, [p]), (p, q)
             if 2 * q + 1 <= 9:

@@ -8,7 +8,7 @@ from shukla.gammaforms import (
 )
 from shukla.linalg import GroundRing, HomologyGroup
 from shukla.mixed import hochschild_layers, validate
-from shukla.models import Presentation, koszul_model, trivial_model
+from shukla.models import Presentation, koszul_model
 
 Z = GroundRing.Z()
 Q = GroundRing.Q()
@@ -90,8 +90,8 @@ def test_hh_assemble_examples():
     G = forms_of(Z, ["x"], [{(2,): 1}])
     hh = hh_assemble(G, 2)
     assert hh[2] == HomologyGroup(1, ())
-    # the trivial model of k itself
-    Gk = build_gamma_forms(trivial_model(Z), 3)
+    # the model of the empty presentation: k itself
+    Gk = build_gamma_forms(koszul_model(Presentation.make(Z, (), ())), 3)
     hhk = hh_assemble(Gk, 3)
     assert hhk[0] == HomologyGroup(1, ())
     assert all(g.is_trivial() for g in hhk[1:])
@@ -116,7 +116,7 @@ def test_hh_assemble_rejects_higher_generators():
 
 
 def test_hc_assemble_examples():
-    Gk = build_gamma_forms(trivial_model(Z), 4)
+    Gk = build_gamma_forms(koszul_model(Presentation.make(Z, (), ())), 4)
     fk = hc_assemble(Gk, 4)
     for n in range(5):
         expected = HomologyGroup(1, ()) if n % 2 == 0 else HomologyGroup(0, ())
@@ -176,7 +176,8 @@ def test_witness_layer_nonzero_mod_2():
     G = build_gamma_forms(model, 5)
     fg = hochschild_layers(G.complex, 5)
     assert not fg.layer(4, 2).is_trivial()
-    Gk = build_gamma_forms(trivial_model(GroundRing.Zmod(2)), 5)
+    F2 = GroundRing.Zmod(2)
+    Gk = build_gamma_forms(koszul_model(Presentation.make(F2, (), ())), 5)
     assert hh_assemble(Gk, 5)[4].is_trivial()
 
 

@@ -1,5 +1,6 @@
-"""Hodge layers of small jobs over Z/4, Z/6, Z/8, Z/9 and Q against
-tests/layer_goldens.json (written by tests/make_layer_goldens.py)."""
+"""Hodge layers and `compare` reports of small jobs over Z/4, Z/6, Z/8,
+Z/9 and Q against tests/layer_goldens.json (written by
+tests/make_layer_goldens.py)."""
 
 import json
 from pathlib import Path
@@ -19,3 +20,12 @@ def test_layers_match_golden(name):
     assert ok
     got = json.loads(json.dumps({"hh": report["hh"], "hc": report["hc"]}))
     assert got == {"hh": golden["hh"], "hc": golden["hc"]}
+
+
+@pytest.mark.parametrize("name", sorted(n for n in GOLDENS if "compare" in GOLDENS[n]))
+def test_compare_matches_golden(name):
+    golden = GOLDENS[name]
+    report, ok = run(parse(golden["text"]), "compare")
+    assert ok
+    got = json.loads(json.dumps({f: report[f] for f in golden["compare"]}))
+    assert got == golden["compare"]
