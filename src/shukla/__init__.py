@@ -14,7 +14,7 @@ from .dpalgebra import (
     homotopy_h,
 )
 from .models import (
-    FreeDGA, Presentation, TateTower, check_boundary_square, koszul_model,
+    FreeDGA, Presentation, check_boundary_square, koszul_model,
     quasi_monic_reduce, rewrite, tate_extend,
 )
 from .mixed import (

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import count
 from math import comb
 
-from .errors import NotInIdeal, TruncationOverflow, UndefinedGenerator
+from .errors import TruncationOverflow, UndefinedGenerator
 from .linalg import SparseMatrix
 
 POLYNOMIAL = "poly"
@@ -408,12 +408,11 @@ def contraction_complex(ring, v_gens, w_gens):
     return ContractionData(alg, tuple(w_names), dw_of, boundary)
 
 
-def homotopy_h(data, e, check_ideal=False):
+def homotopy_h(data, e):
     """The contraction homotopy: h(w) = dw, hD + Dh = Id on the ideal.
 
     Acts on the last W-block of each monomial, with the usual sign for
-    the letters passed over.  Pure LambdaV terms are sent to zero; with
-    check_ideal set they raise NotInIdeal instead.
+    the letters passed over.  Pure LambdaV terms are sent to zero.
     """
     alg = e.algebra
     ring = alg.ring
@@ -428,9 +427,6 @@ def homotopy_h(data, e, check_ideal=False):
                                   or alg.index[w] > alg.index[last_w]):
                 last_w = w
         if last_w is None:
-            if check_ideal:
-                raise NotInIdeal(
-                    f"{alg.mono_str(mono)} has no letter from W or dW")
             continue
         wi = alg.index[last_w]
         dwi = alg.index[data.dw_of[last_w]]

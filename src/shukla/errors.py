@@ -17,10 +17,6 @@ class TruncationOverflow(EngineError):
     """An image left the truncation window; the bound must be raised."""
 
 
-class NotInIdeal(EngineError):
-    """The contraction homotopy received an element outside its ideal."""
-
-
 class NotQuasiMonic(EngineError):
     """The presentation lacks the quasi-monic data required here."""
 
@@ -35,10 +31,6 @@ class WindowTooSmall(EngineError):
 
 class HypothesisViolated(EngineError):
     """A degeneracy shortcut was requested outside its hypothesis."""
-
-
-class UnitP(EngineError):
-    """The non-degeneracy witness needs a non-invertible integer."""
 
 
 class TooManyVariables(EngineError):

@@ -24,11 +24,9 @@ from .dpalgebra import (
     DIVIDED_POWER, EXTERIOR, POLYNOMIAL, Element, GammaDerivation, Generator,
     GradedAlgebra, basis_slice, derivation_matrix, derive,
 )
-from .errors import CompositionNonzero, HypothesisViolated, UnitP
+from .errors import CompositionNonzero, HypothesisViolated
 from .linalg import preimage
-from .mixed import (
-    MixedComplex, _total_matrix, cyclic_layers, hochschild_layers, hochschild_total,
-)
+from .mixed import MixedComplex, cyclic_layers, hochschild_layers, hochschild_total
 from .models import FreeDGA, check_boundary_square, tate_extend
 
 
@@ -55,30 +53,45 @@ def default_poly_bound(model, n_max):
     return max(4, cmax * (n_max + 2))
 
 
-def build_gamma_forms(model, n_max, poly_bound=None):
-    """Assemble the divided-power de Rham mixed complex of a model."""
+def _forms_derivations(model):
+    """The model's algebra enlarged with one d-generator per generator,
+    with the derivations d and delta, as (alg, d, delta).
+
+    The d-generator of g is named "d" + g.name, with "_" prefixed until
+    the name is not already taken.
+    """
     if not check_boundary_square(model):
         raise CompositionNonzero("model boundary does not square to zero")
     base = model.algebra
+    taken = {g.name for g in base.generators}
+    d_names = {}
     gens = list(base.generators)
     for g in base.generators:
+        name = "d" + g.name
+        while name in taken:
+            name = "_" + name
+        taken.add(name)
+        d_names[g.name] = name
         hdeg = g.hdeg + 1
         kind = EXTERIOR if hdeg % 2 else DIVIDED_POWER
-        gens.append(Generator("d" + g.name, hdeg, kind, weight=1,
-                              poly_weight=g.poly_weight))
+        gens.append(Generator(name, hdeg, kind, weight=1, poly_weight=g.poly_weight))
     alg = GradedAlgebra(base.ring, gens)
     d_values = {}
-    for g in base.generators:
-        d_values[g.name] = alg.gen_element("d" + g.name)
-        d_values["d" + g.name] = Element(alg)
-    d = GammaDerivation(alg, +1, d_values)
     delta_values = {}
-    for g in base.generators:
-        bval = Element(alg, model.boundary.value_of(g.name).terms)
-        delta_values[g.name] = bval
-        delta_values["d" + g.name] = derive(d, bval).scale(-1)
-    delta = GammaDerivation(alg, -1, delta_values)
+    for name, dname in d_names.items():
+        d_values[name] = alg.gen_element(dname)
+        d_values[dname] = Element(alg)
+    d = GammaDerivation(alg, +1, d_values)
+    for name, dname in d_names.items():
+        bval = Element(alg, model.boundary.value_of(name).terms)
+        delta_values[name] = bval
+        delta_values[dname] = derive(d, bval).scale(-1)
+    return alg, d, GammaDerivation(alg, -1, delta_values)
 
+
+def build_gamma_forms(model, n_max, poly_bound=None):
+    """Assemble the divided-power de Rham mixed complex of a model."""
+    alg, d, delta = _forms_derivations(model)
     if model.has_degree_zero_generators():
         if poly_bound is None:
             poly_bound = default_poly_bound(model, n_max)
@@ -101,7 +114,7 @@ def build_gamma_forms(model, n_max, poly_bound=None):
                 mat = derivation_matrix(deriv, s, tgt)
                 if mat.entries:
                     table[((h, q), key)] = mat
-    cplx = MixedComplex(base.ring, {k: s.monomials for k, s in slices.items() if s.dim},
+    cplx = MixedComplex(model.ring, {k: s.monomials for k, s in slices.items() if s.dim},
                         b=maps_b, B=maps_B, window_total=htop)
     return GammaFormsComplex(model, alg, delta, slices, cplx, poly_bound)
 
@@ -158,33 +171,29 @@ def witness_model(ring, top_degree):
         "y": Element(alg),
         "z": alg.gen_element("y"),
     })
-    start = FreeDGA(alg, boundary)
-    return tate_extend(start, top_degree).model
+    return tate_extend(FreeDGA(alg, boundary), top_degree)
 
 
-def witness_nondegeneracy(ring, p, allow_unit=False):
+def witness_nondegeneracy(ring, p):
     """Check the non-degeneracy facts for gamma^p(dy) over the ring.
 
     Reports whether gamma^p(dy) is a delta-cycle, whether it bounds on
     the weight-p slice, and whether delta(gamma^{p-1}(dy) dz) equals
     -p gamma^p(dy).  For a non-unit p the class is a cycle and not a
     boundary, exhibiting homology the ground ring's own trivial model
-    does not have.
+    does not have; for a unit p it bounds.  Only the one delta block
+    from slice (2p+1, p) to slice (2p, p) is built.
     """
     if not isinstance(p, int) or p < 2:
         raise ValueError("p must be an integer >= 2")
-    if ring.is_unit(ring.normalize(p)) and not allow_unit:
-        raise UnitP(f"{p} is invertible in {ring}; the witness must fail")
-    model = witness_model(ring, 2 * p + 2)
-    G = build_gamma_forms(model, 2 * p + 1)
-    alg = G.algebra
+    alg, _, delta = _forms_derivations(witness_model(ring, 2 * p + 2))
     gamma = alg.element({(("dy", p),): 1})
-    cycle = derive(G.delta, gamma).is_zero()
+    cycle = derive(delta, gamma).is_zero()
     beta = alg.element({(("dy", p - 1),): 1}) * alg.gen_element("dz")
-    beta_identity = derive(G.delta, beta) == gamma.scale(-p)
-    src = G.slices[(2 * p + 1, p)]
-    tgt = G.slices[(2 * p, p)]
-    mat = _total_matrix(G.complex, 2 * p + 1, p)
+    beta_identity = derive(delta, beta) == gamma.scale(-p)
+    src = basis_slice(alg, 2 * p + 1, p)
+    tgt = basis_slice(alg, 2 * p, p)
+    mat = derivation_matrix(delta, src, tgt)
     sol = preimage(mat, tgt.vector_of(gamma), ring)
     pre_elem = src.element_of(sol) if sol is not None else None
     return WitnessReport(p, cycle, sol is not None, beta_identity, pre_elem)

@@ -10,7 +10,7 @@ the crystalline pipeline reads it in the divided-power envelope, and
 bar oracle multiplies in.
 
 Models: the Koszul model of a presentation adjoins one exterior
-degree-1 generator per relation.  Tate towers extend a model with no
+degree-1 generator per relation.  `tate_extend` extends a model with no
 degree-0 generators by killing homology classes one degree at a time.
 """
 
@@ -21,7 +21,9 @@ from .dpalgebra import (
     basis_slice, derivation_matrix, derive,
 )
 from .errors import NotQuasiMonic, UnsupportedV0
-from .linalg import GroundRing, SparseMatrix, _int_columns, homology_from_presentation
+from .linalg import (
+    GroundRing, SparseMatrix, _int_columns, homology_at, homology_from_presentation,
+)
 
 # Polynomials are dicts {exponent tuple: coefficient}, exponents aligned
 # with the presentation's variable list.
@@ -172,7 +174,6 @@ class FreeDGA:
 
     algebra: GradedAlgebra
     boundary: GammaDerivation
-    presentation: Presentation = None
 
     @property
     def ring(self):
@@ -207,7 +208,7 @@ def koszul_model(pres):
     values = {v: Element(alg) for v in pres.variables}
     for name, rel in zip(rel_names, pres.relations):
         values[name] = poly_to_element(alg, pres.variables, rel)
-    return FreeDGA(alg, GammaDerivation(alg, -1, values), pres)
+    return FreeDGA(alg, GammaDerivation(alg, -1, values))
 
 
 def check_boundary_square(model):
@@ -219,19 +220,6 @@ def check_boundary_square(model):
     return True
 
 
-@dataclass
-class TateStage:
-    degree: int
-    added: tuple
-    homology_found: object
-
-
-@dataclass
-class TateTower:
-    model: FreeDGA
-    stages: list = field(default_factory=list)
-
-
 def _model_with_generators(model, new_gens, new_values):
     """Rebuild a model with generators appended; indices are preserved."""
     alg = GradedAlgebra(model.ring, list(model.algebra.generators) + new_gens)
@@ -240,11 +228,25 @@ def _model_with_generators(model, new_gens, new_values):
         values[g.name] = Element(alg, model.boundary.value_of(g.name).terms)
     for g, val in zip(new_gens, new_values):
         values[g.name] = Element(alg, val.terms)
-    return FreeDGA(alg, GammaDerivation(alg, -1, values), model.presentation)
+    return FreeDGA(alg, GammaDerivation(alg, -1, values))
+
+
+def _weight0_boundaries(model, hdeg, poly_bound=None):
+    """The weight-0 slice in degree hdeg with the boundaries into and out
+    of it, as (mid_slice, d_in, d_out); d_out has no rows at hdeg 0."""
+    alg = model.algebra
+    mid = basis_slice(alg, hdeg, 0, poly_bound)
+    hi = basis_slice(alg, hdeg + 1, 0, poly_bound)
+    d_in = derivation_matrix(model.boundary, hi, mid)
+    if hdeg == 0:
+        return mid, d_in, SparseMatrix(0, mid.dim, model.ring)
+    lo = basis_slice(alg, hdeg - 1, 0, poly_bound)
+    return mid, d_in, derivation_matrix(model.boundary, mid, lo)
 
 
 def tate_extend(model, target_degree):
-    """Kill homology below target_degree by adjoining generators.
+    """Kill homology below target_degree by adjoining generators; returns
+    the extended model.
 
     Requires a model with no degree-0 generators (each degree slice is
     then a finite-rank free module).  For each m < target_degree with
@@ -254,46 +256,29 @@ def tate_extend(model, target_degree):
     """
     if model.has_degree_zero_generators():
         raise UnsupportedV0("tate_extend needs all generators in degree >= 1")
-    ring = model.ring
-    stages = []
     counter = 0
     for m in range(1, target_degree):
-        alg = model.algebra
-        s_low = basis_slice(alg, m - 1, 0)
-        s_mid = basis_slice(alg, m, 0)
-        s_high = basis_slice(alg, m + 1, 0)
-        d_out = derivation_matrix(model.boundary, s_mid, s_low)
-        d_in = derivation_matrix(model.boundary, s_high, s_mid)
-        group, gens = homology_from_presentation(
+        s_mid, d_in, d_out = _weight0_boundaries(model, m)
+        _, gens = homology_from_presentation(
             _int_columns(d_in), _int_columns(d_out), d_in.rows, d_out.rows,
-            ring, want_generators=True)
+            model.ring, want_generators=True)
+        if not gens:
+            continue
+        kind = EXTERIOR if (m + 1) % 2 else POLYNOMIAL
         added = []
         vals = []
-        if gens:
-            for _, vec in gens:
-                counter += 1
-                name = f"w{counter}"
-                hdeg = m + 1
-                kind = EXTERIOR if hdeg % 2 else POLYNOMIAL
-                cycle = Element(alg)
-                for row, c in vec.items():
-                    cycle._add_term(s_mid.monomials[row], c)
-                added.append(Generator(name, hdeg, kind))
-                vals.append(cycle)
-            model = _model_with_generators(model, added, vals)
-        stages.append(TateStage(m, tuple(g.name for g in added), group))
-    return TateTower(model, stages)
+        for _, vec in gens:
+            counter += 1
+            cycle = Element(model.algebra)
+            for row, c in vec.items():
+                cycle._add_term(s_mid.monomials[row], c)
+            added.append(Generator(f"w{counter}", m + 1, kind))
+            vals.append(cycle)
+        model = _model_with_generators(model, added, vals)
+    return model
 
 
-def slice_homology(model, hdeg, ring=None, poly_bound=None):
+def slice_homology(model, hdeg, poly_bound=None):
     """Homology of the model itself in one degree (weight-0 slices)."""
-    from .linalg import homology_at
-    alg = model.algebra
-    ring = ring or model.ring
-    lo = basis_slice(alg, hdeg - 1, 0, poly_bound) if hdeg >= 1 else None
-    mid = basis_slice(alg, hdeg, 0, poly_bound)
-    hi = basis_slice(alg, hdeg + 1, 0, poly_bound)
-    d_out = (derivation_matrix(model.boundary, mid, lo)
-             if lo is not None else SparseMatrix(0, mid.dim, ring))
-    d_in = derivation_matrix(model.boundary, hi, mid)
-    return homology_at(d_in, d_out, ring)
+    _, d_in, d_out = _weight0_boundaries(model, hdeg, poly_bound)
+    return homology_at(d_in, d_out, model.ring)

@@ -250,7 +250,7 @@ def test_criterion_08_nondegeneracy_witness():
     for ring in (Z, GroundRing.Zmod(2)):
         w = witness_nondegeneracy(ring, 2)
         assert w.cycle and not w.boundary and w.beta_identity, repr(ring)
-    wq = witness_nondegeneracy(Q, 2, allow_unit=True)
+    wq = witness_nondegeneracy(Q, 2)
     assert wq.boundary, "over Q the preimage must exist"
     # the CLI exit code asserts all four
     for text, cmd in (("ring Z\n", "witness24 p=2"),

@@ -9,32 +9,30 @@ from shukla.errors import ParseError
 
 def test_parse_basic_job():
     job = parse("ring Z\nvars x\nrel x^2\nnmax 4\n")
-    assert repr(job.ring) == "Z"
-    assert job.variables == ("x",)
-    assert job.relations == ({(2,): 1},)
+    assert repr(job.presentation.ring) == "Z"
+    assert job.presentation.variables == ("x",)
+    assert job.presentation.relations == ({(2,): 1},)
     assert job.n_max == 4
     assert not job.warnings
 
 
 def test_parse_constant_relation_job():
     job = parse("ring Z\nrel 5\nnmax 8\n")
-    assert job.variables == ()
-    assert job.relations == ({(): 5},)
+    assert job.presentation.variables == ()
+    assert job.presentation.relations == ({(): 5},)
     assert job.n_max == 8
 
 
 def test_parse_two_variable_job():
     job = parse("ring Q\nvars x y\nrel x^2\nrel y^2\nnmax 3\n")
-    assert repr(job.ring) == "Q"
-    assert job.relations == ({(2, 0): 1}, {(0, 2): 1})
+    assert repr(job.presentation.ring) == "Q"
+    assert job.presentation.relations == ({(2, 0): 1}, {(0, 2): 1})
 
 
 def test_parse_ring_variants_and_comments():
     job = parse("# comment\nring Z/4\nvars x\nrel x^2 - 2\n")
-    assert repr(job.ring) == "Z/4"
-    assert job.relations == ({(2,): 1, (0,): -2},)
-    pres = job.presentation()
-    assert pres.relations == ({(2,): 1, (0,): 2},)  # -2 normalized mod 4
+    assert repr(job.presentation.ring) == "Z/4"
+    assert job.presentation.relations == ({(2,): 1, (0,): 2},)  # -2 normalized mod 4
 
 
 def test_parse_errors_carry_location():
@@ -209,6 +207,8 @@ def test_cli_witness_rejects_bad_p(tmp_path, cmd, detail):
     ("ring Z\nvars x\nrel x^2\npolybound 4\npolybound 6\n", "line 5"),
     ("ring Z\nvars x\nrel x^2\npolybound 0\nnmax 2\n", "line 4"),
     ("ring Z\nvars x y\npolybound 2\nrel x^2\nrel x*y^2 - y\n", "line 3"),
+    # a superscript digit passes str.isdigit but is no integer literal
+    ("ring Z\nvars x\nrel x^\u00b2\n", "unexpected character"),
 ])
 def test_cli_rejects_bad_input(tmp_path, text, detail):
     src = tmp_path / "bad.txt"
@@ -218,6 +218,23 @@ def test_cli_rejects_bad_input(tmp_path, text, detail):
     error = json.loads(out.read_text())["error"]
     assert error["type"] == "ParseError"
     assert detail in error["detail"]
+
+
+@pytest.mark.parametrize("variables", ["x dx", "dx x", "dx ddx", "x dx _dx"])
+@pytest.mark.parametrize("command", ["hh", "hc", "layers", "compare"])
+def test_variable_named_like_a_d_generator(variables, command):
+    # a d-generator whose name a variable already has is renamed, so the
+    # groups are those of the same presentation in plain variable names
+    def job(names):
+        rels = "".join(f"rel {v}^2\n" for v in names)
+        return f"ring Z\nvars {' '.join(names)}\n{rels}nmax 2\n"
+    names = variables.split()
+    report, ok = run(parse(job(names)), command)
+    plain, plain_ok = run(parse(job("xyz"[:len(names)])), command)
+    assert ok and plain_ok
+    assert report.pop("vars") == names
+    plain.pop("vars")
+    assert report == plain
 
 
 def test_run_hh_large_prime_torsion():

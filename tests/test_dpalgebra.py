@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from shukla.errors import NotInIdeal, TruncationOverflow, UndefinedGenerator
+from shukla.errors import TruncationOverflow, UndefinedGenerator
 from shukla.dpalgebra import (
     DIVIDED_POWER, EXTERIOR, POLYNOMIAL, Element, GammaDerivation, Generator,
     GradedAlgebra, Slice, basis_slice, contraction_complex, derivation_matrix,
@@ -211,11 +211,8 @@ def test_homotopy_block_rules():
         if p:
             gp = alg.element({alg.monomial([("dw", p)]): 1})
             assert homotopy_h(data, gp).is_zero()
-    # h(1) = 0 in either case; with the ideal check it raises
-    one = alg.one()
-    assert homotopy_h(data, one).is_zero()
-    with pytest.raises(NotInIdeal):
-        homotopy_h(data, one, check_ideal=True)
+    # h(1) = 0 in either case
+    assert homotopy_h(data, alg.one()).is_zero()
 
 
 def random_element(data, rng, max_terms=3):

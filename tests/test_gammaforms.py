@@ -1,13 +1,14 @@
 import pytest
 
 from shukla.dpalgebra import DIVIDED_POWER, EXTERIOR, basis_slice, derive
-from shukla.errors import HypothesisViolated, UnitP, WindowTooSmall
+from shukla import gammaforms
+from shukla.errors import HypothesisViolated, WindowTooSmall
 from shukla.gammaforms import (
     build_gamma_forms, hc_assemble, hh_assemble, hh_layers,
     witness_model, witness_nondegeneracy,
 )
 from shukla.linalg import GroundRing, HomologyGroup
-from shukla.mixed import hochschild_layers, validate
+from shukla.mixed import _total_matrix, hochschild_layers, validate
 from shukla.models import Presentation, koszul_model
 
 Z = GroundRing.Z()
@@ -156,9 +157,7 @@ def test_witness_over_z_and_z2():
 
 
 def test_witness_unit_p():
-    with pytest.raises(UnitP):
-        witness_nondegeneracy(Q, 2)
-    w = witness_nondegeneracy(Q, 2, allow_unit=True)
+    w = witness_nondegeneracy(Q, 2)
     assert w.cycle and w.boundary and w.beta_identity
     # the preimage inverts the boundary identity: delta(-1/p beta) = gamma^p
     pre = w.preimage_element
@@ -167,6 +166,31 @@ def test_witness_unit_p():
     alg = pre.algebra
     beta = alg.element({(("dy", 1), ("dz", 1)): Fraction(-1, 2)})
     assert pre == beta
+
+
+@pytest.mark.parametrize("ring", [Z, GroundRing.Zmod(2), GroundRing.Zmod(4), Q], ids=repr)
+@pytest.mark.parametrize("p", [2, 3])
+def test_witness_block_is_the_forms_complex_block(monkeypatch, ring, p):
+    # the witness builds only the delta block (2p+1, p) -> (2p, p) it
+    # solves in; it must be that block of the whole forms complex
+    solved = []
+    real_preimage = gammaforms.preimage
+
+    def spy(mat, b, r):
+        solved.append((mat, b))
+        return real_preimage(mat, b, r)
+
+    def whole_complex(*args, **kwargs):
+        raise AssertionError("the witness built the whole forms complex")
+
+    monkeypatch.setattr(gammaforms, "preimage", spy)
+    monkeypatch.setattr(gammaforms, "build_gamma_forms", whole_complex)
+    witness_nondegeneracy(ring, p)
+    (mat, b), = solved
+    G = build_gamma_forms(witness_model(ring, 2 * p + 2), 2 * p + 1)
+    assert mat == _total_matrix(G.complex, 2 * p + 1, p)
+    gamma = G.algebra.element({(("dy", p),): 1})
+    assert b == G.slices[(2 * p, p)].vector_of(gamma)
 
 
 def test_witness_layer_nonzero_mod_2():
