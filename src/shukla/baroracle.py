@@ -95,27 +95,28 @@ def from_presentation(pres):
 
 def cyclic_mixed(algebra, n_max):
     """The normalized cyclic mixed complex of A through tensor length
-    n_max + 1; tensor length q + 1 is the slice (q, 0)."""
-    ring = algebra.ring
+    n_max + 1; tensor length q + 1 is the slice (q, 0).  Connes' B is
+    built when the complex's B is first read."""
     r = algebra.rank
     qmax = n_max + 1
-    slices = {}
-    labels = {}
-    for q in range(qmax + 1):
-        labs = [(i0,) + rest
-                for i0 in range(r)
-                for rest in product(range(1, r), repeat=q)]
-        labels[q] = {lab: pos for pos, lab in enumerate(labs)}
-        slices[(q, 0)] = tuple(labs)
-    maps_b = {}
-    maps_B = {}
-    for q in range(1, qmax + 1):
-        maps_b[((q, 0), (q - 1, 0))] = _hochschild_boundary(
-            algebra, q, slices[(q, 0)], labels[q - 1])
-    for q in range(qmax):
-        maps_B[((q, 0), (q + 1, 0))] = _connes_boundary(
-            algebra, q, slices[(q, 0)], labels[q + 1])
-    return MixedComplex(ring, slices, b=maps_b, B=maps_B, window_total=qmax)
+    slices = {(q, 0): tuple((i0,) + rest
+                            for i0 in range(r)
+                            for rest in product(range(1, r), repeat=q))
+              for q in range(qmax + 1)}
+
+    def blocks(boundary, step, qs):
+        # a target's label index lives only while its block is built
+        out = {}
+        for q in qs:
+            tgt = (q + step, 0)
+            index = {lab: pos for pos, lab in enumerate(slices[tgt])}
+            out[((q, 0), tgt)] = boundary(algebra, q, slices[(q, 0)], index)
+        return out
+
+    return MixedComplex(algebra.ring, slices,
+                        b=blocks(_hochschild_boundary, -1, range(1, qmax + 1)),
+                        build_B=lambda: blocks(_connes_boundary, +1, range(qmax)),
+                        window_total=qmax)
 
 
 def _add_tensor(algebra, mat, row_index, col, tensor, coeff, slot, coeffs):

@@ -305,6 +305,11 @@ def basis_slice(algebra, hdeg, weight, poly_bound=None):
     exponents weighted by each generator's poly_weight); it is required
     whenever the slice would otherwise be infinite.  Monomials come out
     sorted by their exponent vector in generator table order.
+
+    The suffixes are memoized within the call: the monomials in the
+    generators from i on with degree h, weight w and truncation degree
+    at most budget are listed once per (i, h, w, budget), and every
+    prefix that leaves that remainder reuses them.
     """
     gens = algebra.generators
     n = len(gens)
@@ -312,30 +317,35 @@ def basis_slice(algebra, hdeg, weight, poly_bound=None):
         if (g.kind == POLYNOMIAL and g.hdeg == 0 and g.weight == 0
                 and (poly_bound is None or g.poly_weight == 0)):
             raise ValueError(f"slice on {g.name!r} is infinite without a poly bound")
-    out = []
+    memo = {}
 
-    # generators in table order, exponents ascending: the monomials come
-    # out sorted by exponent vector
-    def rec(i, h, w, budget, acc):
+    # generator i's exponent ascending, each followed by its suffixes in
+    # order: the monomials come out sorted by exponent vector
+    def tails(i, h, w, budget):
+        key = (i, h, w, budget)
+        if key in memo:
+            return memo[key]
         if i == n:
-            if h == 0 and w == 0:
-                out.append(tuple(acc))
-            return
-        g = gens[i]
-        for e in range(2) if g.kind == EXTERIOR else count():
-            nh = h - e * g.hdeg
-            nw = w - e * g.weight
-            nb = budget - e * g.poly_weight if budget is not None else None
-            if nh < 0 or nw < 0 or (nb is not None and nb < 0):
-                break
-            if e:
-                acc.append((i, e))
-            rec(i + 1, nh, nw, nb, acc)
-            if e:
-                acc.pop()
+            out = [()] if h == 0 and w == 0 else []
+        else:
+            g = gens[i]
+            out = []
+            for e in range(2) if g.kind == EXTERIOR else count():
+                nh = h - e * g.hdeg
+                nw = w - e * g.weight
+                nb = budget - e * g.poly_weight if budget is not None else None
+                if nh < 0 or nw < 0 or (nb is not None and nb < 0):
+                    break
+                rest = tails(i + 1, nh, nw, nb)
+                if e:
+                    letter = ((i, e),)
+                    out += [letter + t for t in rest]
+                else:
+                    out += rest
+        memo[key] = out
+        return out
 
-    rec(0, hdeg, weight, poly_bound, [])
-    return Slice(algebra, hdeg, weight, poly_bound, tuple(out))
+    return Slice(algebra, hdeg, weight, poly_bound, tuple(tails(0, hdeg, weight, poly_bound)))
 
 
 def derivation_matrix(deriv, source, target):

@@ -89,8 +89,27 @@ def _forms_derivations(model):
     return alg, d, GammaDerivation(alg, -1, delta_values)
 
 
+def _blocks(deriv, slices, step):
+    """The nonzero blocks of deriv from each slice (h, q) to the slice
+    (h + parity, q + step), keyed (source, target)."""
+    table = {}
+    for (h, q), s in slices.items():
+        key = (h + deriv.parity, q + step)
+        tgt = slices.get(key)
+        if s.dim and tgt is not None:
+            mat = derivation_matrix(deriv, s, tgt)
+            if mat.entries:
+                table[((h, q), key)] = mat
+    return table
+
+
 def build_gamma_forms(model, n_max, poly_bound=None):
-    """Assemble the divided-power de Rham mixed complex of a model."""
+    """Assemble the divided-power de Rham mixed complex of a model.
+
+    The delta blocks (b) are built here; the d blocks (B) are built from
+    the same slices when the complex's B is first read, which HH never
+    does.
+    """
     alg, d, delta = _forms_derivations(model)
     if model.has_degree_zero_generators():
         if poly_bound is None:
@@ -102,27 +121,16 @@ def build_gamma_forms(model, n_max, poly_bound=None):
     for h in range(htop + 1):
         for q in range(h + 1):
             slices[(h, q)] = basis_slice(alg, h, q, poly_bound)
-    maps_b = {}
-    maps_B = {}
-    for (h, q), s in slices.items():
-        if s.dim == 0:
-            continue
-        for table, deriv, key in ((maps_b, delta, (h - 1, q)),
-                                  (maps_B, d, (h + 1, q + 1))):
-            tgt = slices.get(key)
-            if tgt is not None:
-                mat = derivation_matrix(deriv, s, tgt)
-                if mat.entries:
-                    table[((h, q), key)] = mat
     cplx = MixedComplex(model.ring, {k: s.monomials for k, s in slices.items() if s.dim},
-                        b=maps_b, B=maps_B, window_total=htop)
+                        b=_blocks(delta, slices, 0),
+                        build_B=lambda: _blocks(d, slices, 1), window_total=htop)
     return GammaFormsComplex(model, alg, delta, slices, cplx, poly_bound)
 
 
 def hh_assemble(G, n_max):
     """Hochschild homology HH_0..HH_n_max through degeneracy: the direct
     sum over weights of the delta homology of the forms complex, read off
-    the delta matrices build_gamma_forms stored.
+    its b blocks alone, so the d blocks are never built.
 
     The shortcut is valid for models with generators in degrees 0 and 1
     only; any other model raises HypothesisViolated.

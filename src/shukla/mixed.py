@@ -18,6 +18,7 @@ as an exact subquotient of integer lattices.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import WindowTooSmall
 from .linalg import (
@@ -36,13 +37,21 @@ class MixedComplex:
     (source slice, target slice) to the block between them; b blocks go
     from (n, w) to (n - 1, w), B blocks from (n, w) to a slice of degree
     n + 1.  Missing blocks are zero.
+
+    Hochschild homology reads only b, so B is built on first read:
+    build_B is the producer's zero-argument builder of the B table, and
+    its result is kept for every later read.
     """
 
     ring: object
     slices: dict
     b: dict = field(default_factory=dict)
-    B: dict = field(default_factory=dict)
+    build_B: object = dict
     window_total: int = 0
+
+    @cached_property
+    def B(self):
+        return self.build_B()
 
     def dim(self, n, w):
         s = self.slices.get((n, w))

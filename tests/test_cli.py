@@ -122,6 +122,19 @@ def test_cli_compare_exit_code(tmp_path):
                  str(tmp_path / "c.json")]) == 0
 
 
+def test_cli_compare_single_pipeline_fails(tmp_path):
+    # xy is no pure power: only the forms pipeline runs, and one
+    # pipeline agreeing with itself is no verdict
+    src = tmp_path / "job.txt"
+    src.write_text("ring Q\nvars x y\nrel x^2\nrel x*y\nrel y^2\nnmax 1\n",
+                   encoding="utf-8")
+    out = tmp_path / "c.json"
+    assert main(["--input", str(src), "--cmd", "compare", "--json", str(out)]) == 1
+    data = json.loads(out.read_text())
+    assert data["pipelines"] == 1 and "all_agree" not in data
+    assert list(data["hh"]) == ["gamma_forms"]
+
+
 def test_cli_parse_error_exit(tmp_path):
     src = tmp_path / "bad.txt"
     src.write_text("ring Z\nfrob x\n", encoding="utf-8")

@@ -10,7 +10,9 @@ from shukla.dpalgebra import (
     GradedAlgebra, Slice, basis_slice, contraction_complex, derivation_matrix,
     derive, homotopy_h,
 )
+from shukla.gammaforms import build_gamma_forms, witness_model
 from shukla.linalg import GroundRing
+from shukla.models import Presentation, koszul_model
 
 Z = GroundRing.Z()
 
@@ -403,3 +405,51 @@ def test_basis_slice_matches_brute_force_in_order(with_degree_zero):
                         for vec, vh, vw, vp in grades
                         if vh == h and vw == w and (bound is None or vp <= bound))
                     assert basis_slice(alg, h, w, bound).monomials == expected
+
+
+def _brute_force_slice(alg, h, w, bound):
+    """basis_slice by enumeration: every exponent vector within the caps
+    the grading forces on each generator, filtered by (hdeg, weight,
+    truncation degree) and sorted by exponent vector."""
+    gens = alg.generators
+    ranges = []
+    for g in gens:
+        caps = [1] if g.kind == EXTERIOR else []
+        if g.hdeg:
+            caps.append(h // g.hdeg)
+        if g.weight:
+            caps.append(w // g.weight)
+        if g.poly_weight and bound is not None:
+            caps.append(bound // g.poly_weight)
+        ranges.append(range(min(caps) + 1))
+    vecs = sorted(
+        vec for vec in product(*ranges)
+        if sum(g.hdeg * e for g, e in zip(gens, vec)) == h
+        and sum(g.weight * e for g, e in zip(gens, vec)) == w
+        and (bound is None or sum(g.poly_weight * e for g, e in zip(gens, vec)) <= bound))
+    return tuple(tuple((i, e) for i, e in enumerate(vec) if e) for vec in vecs)
+
+
+# the forms algebras of the presentations of the benchmark corpus
+@pytest.mark.parametrize("variables, rels, n_max", [
+    (["x", "y"], [{(2, 0): 1}, {(0, 2): 1}], 3),
+    (["x", "y", "z"], [{(2, 0, 0): 1}, {(0, 2, 0): 1}, {(0, 0, 2): 1}], 1),
+    (["x", "y"], [{(2, 0): 1, (0, 3): -1}], 3),
+    (["x", "y"], [{(0, 0): 4}, {(2, 0): 1}, {(0, 2): 1}], 2),
+], ids=["x2_y2", "x2_y2_z2", "cusp", "4_x2_y2"])
+def test_basis_slice_matches_brute_force_on_forms_algebras(variables, rels, n_max):
+    P = Presentation.make(Z, variables, rels)
+    G = build_gamma_forms(koszul_model(P), n_max)
+    for (h, q), s in G.slices.items():
+        assert s.monomials == _brute_force_slice(G.algebra, h, q, G.poly_bound), (h, q)
+
+
+def test_basis_slice_matches_brute_force_without_bound():
+    G = build_gamma_forms(witness_model(Z, 6), 5)
+    assert G.poly_bound is None
+    contraction = contraction_complex(Z, [("v", 2)], [("w0", 1), ("w1", 2)])
+    for alg in (G.algebra, contraction.algebra):
+        for h in range(7):
+            for w in range(4):
+                expected = _brute_force_slice(alg, h, w, None)
+                assert basis_slice(alg, h, w).monomials == expected, (h, w)

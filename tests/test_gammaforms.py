@@ -8,7 +8,7 @@ from shukla.gammaforms import (
     witness_model, witness_nondegeneracy,
 )
 from shukla.linalg import GroundRing, HomologyGroup
-from shukla.mixed import _total_matrix, hochschild_layers, validate
+from shukla.mixed import _total_matrix, cyclic_total, hochschild_layers, validate
 from shukla.models import Presentation, koszul_model
 
 Z = GroundRing.Z()
@@ -224,3 +224,57 @@ def test_q_forms_complex_with_integer_relations_has_int_entries():
     assert G.complex.b and G.complex.B
     for block in blocks:
         assert all(type(v) is int for v in block.entries.values())
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """(parity, source, target) of every derivation matrix the forms
+    complex builds, source and target as (hdeg, weight)."""
+    calls = []
+    real = gammaforms.derivation_matrix
+
+    def spy(deriv, source, target):
+        calls.append((deriv.parity, (source.hdeg, source.weight),
+                      (target.hdeg, target.weight)))
+        return real(deriv, source, target)
+
+    monkeypatch.setattr(gammaforms, "derivation_matrix", spy)
+    return calls
+
+
+def test_hh_builds_only_delta_blocks(built):
+    G = forms_of(Z, ["x", "y"], [{(2, 0): 1}, {(0, 2): 1}], n_max=3)
+    hh_assemble(G, 3)
+    assert built and all(parity == -1 for parity, _, _ in built)
+
+
+def test_cyclic_total_builds_each_d_block_once(built):
+    G = forms_of(Z, ["x"], [{(2,): 1}], n_max=3)
+    n_delta = len(built)
+    hc = hc_assemble(G, 3).total
+    d_calls = built[n_delta:]
+    assert d_calls and all(parity == +1 for parity, _, _ in d_calls)
+    blocks = [(src, tgt) for _, src, tgt in d_calls]
+    assert len(set(blocks)) == len(blocks)
+    assert set(blocks) == {((h, q), (h + 1, q + 1)) for (h, q), s in G.slices.items()
+                           if s.dim and (h + 1, q + 1) in G.slices}
+    assert set(G.complex.B) <= set(blocks)
+    assert cyclic_total(G.complex, 3) == [hc[n] for n in range(4)]
+    assert len(built) == n_delta + len(d_calls)
+
+
+def test_validate_checks_d_blocks_built_on_first_read(monkeypatch):
+    real = gammaforms.derivation_matrix
+
+    def doubled_entry(deriv, source, target):
+        # d with its first entry doubled: B^2 = 0 or bB + Bb = 0 must fail
+        mat = real(deriv, source, target)
+        if deriv.parity == +1 and mat.entries:
+            (r, c), v = min(mat.entries.items())
+            mat[r, c] = 2 * v
+        return mat
+
+    assert validate(forms_of(Z, ["x"], [{(2,): 1}], n_max=3).complex)
+    monkeypatch.setattr(gammaforms, "derivation_matrix", doubled_entry)
+    result = validate(forms_of(Z, ["x"], [{(2,): 1}], n_max=3).complex)
+    assert not result and result.identity in ("B^2", "bB + Bb")

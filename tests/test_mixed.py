@@ -59,7 +59,8 @@ def test_validate_detects_wrong_sign():
             tgt = slices.get((h + 1, q + 1))
             if tgt is not None:
                 maps_B[((h, q), (h + 1, q + 1))] = derivation_matrix(d, s, tgt)
-        M = MixedComplex(Z, cplx_slices, b=maps_b, B=maps_B, window_total=htop)
+        M = MixedComplex(Z, cplx_slices, b=maps_b, build_B=lambda: maps_B,
+                         window_total=htop)
         result = validate(M)
         assert bool(result) == expect_ok
         if not expect_ok:
