@@ -290,12 +290,16 @@ def _run_compare(job, report):
             cplx = cyclic_mixed(A, n)
             hh_cols["oracle"] = dict(enumerate(hochschild_total(cplx, n)))
             hc_cols["oracle"] = dict(enumerate(cyclic_total(cplx, n)))
-    hh_table, hh_ok = _agree_table(hh_cols)
-    hc_table, hc_ok = _agree_table(hc_cols)
     report["hh"] = {name: {str(k): g.to_json() for k, g in col.items()}
                     for name, col in hh_cols.items()}
     report["hc"] = {name: {str(k): g.to_json() for k, g in col.items()}
                     for name, col in hc_cols.items()}
+    if len(hh_cols) < 2:
+        # one pipeline agrees with itself, which checks nothing
+        report["pipelines"] = len(hh_cols)
+        return report, False
+    hh_table, hh_ok = _agree_table(hh_cols)
+    hc_table, hc_ok = _agree_table(hc_cols)
     report["agree"] = {"hh": hh_table, "hc": hc_table}
     ok = hh_ok and hc_ok
     if crys_hc is not None:
@@ -306,10 +310,6 @@ def _run_compare(job, report):
                                             "crystalline": orders(crys_hc)})
         report["agree"]["hc_crystalline_layer_sums"] = weak_table
         ok = ok and weak_ok
-    if len(hh_cols) < 2:
-        # one pipeline agrees with itself, which checks nothing
-        report["pipelines"] = len(hh_cols)
-        return report, False
     report["all_agree"] = ok
     return report, ok
 

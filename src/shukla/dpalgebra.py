@@ -222,45 +222,109 @@ class GammaDerivation:
             raise UndefinedGenerator(f"no value for generator {name!r}") from None
 
 
-def _leibniz(deriv, mono):
-    """A gamma-derivation on one monomial: {monomial: coefficient}.
+def _exponents(mono, n):
+    """The dense exponent vector of a monomial over n generators."""
+    vec = [0] * n
+    for i, e in mono:
+        vec[i] = e
+    return vec
+
+
+def _monomial(vec):
+    """The monomial of a dense exponent vector."""
+    return tuple((i, e) for i, e in enumerate(vec) if e)
+
+
+def _leibniz_table(deriv):
+    """The derivation read once for _leibniz: per generator whether it is
+    exterior (the odd letters) and whether divided-power, and its value
+    as a list of (letters, coefficient, odd letters), or None when the
+    derivation gives it no value."""
+    gens = deriv.algebra.generators
+    values = []
+    for g in gens:
+        val = deriv.values.get(g.name)
+        values.append(None if val is None else [
+            (m, c, tuple(j for j, _ in m if gens[j].kind == EXTERIOR))
+            for m, c in val.terms.items()])
+    return ([g.kind == EXTERIOR for g in gens],
+            [g.kind == DIVIDED_POWER for g in gens],
+            values)
+
+
+def _leibniz(deriv, table, exps):
+    """A gamma-derivation on one exponent vector: {exponent tuple: coefficient}.
 
     Letter by letter, D(prefix * g^e * suffix) contributes
-    (-1)^|prefix| (prefix * g^(e-1)) * D(g) * suffix, times e for a
-    polynomial letter.  prefix * g^(e-1) is itself a monomial, because
-    every prefix index is below g's.  Coefficients are not reduced in
-    the ring, and a monomial may carry a zero sum.
+    (-1)^|prefix| prefix * g^(e-1) * D(g) * suffix, times e for a
+    polynomial letter.  A value term v lands on exps - e_g + v.  Sorting
+    v's odd letters into place crosses the odd letters of the rest that
+    lie strictly between them and g (prefix ones above them, suffix ones
+    below them); a divided-power letter already present with exponent a
+    gains comb(a + b, a), and an exterior letter already present gives
+    0.  Coefficients are not reduced in the ring, and an image may carry
+    a zero sum.  table is _leibniz_table(deriv).
     """
-    alg = deriv.algebra
+    ext, dp, values = table
     out = {}
-    prefix_deg = 0
-    for pos, (gi, exp) in enumerate(mono):
-        g = alg.generators[gi]
-        val = deriv.value_of(g.name)
-        if val.terms:
-            head = mono[:pos] + ((gi, exp - 1),) if exp > 1 else mono[:pos]
-            tail = mono[pos + 1:]
-            factor = exp if g.kind == POLYNOMIAL else 1
-            if prefix_deg % 2:
+    odd_below = 0
+    # odd_cum[k]: the odd letters of exps below index k, built on first use
+    odd_cum = None
+    for i, e in enumerate(exps):
+        if not e:
+            continue
+        terms = values[i]
+        if terms is None:
+            # raises UndefinedGenerator
+            deriv.value_of(deriv.algebra.generators[i].name)
+        if terms:
+            base = list(exps)
+            base[i] = e - 1
+            # e for a polynomial letter, and an exterior one has e = 1
+            factor = 1 if dp[i] else e
+            if odd_below & 1:
                 factor = -factor
-            for vm, vc in val.terms.items():
-                k1, m = alg.mono_mul(head, vm)
-                if m is None:
-                    continue
-                k2, m = alg.mono_mul(m, tail)
-                if m is not None:
-                    out[m] = out.get(m, 0) + factor * k1 * k2 * vc
-        prefix_deg += exp * g.hdeg
+            for letters, c, odd in terms:
+                img = base[:]
+                k = factor * c
+                for j, b in letters:
+                    a = img[j]
+                    if a:
+                        if ext[j]:
+                            break
+                        if dp[j]:
+                            k *= comb(a + b, a)
+                    img[j] = a + b
+                else:
+                    if odd:
+                        if odd_cum is None:
+                            odd_cum = [0]
+                            for x, f in zip(exps, ext):
+                                odd_cum.append(odd_cum[-1] + (1 if x and f else 0))
+                        crossed = 0
+                        for j in odd:
+                            if j > i:
+                                crossed += odd_cum[j] - odd_cum[i + 1]
+                            elif j < i:
+                                crossed += odd_cum[i] - odd_cum[j + 1]
+                        if crossed & 1:
+                            k = -k
+                    key = tuple(img)
+                    out[key] = out.get(key, 0) + k
+        if ext[i]:
+            odd_below += 1
     return out
 
 
 def derive(deriv, e):
     """Apply a gamma-derivation to an element by the graded Leibniz rule."""
     ring = e.algebra.ring
+    n = len(e.algebra.generators)
+    table = _leibniz_table(deriv)
     out = Element(e.algebra)
     for mono, coeff in e.terms.items():
-        for m, c in _leibniz(deriv, mono).items():
-            out._add_term(m, ring.mul(c, coeff))
+        for vec, c in _leibniz(deriv, table, _exponents(mono, n)).items():
+            out._add_term(_monomial(vec), ring.mul(c, coeff))
     return out
 
 
@@ -356,13 +420,22 @@ def derivation_matrix(deriv, source, target):
     """
     alg = source.algebra
     ring = alg.ring
+    n = len(alg.generators)
+    table = _leibniz_table(deriv)
+    rows = {tuple(_exponents(mono, n)): r for r, mono in enumerate(target.monomials)}
+    normalize = ring.normalize
     m = SparseMatrix(target.dim, source.dim, ring)
+    # every row comes from rows and every column from the source, so the
+    # entries are in range and need no check
+    entries = m.entries
     for j, mono in enumerate(source.monomials):
-        for im, c in _leibniz(deriv, mono).items():
-            if ring.is_zero(c):
+        for vec, c in _leibniz(deriv, table, _exponents(mono, n)).items():
+            c = normalize(c)
+            if c == 0:
                 continue
-            row = target.index.get(im)
+            row = rows.get(vec)
             if row is None:
+                im = _monomial(vec)
                 pw = alg.mono_poly_weight(im)
                 if target.poly_bound is not None and pw > target.poly_bound:
                     raise TruncationOverflow(
@@ -371,7 +444,7 @@ def derivation_matrix(deriv, source, target):
                 raise AssertionError(
                     f"image {alg.mono_str(im)} missing from slice "
                     f"({target.hdeg},{target.weight})")
-            m[row, j] = c
+            entries[row, j] = c
     return m
 
 

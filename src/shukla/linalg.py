@@ -866,12 +866,17 @@ def homology_at(d_in, d_out, ring):
         group, _ = homology_from_presentation(
             _int_columns(d_in), _int_columns(d_out), n, d_out.rows, ring)
         return group
+    # Each integer copy is built when it is needed and dropped after, so
+    # the two are never alive together.
+    r_out = integer_rank(_int_columns(d_out), d_out.rows)
+    if ring.kind == "Q":
+        # a Q-vector space: the ranks are all there is
+        return HomologyGroup.from_factors(
+            n - integer_rank(_int_columns(d_in), n) - r_out, ())
     # Torsion of ker/im equals torsion of Z^n/im since the quotient by
-    # the kernel is free.  Each integer copy is built when it is needed
-    # and dropped after, so the two are never alive together.
+    # the kernel is free.
     factors, r_in = invariant_factors_sparse(_int_columns(d_in), n)
-    free = n - r_in - integer_rank(_int_columns(d_out), d_out.rows)
-    return _tensor(free, factors, ring)
+    return _tensor(n - r_in - r_out, factors, ring)
 
 
 def preimage(matrix, b, ring):

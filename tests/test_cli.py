@@ -132,6 +132,7 @@ def test_cli_compare_single_pipeline_fails(tmp_path):
     assert main(["--input", str(src), "--cmd", "compare", "--json", str(out)]) == 1
     data = json.loads(out.read_text())
     assert data["pipelines"] == 1 and "all_agree" not in data
+    assert "agree" not in data
     assert list(data["hh"]) == ["gamma_forms"]
 
 

@@ -10,6 +10,7 @@ from shukla.dpalgebra import (
     GradedAlgebra, Slice, basis_slice, contraction_complex, derivation_matrix,
     derive, homotopy_h,
 )
+from shukla import gammaforms
 from shukla.gammaforms import build_gamma_forms, witness_model
 from shukla.linalg import GroundRing
 from shukla.models import Presentation, koszul_model
@@ -188,7 +189,8 @@ def test_derivation_matrix_truncation_overflow():
     })
     src = basis_slice(alg, 1, 0, poly_bound=4)   # contains x^2 y
     tgt = basis_slice(alg, 0, 0, poly_bound=2)   # too small for x^4
-    with pytest.raises(TruncationOverflow):
+    with pytest.raises(TruncationOverflow,
+                       match=r"^image of x\*y has truncation degree 3 > bound 2$"):
         derivation_matrix(delta, src, tgt)
 
 
@@ -453,3 +455,50 @@ def test_basis_slice_matches_brute_force_without_bound():
             for w in range(4):
                 expected = _brute_force_slice(alg, h, w, None)
                 assert basis_slice(alg, h, w).monomials == expected, (h, w)
+
+
+def _reference_matrix(deriv, source, target):
+    """derivation_matrix by Element products: column j is
+    prefix * g^(e-1) * D(g) * suffix summed over the letters of source
+    monomial j, multiplied out by Element.__mul__ (mono_mul)."""
+    alg = source.algebra
+    entries = {}
+    for j, mono in enumerate(source.monomials):
+        for m, c in _reference_derive(deriv, Element(alg, {mono: 1})).terms.items():
+            entries[target.index[m], j] = c
+    return entries
+
+
+def _koszul(ring, variables, rels):
+    return lambda: koszul_model(Presentation.make(ring, variables, rels))
+
+
+@pytest.mark.parametrize("make_model, n_max", [
+    (_koszul(Z, ["x", "y"], [{(2, 0): 1}, {(0, 2): 1}]), 3),
+    (_koszul(GroundRing.Q(), ["x", "y"], [{(2, 0): 1}, {(0, 2): 1}]), 3),
+    (_koszul(Z, ["x", "y", "z"], [{(2, 0, 0): 1}, {(0, 2, 0): 1}, {(0, 0, 2): 1}]), 2),
+    (_koszul(Z, ["x", "y"], [{(2, 0): 1, (0, 3): -1}]), 3),
+    (_koszul(Z, ["x", "y"], [{(0, 0): 4}, {(2, 0): 1}, {(0, 2): 1}]), 3),
+    (_koszul(GroundRing.Zmod(9), ["x", "y"], [{(2, 0): 1, (0, 1): 3}, {(0, 2): 1}]), 3),
+    (lambda: witness_model(Z, 6), 5),
+], ids=["Z_x2_y2", "Q_x2_y2", "Z_x2_y2_z2", "Z_cusp", "Z_4_x2_y2",
+        "Z9_x2p3y_y2", "witness_top6"])
+def test_derivation_matrix_matches_element_products(monkeypatch, make_model, n_max):
+    # every delta (b) and d (B) block of a forms complex, against the
+    # column-by-column Element products; the witness model's degree-2
+    # polynomial and divided-power letters exercise the binomials and the
+    # exterior collisions, the Koszul models the odd-crossing signs
+    built = []
+
+    def spy(deriv, source, target):
+        mat = derivation_matrix(deriv, source, target)
+        built.append((deriv, source, target, mat))
+        return mat
+
+    monkeypatch.setattr(gammaforms, "derivation_matrix", spy)
+    G = build_gamma_forms(make_model(), n_max)
+    assert G.complex.B  # the first read builds the d blocks
+    assert {d.parity for d, *_ in built} == {1, -1}
+    for deriv, source, target, mat in built:
+        assert mat.entries == _reference_matrix(deriv, source, target), \
+            (deriv.parity, source.hdeg, source.weight)
