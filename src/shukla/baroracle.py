@@ -119,42 +119,40 @@ def cyclic_mixed(algebra, n_max):
                         window_total=qmax)
 
 
-def _add_tensor(algebra, mat, row_index, col, tensor, coeff, slot, coeffs):
+def _add_tensor(sums, row_index, col, tensor, coeff, slot, coeffs):
     """Accumulate a tensor whose given slot holds an expanded A-element."""
-    ring = algebra.ring
     for k, v in coeffs.items():
         if slot > 0 and k == 0:
             continue  # normalized: unit in an interior slot dies
-        lab = tensor[:slot] + (k,) + tensor[slot + 1:]
-        mat.add_at(row_index[lab], col, ring.mul(coeff, v))
+        key = (row_index[tensor[:slot] + (k,) + tensor[slot + 1:]], col)
+        sums[key] = sums.get(key, 0) + coeff * v
 
 
 def _hochschild_boundary(algebra, q, source_labels, target_index):
-    ring = algebra.ring
-    mat = SparseMatrix(len(target_index), len(source_labels), ring)
+    sums = {}
     for col, lab in enumerate(source_labels):
         for i in range(q):
             sign = 1 if i % 2 == 0 else -1
             prod = algebra.product(lab[i], lab[i + 1])
             tensor = lab[:i] + (0,) + lab[i + 2:]
-            _add_tensor(algebra, mat, target_index, col, tensor, sign, i, prod)
+            _add_tensor(sums, target_index, col, tensor, sign, i, prod)
         sign = 1 if q % 2 == 0 else -1
         prod = algebra.product(lab[q], lab[0])
         tensor = (0,) + lab[1:q]
-        _add_tensor(algebra, mat, target_index, col, tensor, sign, 0, prod)
-    return mat
+        _add_tensor(sums, target_index, col, tensor, sign, 0, prod)
+    return SparseMatrix.from_sums(len(target_index), len(source_labels),
+                                  algebra.ring, sums)
 
 
 def _connes_boundary(algebra, q, source_labels, target_index):
-    ring = algebra.ring
-    mat = SparseMatrix(len(target_index), len(source_labels), ring)
+    sums = {}
     for col, lab in enumerate(source_labels):
         for i in range(q + 1):
             sign = 1 if (q * i) % 2 == 0 else -1
             rotated = lab[i:] + lab[:i]
             if any(x == 0 for x in rotated):
                 continue  # some unit lands in an interior slot
-            lab2 = (0,) + rotated
-            mat.add_at(target_index[lab2], col, sign)
-    return mat
-
+            key = (target_index[(0,) + rotated], col)
+            sums[key] = sums.get(key, 0) + sign
+    return SparseMatrix.from_sums(len(target_index), len(source_labels),
+                                  algebra.ring, sums)

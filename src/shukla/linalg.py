@@ -161,6 +161,23 @@ class SparseMatrix:
         self[i, j] = self.ring.add(self[i, j], value)
 
     @staticmethod
+    def from_sums(rows, cols, ring, sums):
+        """The matrix whose (i, j) entry is sums[i, j] over the ring.
+
+        Each value is normalized once and only nonzero ones are kept, in
+        the order of sums.  The caller builds every key in range, so the
+        entries are written without the per-entry check of __setitem__.
+        """
+        m = SparseMatrix(rows, cols, ring)
+        entries = m.entries
+        normalize = ring.normalize
+        for key, v in sums.items():
+            v = normalize(v)
+            if v:
+                entries[key] = v
+        return m
+
+    @staticmethod
     def identity(n, ring):
         m = SparseMatrix(n, n, ring)
         for i in range(n):
@@ -192,23 +209,20 @@ class SparseMatrix:
         by_row = {}
         for (i, k), v in other.entries.items():
             by_row.setdefault(i, []).append((k, v))
-        out = SparseMatrix(self.rows, other.cols, ring)
         acc = {}
         for (i, j), v in self.entries.items():
             for (k, w) in by_row.get(j, ()):
                 key = (i, k)
                 acc[key] = acc.get(key, 0) + v * w
-        for key, v in acc.items():
-            out[key] = v
-        return out
+        return SparseMatrix.from_sums(self.rows, other.cols, ring, acc)
 
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
-        out = SparseMatrix(self.rows, self.cols, self.ring, dict(self.entries))
+        sums = dict(self.entries)
         for key, v in other.entries.items():
-            out.add_at(*key, v)
-        return out
+            sums[key] = sums.get(key, 0) + v
+        return SparseMatrix.from_sums(self.rows, self.cols, self.ring, sums)
 
     def is_zero(self):
         return not self.entries
@@ -850,11 +864,14 @@ def homology_from_presentation(d_in_cols, d_out_cols, mid_dim, out_dim, ring,
                        want_generators=want_generators)
 
 
-def homology_at(d_in, d_out, ring):
+def homology_at(d_in, d_out, ring, r_out=None):
     """Isomorphism class of ker(d_out)/im(d_in) over the ground ring.
 
     d_in: C_{n+1} -> C_n and d_out: C_n -> C_{n-1} as SparseMatrix.
     Raises CompositionNonzero unless d_out * d_in = 0 over the ring.
+    r_out, when given, is the rank of d_out over Z or Q, already known
+    to the caller; it is not used over Z/m.  _rank_in reads the rank of
+    d_in back from the result.
     """
     if d_in.rows != d_out.cols:
         raise ValueError("middle dimensions disagree")
@@ -868,15 +885,25 @@ def homology_at(d_in, d_out, ring):
         return group
     # Each integer copy is built when it is needed and dropped after, so
     # the two are never alive together.
-    r_out = integer_rank(_int_columns(d_out), d_out.rows)
+    if r_out is None:
+        r_out = integer_rank(_int_columns(d_out), d_out.rows)
+    # over Z and Q the free rank is n - r_in - r_out, which _rank_in inverts
     if ring.kind == "Q":
         # a Q-vector space: the ranks are all there is
-        return HomologyGroup.from_factors(
-            n - integer_rank(_int_columns(d_in), n) - r_out, ())
+        r_in = integer_rank(_int_columns(d_in), n)
+        return HomologyGroup.from_factors(n - r_in - r_out, ())
     # Torsion of ker/im equals torsion of Z^n/im since the quotient by
     # the kernel is free.
     factors, r_in = invariant_factors_sparse(_int_columns(d_in), n)
     return _tensor(n - r_in - r_out, factors, ring)
+
+
+def _rank_in(d_in, r_out, group):
+    """The rank of d_in over Z or Q, given group = homology_at(d_in, d_out,
+    ring, r_out) and the rank r_out of d_out: homology_at forms the free
+    rank of the group as n - r_in - r_out, and the torsion factors it
+    adds are all at least 2, so no rank moves into the free part."""
+    return d_in.rows - r_out - group.free_rank
 
 
 def preimage(matrix, b, ring):

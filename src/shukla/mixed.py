@@ -22,8 +22,8 @@ from functools import cached_property
 
 from .errors import WindowTooSmall
 from .linalg import (
-    HomologyGroup, SparseMatrix, _int_columns, homology_at, kernel_basis,
-    lattice_echelon, subquotient,
+    HomologyGroup, SparseMatrix, _int_columns, _rank_in, homology_at,
+    integer_rank, kernel_basis, lattice_echelon, subquotient,
 )
 
 
@@ -147,16 +147,51 @@ class FilteredGroups:
         }
 
 
+def _chain_homology(ds, ring):
+    """H_0, ..., H_N of the chain whose boundaries are ds[0..N + 1], ds[n]
+    from degree n to degree n - 1.
+
+    Over Z and Q each boundary is ranked once.  The rank of the first
+    d_out comes from integer_rank; after that the rank of ds[n + 1] is
+    read back from H_n by linalg._rank_in, and it is the r_out of degree
+    n + 1.  (Every caller's ds[0] is the boundary into degree -1, with
+    no rows, so that first rank is 0.)  A zero middle gives 0, with no
+    homology_at call, and passes rank 0 on.  Over Z/m every degree takes
+    the presented-module path.
+    """
+    ranked = ring.kind != "Zmod"
+    groups = []
+    r_out = None
+    for n in range(len(ds) - 1):
+        d_in, d_out = ds[n + 1], ds[n]
+        if d_out.cols == 0:
+            groups.append(HomologyGroup(0, ()))
+            r_out = 0
+            continue
+        if ranked and r_out is None:
+            r_out = integer_rank(_int_columns(d_out), d_out.rows)
+        h = homology_at(d_in, d_out, ring, r_out)
+        groups.append(h)
+        if ranked:
+            r_out = _rank_in(d_in, r_out, h)
+    return groups
+
+
 def hochschild_layers(M, n_max):
     """HH_n(M) for 0 <= n <= n_max and its weight-w layers: b keeps the
-    weight, so H_n is the direct sum of the homology of each weight block."""
+    weight, so H_n is the direct sum of the homology of each weight block,
+    and each weight is one chain swept once."""
     M.require_window(n_max)
+    by_weight = {}
+    for w in {w for (n, w) in M.slices if n <= n_max and M.dim(n, w)}:
+        ds = [_total_matrix(M, n, w) for n in range(n_max + 2)]
+        by_weight[w] = _chain_homology(ds, M.ring)
     totals = {}
     layers = {}
     for n in range(n_max + 1):
         parts = []
         for (_, w) in _degree_slices(M, n):
-            h = homology_at(_total_matrix(M, n + 1, w), _total_matrix(M, n, w), M.ring)
+            h = by_weight[w][n]
             if not h.is_trivial():
                 layers[(n, w)] = h
             parts.append(h)
@@ -185,6 +220,10 @@ def _shifted_matrix(M, src, tgt):
     for (j, t) in tgt:
         copies.setdefault(j, []).append(t)
     out = SparseMatrix(tdim, sdim, M.ring)
+    # the blocks' entries are normalized and nonzero, and a block of the
+    # shape of its two slices stays inside them, so once that shape is
+    # checked its entries are copied without the per-entry setter
+    entries = out.entries
     for (i, s) in src:
         below = (s[0] - 1, s[1])
         blocks = [((i, below), M.b.get((s, below)))]
@@ -192,9 +231,13 @@ def _shifted_matrix(M, src, tgt):
         c0 = soff[(i, s)]
         for key, mat in blocks:
             if mat is not None and key in toff:
+                if (mat.rows, mat.cols) != (M.dim(*key[1]), M.dim(*s)):
+                    raise ValueError(
+                        f"block {s} -> {key[1]} is {mat.rows}x{mat.cols}, "
+                        f"not {M.dim(*key[1])}x{M.dim(*s)}")
                 r0 = toff[key]
                 for (r, c), v in mat.entries.items():
-                    out[r0 + r, c0 + c] = v
+                    entries[r0 + r, c0 + c] = v
     return out
 
 
@@ -222,7 +265,7 @@ def cyclic_total(M, n_max, boundaries=None):
     d = boundaries
     if d is None:
         d = [_cyclic_matrix(M, n) for n in range(n_max + 2)]
-    return [homology_at(d[n + 1], d[n], M.ring) for n in range(n_max + 1)]
+    return _chain_homology(d, M.ring)
 
 
 def cyclic_layers(M, n_max):
@@ -260,10 +303,10 @@ def cyclic_e2(M, n_max):
 
     out = {}
     for c in range(n_max + 1):
-        for a in range(n_max + 1 - c):
-            d_in = _shifted_matrix(M, row(a + 1, c), row(a, c))
-            d_out = _shifted_matrix(M, row(a, c), row(a - 1, c))
-            out[(a, c)] = homology_at(d_in, d_out, M.ring)
+        ds = [_shifted_matrix(M, row(a, c), row(a - 1, c))
+              for a in range(n_max + 2 - c)]
+        for a, h in enumerate(_chain_homology(ds, M.ring)):
+            out[(a, c)] = h
     return out
 
 

@@ -2,7 +2,7 @@ import pytest
 
 from shukla.baroracle import FiniteAlgebra, cyclic_mixed, from_presentation
 from shukla.errors import NotQuasiMonic
-from shukla.linalg import GroundRing, HomologyGroup
+from shukla.linalg import GroundRing, HomologyGroup, SparseMatrix
 from shukla.mixed import cyclic_total, hochschild_total, validate
 from shukla.models import Presentation
 
@@ -124,3 +124,67 @@ def test_hh0_hc0_are_the_algebra():
                     else HomologyGroup.from_factors(0, [4, 4]))
         assert hh0 == expected
         assert hc0 == expected
+
+
+def _reference_b(A, labels, index, q):
+    """Hochschild b of the bar complex, term by term through add_at."""
+    ring = A.ring
+    mat = SparseMatrix(len(index), len(labels), ring)
+    for col, lab in enumerate(labels):
+        faces = [(i, lab[:i] + (0,) + lab[i + 2:], A.product(lab[i], lab[i + 1]),
+                  (-1) ** i) for i in range(q)]
+        faces.append((0, (0,) + lab[1:q], A.product(lab[q], lab[0]), (-1) ** q))
+        for slot, tensor, prod, sign in faces:
+            for k, v in prod.items():
+                if slot == 0 or k != 0:
+                    row = index[tensor[:slot] + (k,) + tensor[slot + 1:]]
+                    mat.add_at(row, col, ring.mul(sign, v))
+    return mat
+
+
+def _reference_B(A, labels, index, q):
+    """Connes' B of the bar complex, term by term through add_at."""
+    mat = SparseMatrix(len(index), len(labels), A.ring)
+    for col, lab in enumerate(labels):
+        for i in range(q + 1):
+            rotated = lab[i:] + lab[:i]
+            if 0 not in rotated:
+                mat.add_at(index[(0,) + rotated], col, (-1) ** (q * i))
+    return mat
+
+
+def _bar_blocks(ring, variables, rels):
+    from shukla.cli import parse
+    text = f"ring {ring}\nvars {variables}\n" + "".join(f"rel {r}\n" for r in rels)
+    A = from_presentation(parse(text + "nmax 2\n").presentation)
+    M = cyclic_mixed(A, 2)
+    blocks = {}
+    for table, reference in ((M.b, _reference_b), (M.B, _reference_B)):
+        for ((q, _), (t, _)), mat in table.items():
+            index = {lab: p for p, lab in enumerate(M.slices[(t, 0)])}
+            blocks[(q, t)] = (mat, reference(A, M.slices[(q, 0)], index, q))
+    return blocks
+
+
+@pytest.mark.parametrize("ring", ["Z", "Z/4", "Q"])
+@pytest.mark.parametrize("variables, rels", [("x", ["x^4-2*x"]),
+                                             ("x y", ["x^2", "y^3"])])
+def test_bar_blocks_match_term_by_term_reference(ring, variables, rels):
+    for (q, t), (mat, expected) in _bar_blocks(ring, variables, rels).items():
+        assert mat == expected, (q, t)
+        assert all(v and v == mat.ring.normalize(v) for v in mat.entries.values())
+
+
+def test_bar_entries_that_cancel_mod_m_are_absent():
+    # the Z entries of b on x^4 - 2x divisible by 4 vanish over Z/4
+    over_z = _bar_blocks("Z", "x", ["x^4-2*x"])
+    over_z4 = _bar_blocks("Z/4", "x", ["x^4-2*x"])
+    cancelled = 0
+    for key, (mat, _) in over_z.items():
+        mod4 = over_z4[key][0]
+        for entry, v in mat.entries.items():
+            assert mod4[entry] == v % 4
+            if v % 4 == 0:
+                cancelled += 1
+                assert entry not in mod4.entries
+    assert cancelled

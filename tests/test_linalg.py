@@ -420,12 +420,15 @@ def test_homology_free_rank_against_rational_oracle():
         rank_in = rational_rank(d_in.to_rows()) if t and r else 0
         expected_free = (n - rational_rank(rows_a)) - rank_in
         assert h.free_rank == expected_free
-        hq = homology_at(SparseMatrix(n, d_in.cols, Q, {
-            k2: Fraction(v) for k2, v in d_in.entries.items()}),
-            SparseMatrix(k, n, Q, {k2: Fraction(v) for k2, v in A.entries.items()}),
-            Q)
+        # a known rank of d_out stands in for its elimination
+        assert homology_at(d_in, A, Z, rational_rank(rows_a)) == h
+        q_in = SparseMatrix(n, d_in.cols, Q, {
+            k2: Fraction(v) for k2, v in d_in.entries.items()})
+        q_out = SparseMatrix(k, n, Q, {k2: Fraction(v) for k2, v in A.entries.items()})
+        hq = homology_at(q_in, q_out, Q)
         assert hq.free_rank == expected_free
         assert hq.invariant_factors == ()
+        assert homology_at(q_in, q_out, Q, rational_rank(rows_a)) == hq
 
 
 def test_homology_mod_m():
@@ -595,3 +598,30 @@ def test_dense_snf_tracks_u_only_on_request():
         u_alone, s_alone, _, uinv_alone = dense_snf(rows, want_uinv=True)
         assert u_alone is None
         assert uinv_alone == uinv and s_alone == s
+
+
+@pytest.mark.parametrize("ring", [Z, GroundRing.Zmod(6), Q], ids=repr)
+def test_sparse_product_and_sum_match_dense_reference(ring):
+    rng = random.Random(17)
+
+    def scalar():
+        v = rng.choice([0, 0, 1, -1, 2, -2, 3])
+        return Fraction(v, rng.choice([1, 2, 3])) if ring.kind == "Q" else v
+
+    cancelled = 0
+    for _ in range(80):
+        m, k, n = (rng.randint(1, 5) for _ in range(3))
+        a = mat([[scalar() for _ in range(k)] for _ in range(m)], ring)
+        b = mat([[scalar() for _ in range(n)] for _ in range(k)], ring)
+        c = mat([[scalar() for _ in range(n)] for _ in range(m)], ring)
+        ra, rb, rc = a.to_rows(), b.to_rows(), c.to_rows()
+        prod = [[ring.normalize(sum(ra[i][t] * rb[t][j] for t in range(k)))
+                 for j in range(n)] for i in range(m)]
+        cancelled += sum(1 for i in range(m) for j in range(n) if not prod[i][j]
+                         and any(ra[i][t] and rb[t][j] for t in range(k)))
+        total = [[ring.add(x, y) for x, y in zip(row, col)]
+                 for row, col in zip(prod, rc)]
+        for got, expected in ((a * b, prod), (a * b + c, total)):
+            assert got == mat(expected, ring)
+            assert all(v and v == ring.normalize(v) for v in got.entries.values())
+    assert cancelled

@@ -233,3 +233,213 @@ def test_column_graded_pieces_match_per_level_reference(ring, monkeypatch):
                 # one kernel and one echelon per degree, whatever the levels
                 assert sorted(calls) == (["kernel_basis", "lattice_echelon"]
                                          if cols else [])
+
+
+# -- one sweep per chain -----------------------------------------------------
+
+def _forms_complex(text):
+    from shukla.cli import parse
+    from shukla.gammaforms import build_gamma_forms
+    from shukla.models import koszul_model
+    job = parse(text)
+    return build_gamma_forms(koszul_model(job.presentation), job.n_max,
+                             job.poly_bound).complex, job.n_max
+
+
+def _oracle_complex(text):
+    from shukla.baroracle import cyclic_mixed, from_presentation
+    from shukla.cli import parse
+    job = parse(text)
+    return cyclic_mixed(from_presentation(job.presentation), job.n_max), job.n_max
+
+
+def _text(ring, variables, rels, n_max):
+    lines = [f"ring {ring}", "vars " + " ".join(variables)]
+    return "\n".join(lines + [f"rel {r}" for r in rels] + [f"nmax {n_max}"]) + "\n"
+
+
+def _layer_golden_texts():
+    import json
+    from pathlib import Path
+    goldens = json.loads((Path(__file__).resolve().parent
+                          / "layer_goldens.json").read_text())
+    return {name: g["text"] for name, g in sorted(goldens.items())}
+
+
+SWEEP_COMPLEXES = {
+    **{f"forms_{name}": (_forms_complex, text)
+       for name, text in _layer_golden_texts().items()},
+    "forms_Z_x2_y2_n3": (_forms_complex, _text("Z", "xy", ["x^2", "y^2"], 3)),
+    "forms_Z_2_x2_n4": (_forms_complex, _text("Z", "x", ["2", "x^2"], 4)),
+    "forms_Q_x2_y2_n3": (_forms_complex, _text("Q", "xy", ["x^2", "y^2"], 3)),
+    "oracle_Z_x4m2x_n3": (_oracle_complex, _text("Z", "x", ["x^4-2*x"], 3)),
+    "oracle_Z4_x2m2_n4": (_oracle_complex, _text("Z/4", "x", ["x^2-2"], 4)),
+    "oracle_Z6_x3mx_n3": (_oracle_complex, _text("Z/6", "x", ["x^3-x"], 3)),
+    "oracle_Z9_x2p3x_n4": (_oracle_complex, _text("Z/9", "x", ["x^2+3*x"], 4)),
+    "oracle_Q_x3m2x_n3": (_oracle_complex, _text("Q", "x", ["x^3-2*x"], 3)),
+}
+
+
+def _homology_per_degree(ds, ring):
+    """The reference sweep: one homology_at per degree, no rank passed on."""
+    from shukla.linalg import homology_at
+    return [homology_at(ds[n + 1], ds[n], ring) for n in range(len(ds) - 1)]
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_COMPLEXES))
+def test_sweeps_match_homology_per_degree(name):
+    from shukla.mixed import _cyclic_matrix, _degree_slices, _total_matrix
+    build, text = SWEEP_COMPLEXES[name]
+    M, n_max = build(text)
+    fg = hochschild_layers(M, n_max)
+    totals, layers = {}, {}
+    for n in range(n_max + 1):
+        parts = []
+        for (_, w) in _degree_slices(M, n):
+            h, = _homology_per_degree([_total_matrix(M, n, w),
+                                       _total_matrix(M, n + 1, w)], M.ring)
+            if not h.is_trivial():
+                layers[(n, w)] = h
+            parts.append(h)
+        totals[n] = HomologyGroup(0, ()).direct_sum(*parts)
+    assert fg.total == totals
+    assert fg.layers == layers
+    d = [_cyclic_matrix(M, n) for n in range(n_max + 2)]
+    assert cyclic_total(M, n_max) == _homology_per_degree(d, M.ring)
+
+
+@pytest.mark.parametrize("text", [
+    _text("Z", "x", ["x^2"], 3),
+    _text("Z", "x", ["x^3-x"], 3),
+    _text("Z/4", "x", ["x^2"], 3),
+    _text("Q", "xy", ["x^2", "y^2"], 2),
+], ids=["Z_x2", "Z_x3mx", "Z4_x2", "Q_x2_y2"])
+def test_cyclic_e2_matches_homology_per_degree(text):
+    from shukla.mixed import _shifted_matrix, cyclic_e2
+    M, n_max = _forms_complex(text)
+
+    def row(a, c):
+        return [(i, (a + c - 2 * i, c - i)) for i in range(min(a, c) + 1)
+                if M.dim(a + c - 2 * i, c - i)]
+
+    expected = {}
+    for c in range(n_max + 1):
+        for a in range(n_max + 1 - c):
+            ds = [_shifted_matrix(M, row(a, c), row(a - 1, c)),
+                  _shifted_matrix(M, row(a + 1, c), row(a, c))]
+            expected[(a, c)] = _homology_per_degree(ds, M.ring)[0]
+    page = cyclic_e2(M, n_max)
+    assert list(page) == list(expected)
+    assert page == expected
+
+
+@pytest.fixture
+def eliminated(monkeypatch):
+    """The boundaries whose integer lifts reach integer_rank and
+    invariant_factors_sparse, in call order, as SparseMatrix objects."""
+    import shukla.linalg as linalg
+    import shukla.mixed as mixed
+    seen = {"integer_rank": [], "invariant_factors_sparse": []}
+    lifted = {}  # id of a column list -> (the list, its matrix), both kept alive
+    int_columns = linalg._int_columns
+
+    def spy_columns(matrix):
+        cols = int_columns(matrix)
+        lifted[id(cols)] = (cols, matrix)
+        return cols
+
+    def spy(name):
+        original = getattr(linalg, name)
+
+        def wrapper(columns, nrows):
+            seen[name].append(lifted[id(columns)][1])
+            return original(columns, nrows)
+        return wrapper
+
+    wrappers = {name: spy(name) for name in seen}
+    for mod in (linalg, mixed):
+        monkeypatch.setattr(mod, "_int_columns", spy_columns)
+        for name, wrapper in wrappers.items():
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, wrapper)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["oracle_Z_x4m2x_n3", "forms_Z_x2_y2_n3",
+                                  "forms_Q_x2_y2_n3"])
+def test_sweeps_eliminate_each_boundary_once(name, eliminated):
+    from shukla.mixed import _cyclic_matrix
+    build, text = SWEEP_COMPLEXES[name]
+    M, n_max = build(text)
+    over_q = M.ring.kind == "Q"
+    sweeps = len({w for (n, w) in M.slices if n <= n_max and M.dim(n, w)})
+
+    def ids(key):
+        return [id(m) for m in eliminated[key]]
+
+    def check(first_ranks):
+        both = ids("integer_rank") + ids("invariant_factors_sparse")
+        assert both and len(set(both)) == len(both)
+        if over_q:
+            assert not eliminated["invariant_factors_sparse"]
+        else:
+            assert len(ids("integer_rank")) <= first_ranks
+        for key in eliminated:
+            eliminated[key].clear()
+
+    hochschild_total(M, n_max)
+    check(sweeps)
+    d = [_cyclic_matrix(M, n) for n in range(n_max + 2)]
+    assert all(m.cols for m in d[:-1])  # no zero middle is skipped
+    cyclic_total(M, n_max, d)
+    ranked = ids("integer_rank")
+    if over_q:
+        assert sorted(ranked) == sorted(map(id, d))
+    else:
+        # over Z only the boundary into degree -1, which has no rows, is
+        # ranked; every other rank is read back from a group
+        assert d[0].rows == 0
+        assert ranked == [id(d[0])]
+        assert ids("invariant_factors_sparse") == [id(m) for m in d[1:]]
+    check(1)
+
+
+@pytest.mark.parametrize("ring", [Z, GroundRing.Q()], ids=repr)
+def test_flipped_sign_in_a_b_block_fails_both_sweeps(ring):
+    from shukla.baroracle import cyclic_mixed, from_presentation
+    from shukla.errors import CompositionNonzero
+    from shukla.linalg import SparseMatrix
+    from shukla.models import Presentation
+    P = Presentation.make(ring, ["x"], [{(4,): 1, (1,): -2}])
+    M = cyclic_mixed(from_presentation(P), 3)
+    key = ((3, 0), (2, 0))
+    block, below = M.b[key], M.b[((2, 0), (1, 0))]
+    for (i, j), v in block.entries.items():
+        flipped = SparseMatrix(block.rows, block.cols, ring, block.entries)
+        flipped[i, j] = -v
+        if not (below * flipped).is_zero():
+            break
+    else:
+        pytest.fail("no single sign flip breaks b^2 = 0")
+    M.b[key] = flipped
+    with pytest.raises(CompositionNonzero):
+        hochschild_total(M, 2)
+    with pytest.raises(CompositionNonzero):
+        cyclic_total(M, 2)
+
+
+@pytest.mark.parametrize("table", ["b", "B"])
+def test_block_of_wrong_shape_is_refused(table):
+    from shukla.linalg import SparseMatrix
+    # k at (0, 0) and (1, 0); b maps (1, 0) -> (0, 0) and B (0, 0) -> (1, 0)
+    slices = {(0, 0): ("a",), (1, 0): ("u",)}
+    b = {((1, 0), (0, 0)): SparseMatrix(1, 1, Z)}
+    B = {((0, 0), (1, 0)): SparseMatrix(1, 1, Z)}
+    # one column (b) or one row (B) more than its slices have
+    if table == "b":
+        b[((1, 0), (0, 0))] = SparseMatrix(1, 2, Z, {(0, 1): 1})
+    else:
+        B[((0, 0), (1, 0))] = SparseMatrix(2, 1, Z, {(1, 0): 1})
+    M = MixedComplex(Z, slices, b=b, build_B=lambda: B, window_total=2)
+    with pytest.raises(ValueError, match="block"):
+        cyclic_total(M, 1)
