@@ -27,7 +27,7 @@ function here takes a quasi-monic `Presentation`.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import TooManyVariables
 from .linalg import HomologyGroup, SparseMatrix, _int_columns, homology_from_presentation
@@ -91,19 +91,9 @@ def dbar(pres, element, weight_cap=None):
 
 
 def _weights_upto(r, wmax):
-    out = []
-
-    def rec(i, left, acc):
-        if i == r:
-            out.append(tuple(acc))
-            return
-        for v in range(left + 1):
-            acc.append(v)
-            rec(i + 1, left - v, acc)
-            acc.pop()
-
-    rec(0, wmax, [])
-    return sorted(out, key=lambda q: (sum(q), q))
+    """Every weight vector of length r with sum at most wmax, by (sum, q)."""
+    return sorted((q for q in product(range(wmax + 1), repeat=r) if sum(q) <= wmax),
+                  key=lambda q: (sum(q), q))
 
 
 def _form_words(pres, form_degree, weights):

@@ -2,9 +2,10 @@
 
 Generators come in three kinds: polynomial (even degree, unrestricted
 powers), exterior (odd degree, square zero) and divided-power (even
-degree, powers only through gamma^q).  Monomials are products of
-generator powers in table order; elements are sparse linear
-combinations with exact coefficients.
+degree, powers only through gamma^q).  A monomial is its exponent
+vector, a tuple with one int per generator in table order (the divided
+power gamma^e of a letter has exponent e); elements are sparse linear
+combinations of monomials with exact coefficients.
 
 Sign convention, fixed once for the whole package: operators act on the
 left, and moving an odd operator or letter past an odd letter costs a
@@ -13,7 +14,7 @@ D(ab) = D(a) b + (-1)^|a| a D(b), and on a divided power
 D(gamma_q(v)) = gamma_{q-1}(v) D(v).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from math import comb
 
@@ -64,35 +65,44 @@ class GradedAlgebra:
         return self.generators[self.index[name]]
 
     def monomial(self, letters):
-        """Canonical monomial from (name, exp) pairs; exps must be >= 1."""
-        acc = {}
+        """The exponent vector of a product of (name, exp) letters, exps >= 0."""
+        vec = [0] * len(self.generators)
         for name, exp in letters:
+            i = self.index.get(name)
+            if i is None:
+                raise ValueError(f"unknown generator {name!r}")
             if exp < 0:
                 raise ValueError("negative exponent")
-            if exp:
-                i = self.index[name]
-                acc[i] = acc.get(i, 0) + exp
-        for i, e in acc.items():
-            if self.generators[i].kind == EXTERIOR and e > 1:
+            vec[i] += exp
+        for g, e in zip(self.generators, vec):
+            if g.kind == EXTERIOR and e > 1:
                 raise ValueError("exterior square is zero; build via mul instead")
-        return tuple(sorted(acc.items()))
+        return tuple(vec)
 
     def element(self, terms):
         """Element from {monomial-or-letter-list: coefficient}.
 
-        Keys may be canonical monomials ((index, exp) pairs) or letter
-        lists ((name, exp) pairs), which are normalized first.
+        Keys may be exponent vectors or letter lists ((name, exp)
+        pairs), which are turned into vectors first.
         """
         e = Element(self)
         for mono, c in terms.items():
-            if mono:
-                head = mono[0]
-                if isinstance(head, str):
-                    mono = self.monomial([mono])
-                elif isinstance(head, tuple) and isinstance(head[0], str):
-                    mono = self.monomial(mono)
+            if not mono or not isinstance(mono[0], int):
+                mono = self.monomial(mono)
+            elif len(mono) != len(self.generators):
+                raise ValueError(f"exponent vector {mono} has the wrong length")
             e._add_term(mono, c)
         return e
+
+    def embed(self, element):
+        """An element of an algebra whose generator table begins this
+        one's, as an element of this algebra: its exponent vectors are
+        padded with zeros."""
+        gens = element.algebra.generators
+        if self.generators[:len(gens)] != gens:
+            raise ValueError("the element's generators do not begin this algebra's")
+        pad = (0,) * (len(self.generators) - len(gens))
+        return Element(self, {m + pad: c for m, c in element.terms.items()})
 
     def one(self):
         return self.element({(): 1})
@@ -101,40 +111,37 @@ class GradedAlgebra:
         return self.element({self.monomial([(name, exp)]): 1})
 
     def mono_hdeg(self, mono):
-        return sum(self.generators[i].hdeg * e for i, e in mono)
+        return sum(g.hdeg * e for g, e in zip(self.generators, mono))
 
     def mono_poly_weight(self, mono):
-        return sum(self.generators[i].poly_weight * e for i, e in mono)
+        return sum(g.poly_weight * e for g, e in zip(self.generators, mono))
 
     def mono_mul(self, m1, m2):
-        """Product of monomials: (integer coefficient, monomial or None)."""
-        odd2 = [i for i, e in m2 if self.generators[i].hdeg % 2]
-        sign_exp = 0
-        if odd2:
-            odd1 = [i for i, e in m1 if self.generators[i].hdeg % 2]
-            for j in odd2:
-                sign_exp += sum(1 for i in odd1 if i > j)
-        coeff = -1 if sign_exp % 2 else 1
-        acc = dict(m1)
-        for i, e in m2:
-            acc[i] = acc.get(i, 0) + e
+        """Product of monomials: (integer coefficient, monomial or None).
+
+        The sign counts the pairs of odd letters, one of m1 above one of
+        m2, that the product moves past each other.
+        """
+        coeff = 1
+        odd2 = 0  # odd letters of m2 below the current index
         out = []
-        for i, e in sorted(acc.items()):
-            g = self.generators[i]
-            if g.kind == EXTERIOR and e > 1:
-                return 0, None
-            if g.kind == DIVIDED_POWER:
-                a = dict(m1).get(i, 0)
-                b = dict(m2).get(i, 0)
+        for g, a, b in zip(self.generators, m1, m2):
+            if g.kind == EXTERIOR:
                 if a and b:
-                    coeff *= comb(a + b, a)
-            out.append((i, e))
+                    return 0, None
+                if a and odd2 & 1:
+                    coeff = -coeff
+                odd2 += b
+            elif a and b and g.kind == DIVIDED_POWER:
+                coeff *= comb(a + b, a)
+            out.append(a + b)
         return coeff, tuple(out)
 
     def mono_str(self, mono):
         parts = []
-        for i, e in mono:
-            g = self.generators[i]
+        for g, e in zip(self.generators, mono):
+            if not e:
+                continue
             if g.kind == DIVIDED_POWER and e > 1:
                 parts.append(f"g{e}({g.name})")
             elif e > 1:
@@ -222,42 +229,36 @@ class GammaDerivation:
             raise UndefinedGenerator(f"no value for generator {name!r}") from None
 
 
-def _exponents(mono, n):
-    """The dense exponent vector of a monomial over n generators."""
-    vec = [0] * n
-    for i, e in mono:
-        vec[i] = e
-    return vec
-
-
-def _monomial(vec):
-    """The monomial of a dense exponent vector."""
-    return tuple((i, e) for i, e in enumerate(vec) if e)
-
-
 def _leibniz_table(deriv):
     """The derivation read once for _leibniz: per generator whether it is
     exterior (the odd letters) and whether divided-power, and its value
     as a list of (letters, coefficient, odd letters), or None when the
-    derivation gives it no value."""
+    derivation gives it no value.  The letters of a value term are its
+    nonzero (index, exponent) entries."""
     gens = deriv.algebra.generators
     values = []
     for g in gens:
         val = deriv.values.get(g.name)
-        values.append(None if val is None else [
-            (m, c, tuple(j for j, _ in m if gens[j].kind == EXTERIOR))
-            for m, c in val.terms.items()])
+        if val is None:
+            values.append(None)
+            continue
+        terms = []
+        for m, c in val.terms.items():
+            letters = tuple((j, b) for j, b in enumerate(m) if b)
+            terms.append((letters, c,
+                          tuple(j for j, _ in letters if gens[j].kind == EXTERIOR)))
+        values.append(terms)
     return ([g.kind == EXTERIOR for g in gens],
             [g.kind == DIVIDED_POWER for g in gens],
             values)
 
 
-def _leibniz(deriv, table, exps):
-    """A gamma-derivation on one exponent vector: {exponent tuple: coefficient}.
+def _leibniz(deriv, table, mono):
+    """A gamma-derivation on one monomial: {monomial: coefficient}.
 
     Letter by letter, D(prefix * g^e * suffix) contributes
     (-1)^|prefix| prefix * g^(e-1) * D(g) * suffix, times e for a
-    polynomial letter.  A value term v lands on exps - e_g + v.  Sorting
+    polynomial letter.  A value term v lands on mono - e_g + v.  Sorting
     v's odd letters into place crosses the odd letters of the rest that
     lie strictly between them and g (prefix ones above them, suffix ones
     below them); a divided-power letter already present with exponent a
@@ -268,9 +269,9 @@ def _leibniz(deriv, table, exps):
     ext, dp, values = table
     out = {}
     odd_below = 0
-    # odd_cum[k]: the odd letters of exps below index k, built on first use
+    # odd_cum[k]: the odd letters of mono below index k, built on first use
     odd_cum = None
-    for i, e in enumerate(exps):
+    for i, e in enumerate(mono):
         if not e:
             continue
         terms = values[i]
@@ -278,7 +279,7 @@ def _leibniz(deriv, table, exps):
             # raises UndefinedGenerator
             deriv.value_of(deriv.algebra.generators[i].name)
         if terms:
-            base = list(exps)
+            base = list(mono)
             base[i] = e - 1
             # e for a polynomial letter, and an exterior one has e = 1
             factor = 1 if dp[i] else e
@@ -299,7 +300,7 @@ def _leibniz(deriv, table, exps):
                     if odd:
                         if odd_cum is None:
                             odd_cum = [0]
-                            for x, f in zip(exps, ext):
+                            for x, f in zip(mono, ext):
                                 odd_cum.append(odd_cum[-1] + (1 if x and f else 0))
                         crossed = 0
                         for j in odd:
@@ -319,12 +320,11 @@ def _leibniz(deriv, table, exps):
 def derive(deriv, e):
     """Apply a gamma-derivation to an element by the graded Leibniz rule."""
     ring = e.algebra.ring
-    n = len(e.algebra.generators)
     table = _leibniz_table(deriv)
     out = Element(e.algebra)
     for mono, coeff in e.terms.items():
-        for vec, c in _leibniz(deriv, table, _exponents(mono, n)).items():
-            out._add_term(_monomial(vec), ring.mul(c, coeff))
+        for m, c in _leibniz(deriv, table, mono).items():
+            out._add_term(m, ring.mul(c, coeff))
     return out
 
 
@@ -337,11 +337,6 @@ class Slice:
     weight: int
     poly_bound: object
     monomials: tuple
-    index: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.index:
-            self.index = {m: j for j, m in enumerate(self.monomials)}
 
     @property
     def dim(self):
@@ -349,9 +344,10 @@ class Slice:
 
     def vector_of(self, element):
         """Coordinates of an element supported on this slice."""
+        index = {m: j for j, m in enumerate(self.monomials)}
         vec = [0] * self.dim
         for m, c in element.terms.items():
-            vec[self.index[m]] = c
+            vec[index[m]] = c
         return vec
 
     def element_of(self, vec):
@@ -362,54 +358,54 @@ class Slice:
         return e
 
 
+def _tails(gens, memo, i, h, w, budget):
+    """The exponent vectors over gens[i:] of degree h, weight w and
+    truncation degree at most budget (None: no bound), sorted.
+
+    Generator i's exponent ascends, each followed by its suffixes in
+    order, so the vectors come out sorted.  memo holds the lists already
+    made, keyed (i, h, w, budget).
+    """
+    key = (i, h, w, budget)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    if i == len(gens):
+        out = [()] if h == 0 and w == 0 else []
+    else:
+        g = gens[i]
+        out = []
+        for e in range(2) if g.kind == EXTERIOR else count():
+            nh = h - e * g.hdeg
+            nw = w - e * g.weight
+            nb = budget - e * g.poly_weight if budget is not None else None
+            if nh < 0 or nw < 0 or (nb is not None and nb < 0):
+                break
+            out += [(e,) + t for t in _tails(gens, memo, i + 1, nh, nw, nb)]
+    memo[key] = out
+    return out
+
+
 def basis_slice(algebra, hdeg, weight, poly_bound=None):
     """All monomials of the given degree and weight, in a fixed order.
 
     poly_bound caps the polynomial truncation degree (the sum of
     exponents weighted by each generator's poly_weight); it is required
     whenever the slice would otherwise be infinite.  Monomials come out
-    sorted by their exponent vector in generator table order.
+    sorted as exponent vectors.
 
-    The suffixes are memoized within the call: the monomials in the
-    generators from i on with degree h, weight w and truncation degree
-    at most budget are listed once per (i, h, w, budget), and every
-    prefix that leaves that remainder reuses them.
+    The suffixes are memoized within the call: the exponent vectors over
+    the generators from i on with degree h, weight w and truncation
+    degree at most budget are listed once per (i, h, w, budget), and
+    every prefix that leaves that remainder reuses them.
     """
     gens = algebra.generators
-    n = len(gens)
     for g in gens:
         if (g.kind == POLYNOMIAL and g.hdeg == 0 and g.weight == 0
                 and (poly_bound is None or g.poly_weight == 0)):
             raise ValueError(f"slice on {g.name!r} is infinite without a poly bound")
-    memo = {}
-
-    # generator i's exponent ascending, each followed by its suffixes in
-    # order: the monomials come out sorted by exponent vector
-    def tails(i, h, w, budget):
-        key = (i, h, w, budget)
-        if key in memo:
-            return memo[key]
-        if i == n:
-            out = [()] if h == 0 and w == 0 else []
-        else:
-            g = gens[i]
-            out = []
-            for e in range(2) if g.kind == EXTERIOR else count():
-                nh = h - e * g.hdeg
-                nw = w - e * g.weight
-                nb = budget - e * g.poly_weight if budget is not None else None
-                if nh < 0 or nw < 0 or (nb is not None and nb < 0):
-                    break
-                rest = tails(i + 1, nh, nw, nb)
-                if e:
-                    letter = ((i, e),)
-                    out += [letter + t for t in rest]
-                else:
-                    out += rest
-        memo[key] = out
-        return out
-
-    return Slice(algebra, hdeg, weight, poly_bound, tuple(tails(0, hdeg, weight, poly_bound)))
+    return Slice(algebra, hdeg, weight, poly_bound,
+                 tuple(_tails(gens, {}, 0, hdeg, weight, poly_bound)))
 
 
 def derivation_matrix(deriv, source, target):
@@ -420,22 +416,20 @@ def derivation_matrix(deriv, source, target):
     """
     alg = source.algebra
     ring = alg.ring
-    n = len(alg.generators)
     table = _leibniz_table(deriv)
-    rows = {tuple(_exponents(mono, n)): r for r, mono in enumerate(target.monomials)}
+    rows = {mono: r for r, mono in enumerate(target.monomials)}
     normalize = ring.normalize
     m = SparseMatrix(target.dim, source.dim, ring)
     # every row comes from rows and every column from the source, so the
     # entries are in range and need no check
     entries = m.entries
     for j, mono in enumerate(source.monomials):
-        for vec, c in _leibniz(deriv, table, _exponents(mono, n)).items():
+        for im, c in _leibniz(deriv, table, mono).items():
             c = normalize(c)
             if c == 0:
                 continue
-            row = rows.get(vec)
+            row = rows.get(im)
             if row is None:
-                im = _monomial(vec)
                 pw = alg.mono_poly_weight(im)
                 if target.poly_bound is not None and pw > target.poly_bound:
                     raise TruncationOverflow(
@@ -499,45 +493,30 @@ def homotopy_h(data, e):
     """
     alg = e.algebra
     ring = alg.ring
-    widx = {alg.index[w]: w for w in data.w_names}
-    dwidx = {alg.index[data.dw_of[w]]: w for w in data.w_names}
+    # (w, dw) index pairs by increasing w; each dw follows its w, so the
+    # letters before w are mono[:wi]
+    blocks = sorted((alg.index[w], alg.index[data.dw_of[w]]) for w in data.w_names)
     out = Element(alg)
     for mono, coeff in e.terms.items():
-        last_w = None
-        for i, _ in mono:
-            w = widx.get(i, dwidx.get(i))
-            if w is not None and (last_w is None
-                                  or alg.index[w] > alg.index[last_w]):
-                last_w = w
-        if last_w is None:
+        for wi, dwi in reversed(blocks):
+            if mono[wi] or mono[dwi]:
+                break
+        else:
             continue
-        wi = alg.index[last_w]
-        dwi = alg.index[data.dw_of[last_w]]
-        rest = []
-        a = b = 0
-        prefix_deg = 0
-        for i, exp in mono:
-            if i == wi:
-                a = exp
-            elif i == dwi:
-                b = exp
-            else:
-                rest.append((i, exp))
-                if i < wi:
-                    prefix_deg += exp * alg.generators[i].hdeg
-        wgen = alg.generators[wi]
-        if wgen.hdeg % 2 == 0:
+        a, b = mono[wi], mono[dwi]
+        new_mono = list(mono)
+        if alg.generators[wi].hdeg % 2 == 0:
             # block w^a (dw)^b with dw exterior: h(w^{a+1}) = w^a dw
             if b or a == 0:
                 continue
-            block = [(wi, a - 1)] if a > 1 else []
-            block.append((dwi, 1))
+            new_mono[wi] = a - 1
+            new_mono[dwi] = 1
         else:
             # block w^a gamma_b(dw) with dw divided-power: h(w gamma_b) = gamma_{b+1}
             if a == 0:
                 continue
-            block = [(dwi, b + 1)]
-        new_mono = tuple(sorted(rest + block))
-        c = ring.neg(coeff) if prefix_deg % 2 else coeff
-        out._add_term(new_mono, c)
+            new_mono[wi] = 0
+            new_mono[dwi] = b + 1
+        c = ring.neg(coeff) if alg.mono_hdeg(mono[:wi]) % 2 else coeff
+        out._add_term(tuple(new_mono), c)
     return out

@@ -83,7 +83,7 @@ def _forms_derivations(model):
         d_values[dname] = Element(alg)
     d = GammaDerivation(alg, +1, d_values)
     for name, dname in d_names.items():
-        bval = Element(alg, model.boundary.value_of(name).terms)
+        bval = alg.embed(model.boundary.value_of(name))
         delta_values[name] = bval
         delta_values[dname] = derive(d, bval).scale(-1)
     return alg, d, GammaDerivation(alg, -1, delta_values)

@@ -870,8 +870,8 @@ def homology_at(d_in, d_out, ring, r_out=None):
     d_in: C_{n+1} -> C_n and d_out: C_n -> C_{n-1} as SparseMatrix.
     Raises CompositionNonzero unless d_out * d_in = 0 over the ring.
     r_out, when given, is the rank of d_out over Z or Q, already known
-    to the caller; it is not used over Z/m.  _rank_in reads the rank of
-    d_in back from the result.
+    to the caller; it is not used over Z/m.  chain_homology reads the
+    rank of d_in back from the result.
     """
     if d_in.rows != d_out.cols:
         raise ValueError("middle dimensions disagree")
@@ -887,7 +887,7 @@ def homology_at(d_in, d_out, ring, r_out=None):
     # the two are never alive together.
     if r_out is None:
         r_out = integer_rank(_int_columns(d_out), d_out.rows)
-    # over Z and Q the free rank is n - r_in - r_out, which _rank_in inverts
+    # over Z and Q the free rank is n - r_in - r_out; chain_homology inverts it
     if ring.kind == "Q":
         # a Q-vector space: the ranks are all there is
         r_in = integer_rank(_int_columns(d_in), n)
@@ -898,12 +898,36 @@ def homology_at(d_in, d_out, ring, r_out=None):
     return _tensor(n - r_in - r_out, factors, ring)
 
 
-def _rank_in(d_in, r_out, group):
-    """The rank of d_in over Z or Q, given group = homology_at(d_in, d_out,
-    ring, r_out) and the rank r_out of d_out: homology_at forms the free
-    rank of the group as n - r_in - r_out, and the torsion factors it
-    adds are all at least 2, so no rank moves into the free part."""
-    return d_in.rows - r_out - group.free_rank
+def chain_homology(ds, ring):
+    """H_0, ..., H_N of the chain whose boundaries are ds[0..N + 1], ds[n]
+    from degree n to degree n - 1.
+
+    Over Z and Q each boundary is ranked once.  The rank of the first
+    d_out comes from integer_rank; after that the rank of ds[n + 1] is
+    read back from H_n and it is the r_out of degree n + 1: homology_at
+    forms the free rank of H_n as c_n - r_in - r_out, and the torsion
+    factors it adds are all at least 2, so no rank moves into the free
+    part.  (Every caller's ds[0] is the boundary into degree -1, with no
+    rows, so that first rank is 0.)  A zero middle gives 0, with no
+    homology_at call, and passes rank 0 on.  Over Z/m every degree takes
+    the presented-module path.
+    """
+    ranked = ring.kind != "Zmod"
+    groups = []
+    r_out = None
+    for n in range(len(ds) - 1):
+        d_in, d_out = ds[n + 1], ds[n]
+        if d_out.cols == 0:
+            groups.append(HomologyGroup(0, ()))
+            r_out = 0
+            continue
+        if ranked and r_out is None:
+            r_out = integer_rank(_int_columns(d_out), d_out.rows)
+        h = homology_at(d_in, d_out, ring, r_out)
+        groups.append(h)
+        if ranked:
+            r_out = d_in.rows - r_out - h.free_rank
+    return groups
 
 
 def preimage(matrix, b, ring):

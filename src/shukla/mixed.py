@@ -21,9 +21,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import WindowTooSmall
+# homology_at stays bound here because perfbench's tracer test reads
+# mixed.homology_at; chain_homology calls it in linalg
 from .linalg import (
-    HomologyGroup, SparseMatrix, _int_columns, _rank_in, homology_at,
-    integer_rank, kernel_basis, lattice_echelon, subquotient,
+    HomologyGroup, SparseMatrix, _int_columns, chain_homology, homology_at,
+    kernel_basis, lattice_echelon, subquotient,
 )
 
 
@@ -147,36 +149,6 @@ class FilteredGroups:
         }
 
 
-def _chain_homology(ds, ring):
-    """H_0, ..., H_N of the chain whose boundaries are ds[0..N + 1], ds[n]
-    from degree n to degree n - 1.
-
-    Over Z and Q each boundary is ranked once.  The rank of the first
-    d_out comes from integer_rank; after that the rank of ds[n + 1] is
-    read back from H_n by linalg._rank_in, and it is the r_out of degree
-    n + 1.  (Every caller's ds[0] is the boundary into degree -1, with
-    no rows, so that first rank is 0.)  A zero middle gives 0, with no
-    homology_at call, and passes rank 0 on.  Over Z/m every degree takes
-    the presented-module path.
-    """
-    ranked = ring.kind != "Zmod"
-    groups = []
-    r_out = None
-    for n in range(len(ds) - 1):
-        d_in, d_out = ds[n + 1], ds[n]
-        if d_out.cols == 0:
-            groups.append(HomologyGroup(0, ()))
-            r_out = 0
-            continue
-        if ranked and r_out is None:
-            r_out = integer_rank(_int_columns(d_out), d_out.rows)
-        h = homology_at(d_in, d_out, ring, r_out)
-        groups.append(h)
-        if ranked:
-            r_out = _rank_in(d_in, r_out, h)
-    return groups
-
-
 def hochschild_layers(M, n_max):
     """HH_n(M) for 0 <= n <= n_max and its weight-w layers: b keeps the
     weight, so H_n is the direct sum of the homology of each weight block,
@@ -185,7 +157,7 @@ def hochschild_layers(M, n_max):
     by_weight = {}
     for w in {w for (n, w) in M.slices if n <= n_max and M.dim(n, w)}:
         ds = [_total_matrix(M, n, w) for n in range(n_max + 2)]
-        by_weight[w] = _chain_homology(ds, M.ring)
+        by_weight[w] = chain_homology(ds, M.ring)
     totals = {}
     layers = {}
     for n in range(n_max + 1):
@@ -265,7 +237,7 @@ def cyclic_total(M, n_max, boundaries=None):
     d = boundaries
     if d is None:
         d = [_cyclic_matrix(M, n) for n in range(n_max + 2)]
-    return _chain_homology(d, M.ring)
+    return chain_homology(d, M.ring)
 
 
 def cyclic_layers(M, n_max):
@@ -305,7 +277,7 @@ def cyclic_e2(M, n_max):
     for c in range(n_max + 1):
         ds = [_shifted_matrix(M, row(a, c), row(a - 1, c))
               for a in range(n_max + 2 - c)]
-        for a, h in enumerate(_chain_homology(ds, M.ring)):
+        for a, h in enumerate(chain_homology(ds, M.ring)):
             out[(a, c)] = h
     return out
 

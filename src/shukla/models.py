@@ -223,11 +223,10 @@ def check_boundary_square(model):
 def _model_with_generators(model, new_gens, new_values):
     """Rebuild a model with generators appended; indices are preserved."""
     alg = GradedAlgebra(model.ring, list(model.algebra.generators) + new_gens)
-    values = {}
-    for g in model.algebra.generators:
-        values[g.name] = Element(alg, model.boundary.value_of(g.name).terms)
+    values = {g.name: alg.embed(model.boundary.value_of(g.name))
+              for g in model.algebra.generators}
     for g, val in zip(new_gens, new_values):
-        values[g.name] = Element(alg, val.terms)
+        values[g.name] = alg.embed(val)
     return FreeDGA(alg, GammaDerivation(alg, -1, values))
 
 

@@ -338,7 +338,6 @@ def eliminated(monkeypatch):
     """The boundaries whose integer lifts reach integer_rank and
     invariant_factors_sparse, in call order, as SparseMatrix objects."""
     import shukla.linalg as linalg
-    import shukla.mixed as mixed
     seen = {"integer_rank": [], "invariant_factors_sparse": []}
     lifted = {}  # id of a column list -> (the list, its matrix), both kept alive
     int_columns = linalg._int_columns
@@ -356,12 +355,10 @@ def eliminated(monkeypatch):
             return original(columns, nrows)
         return wrapper
 
-    wrappers = {name: spy(name) for name in seen}
-    for mod in (linalg, mixed):
-        monkeypatch.setattr(mod, "_int_columns", spy_columns)
-        for name, wrapper in wrappers.items():
-            if hasattr(mod, name):
-                monkeypatch.setattr(mod, name, wrapper)
+    # chain_homology and homology_at, in linalg, are the only callers
+    monkeypatch.setattr(linalg, "_int_columns", spy_columns)
+    for name in seen:
+        monkeypatch.setattr(linalg, name, spy(name))
     return seen
 
 
