@@ -89,8 +89,12 @@ def parse_poly(text, variables, line_no):
     while pos < len(tokens):
         kind, val, col = tokens[pos]
         if kind in "+-":
-            sign = 1 if kind == "+" else -1
+            # consecutive signs compose: x - -3 is x + 3
+            if kind == "-":
+                sign = -sign
             pos += 1
+            if pos == len(tokens):
+                raise ParseError("dangling sign", line_no, col + 1)
             continue
         coeff = sign
         exps = [0] * nv
@@ -99,6 +103,10 @@ def parse_poly(text, variables, line_no):
             kind, val, col = tokens[pos]
             if kind == "*":
                 pos += 1
+                # x^2 * -3 is not x^2 - 3
+                if (not saw_factor or pos == len(tokens)
+                        or tokens[pos][0] not in ("int", "name")):
+                    raise ParseError("'*' needs a factor on each side", line_no, col + 1)
                 continue
             if kind == "int":
                 coeff *= val

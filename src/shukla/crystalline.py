@@ -2,15 +2,18 @@
 filtered de Rham complexes built from them.
 
 The envelope of R = k[x_1..x_n] along relations f_1..f_r is presented
-on formal words gamma^Q(f) x^alpha with alpha reduced.  Words are
-(alpha, Q, S): reduced variable exponents, one gamma exponent per
-relation, and a sorted tuple of form indices (the dx factors); the
-weight of a word is sum(Q).  Multiplying an unreduced coefficient back
-in rewrites x_i^{m_i} into (lower terms plus a weight bump), using
-f_i^s gamma_q(f_i) = ((q+s)!/q!) gamma_{q+s}(f_i); the rules and the
-rewrite loop are the Presentation's (`models.rewrite`).  Constant
-relations c contribute honest module relations
-c * w = (q_t + 1) * w^{+t} instead of rewrites.
+on the forms algebra of the Koszul model (`gammaforms._forms_derivations`
+of `koszul_model(pres)`): a word is one of its s-free monomials
+x^alpha dx_S gamma^Q(ds), an exponent vector like every monomial of the
+package, with alpha reduced.  The weight of a word is |Q|, its exponents
+on the ds letters.  On these words the de Rham differential is d - delta:
+d(x_i) = dx_i, and -delta(gamma_q(ds_t)) = gamma_{q-1}(ds_t) df_t, one
+derivation applied by `dpalgebra._leibniz`.  An image term with an
+unreduced x-part is then rewritten by the Presentation's rules
+(`models.rewrite`), x_i^{m_i} into lower terms plus a weight bump from
+f_t^s gamma_q(ds_t) = ((q+s)!/q!) gamma_{q+s}(ds_t).  Constant relations
+c contribute honest module relations c * w = (q_t + 1) * w^{+t} instead
+of rewrites.
 
 The gamma-filtration is by total weight |Q|.  From its graded pieces
 and truncated quotients we build, for each Hodge index p, two chain
@@ -29,65 +32,55 @@ function here takes a quasi-monic `Presentation`.
 from dataclasses import dataclass
 from itertools import combinations, product
 
+from .dpalgebra import GammaDerivation, _leibniz, _leibniz_table
 from .errors import TooManyVariables
+from .gammaforms import _forms_derivations
 from .linalg import HomologyGroup, SparseMatrix, _int_columns, homology_from_presentation
 from .mixed import FilteredGroups
-from .models import Presentation, rewrite
+from .models import Presentation, koszul_model, rewrite
 
 
-def dbar(pres, element, weight_cap=None):
+@dataclass
+class EnvelopeForms:
+    """The de Rham differential on words: d - delta on the forms algebra
+    of koszul_model(pres), with its table for _leibniz.  A word holds its
+    x exponents in slots [0, n) and its gamma exponents from slot q0 on
+    (the generators are x, s, dx, ds in that order)."""
+
+    pres: Presentation
+    deriv: GammaDerivation
+    table: tuple
+    n: int
+    q0: int
+
+
+def envelope_forms(pres):
+    """The EnvelopeForms that dbar reads."""
+    alg, d, delta = _forms_derivations(koszul_model(pres))
+    deriv = GammaDerivation(alg, +1, {
+        g.name: d.value_of(g.name) + delta.value_of(g.name).scale(-1)
+        for g in alg.generators})
+    return EnvelopeForms(pres, deriv, _leibniz_table(deriv), len(pres.variables),
+                         len(alg.generators) - len(pres.relations))
+
+
+def dbar(forms, element, weight_cap=None):
     """The gamma-derivation extending de Rham d on envelope forms.
 
-    element: dict word -> integer coefficient.  Terms whose weight
-    exceeds weight_cap are dropped (the quotient by that filtration
-    level); without a cap the result is exact.
+    element: dict word -> coefficient.  Each image term of d - delta is
+    rewritten into reduced words; terms whose weight exceeds weight_cap
+    are dropped (the quotient by that filtration level), and without a
+    cap the result is exact.  Coefficients are not reduced in the ring.
     """
-    variables = pres.variables
-    relations = pres.relations
+    n, q0 = forms.n, forms.q0
     out = {}
-
-    def add(word, c):
-        if c:
-            out[word] = out.get(word, 0) + c
-            if out[word] == 0:
-                del out[word]
-
-    for (alpha, Q, S), coeff in element.items():
-        # de Rham part on the reduced coefficient
-        if weight_cap is None or sum(Q) <= weight_cap:
-            for j, a in enumerate(alpha):
-                if a == 0 or j in S:
-                    continue
-                sign = (-1) ** sum(1 for s in S if s < j)
-                na = tuple(v - (1 if i == j else 0) for i, v in enumerate(alpha))
-                ns = tuple(sorted(S + (j,)))
-                add((na, Q, ns), coeff * a * sign)
-        # gamma part: gamma_q(f_t) -> gamma_{q-1}(f_t) df_t
-        for t, q in enumerate(Q):
-            if q == 0:
-                continue
-            rel = relations[t]
-            Qm = tuple(v - (1 if i == t else 0) for i, v in enumerate(Q))
-            for j in range(len(variables)):
-                if j in S:
-                    continue
-                dpart = {}
-                for exps, c in rel.items():
-                    if exps[j]:
-                        ne = tuple(v - (1 if i == j else 0)
-                                   for i, v in enumerate(exps))
-                        dpart[ne] = dpart.get(ne, 0) + c * exps[j]
-                if not dpart:
-                    continue
-                shifted = {tuple(a + b for a, b in zip(alpha, e)): c
-                           for e, c in dpart.items()}
-                sign = (-1) ** sum(1 for s in S if s < j)
-                ns = tuple(sorted(S + (j,)))
-                for (na, nq), c in rewrite(pres, shifted, Qm).items():
-                    if weight_cap is not None and sum(nq) > weight_cap:
-                        continue
-                    add((na, nq, ns), coeff * c * sign)
-    return out
+    for word, coeff in element.items():
+        for img, c in _leibniz(forms.deriv, forms.table, word).items():
+            for (alpha, Q), c2 in rewrite(forms.pres, {img[:n]: c}, img[q0:]).items():
+                if weight_cap is None or sum(Q) <= weight_cap:
+                    key = alpha + img[n:q0] + Q
+                    out[key] = out.get(key, 0) + coeff * c2
+    return {w: c for w, c in out.items() if c}
 
 
 def _weights_upto(r, wmax):
@@ -97,42 +90,36 @@ def _weights_upto(r, wmax):
 
 
 def _form_words(pres, form_degree, weights):
-    """Words with the given dx-degree and gamma weight in `weights`."""
-    nvars = len(pres.variables)
-    if form_degree > nvars or form_degree < 0:
-        return []
-    words = []
-    ss = list(combinations(range(nvars), form_degree))
-    for alpha in pres.reduced_monomials():
-        for Q in weights:
-            for S in ss:
-                words.append((alpha, Q, tuple(S)))
-    words.sort(key=lambda w: (sum(w[1]), w[1], w[0], w[2]))
-    return words
+    """The words x^alpha dx_S gamma^Q(ds) with |S| = form_degree and Q in
+    `weights`, ordered by Q as listed, then alpha, then S."""
+    n = len(pres.variables)
+    s_free = (0,) * len(pres.relations)
+    dxs = [tuple(int(i in S) for i in range(n))
+           for S in combinations(range(n), form_degree)]
+    alphas = sorted(pres.reduced_monomials())
+    return [alpha + s_free + dx + Q for Q in weights for alpha in alphas for dx in dxs]
 
 
 def _weights_exact(pres, w):
     return [q for q in _weights_upto(len(pres.relations), w) if sum(q) == w]
 
 
-def _relation_vectors(pres, words, index, weight_cap):
+def _relation_vectors(pres, q0, words, index, weight_cap):
     """Module relations on the span of `words` beyond the ring's own: the
-    constant-relation bumps c*w = (q_t+1)*w^{+t} (bump dropped beyond
-    the cap, i.e. in the quotient by that filtration level)."""
+    constant-relation bumps c*w = (q_t+1)*w^{+t}, where slot q0 + t holds
+    q_t (bump dropped beyond the cap, i.e. in the quotient by that
+    filtration level)."""
     rels = []
     for t, c in pres.consts:
+        k = q0 + t
         for w in words:
-            alpha, Q, S = w
             vec = {index[w]: int(c)}
-            bumped = tuple(q + (1 if i == t else 0) for i, q in enumerate(Q))
-            if weight_cap is None or sum(bumped) <= weight_cap:
-                w2 = (alpha, bumped, S)
-                j = index.get(w2)
+            if sum(w[q0:]) < weight_cap:
+                j = index.get(w[:k] + (w[k] + 1,) + w[k + 1:])
                 if j is None:
                     raise AssertionError("bump target missing from word list")
-                vec[j] = vec.get(j, 0) - (Q[t] + 1)
-            if vec:
-                rels.append(vec)
+                vec[j] = -(w[k] + 1)
+            rels.append(vec)
     return rels
 
 
@@ -164,52 +151,54 @@ class FilteredComplex:
         return group
 
 
-def _build_filtered(pres, p, graded):
+def _build_filtered(forms, p, graded):
     """Shared builder: graded=True gives the level complex (weight
     exactly i at position i), graded=False the prime complex (weight
     at most i, quotient by F_{i+1})."""
+    pres, q0 = forms.pres, forms.q0
     positions = []
     for i in range(p + 1):
         weights = (_weights_exact(pres, i) if graded
                    else _weights_upto(len(pres.relations), i))
         words = _form_words(pres, p - i, weights)
         index = {w: j for j, w in enumerate(words)}
-        rels = _relation_vectors(pres, words, index, i)
+        rels = _relation_vectors(pres, q0, words, index, i)
         positions.append((words, index, rels))
     mats = {}
     ring = pres.ring
     for j in range(1, p + 1):
         src_words, _, _ = positions[j]
         tgt_words, tgt_index, _ = positions[j - 1]
-        mat = SparseMatrix(len(tgt_words), len(src_words), ring)
+        sums = {}
         for col, w in enumerate(src_words):
-            img = dbar(pres, {w: 1}, weight_cap=j - 1)
-            for w2, c in img.items():
-                if graded and sum(w2[1]) != j - 1:
+            for w2, c in dbar(forms, {w: 1}, weight_cap=j - 1).items():
+                if graded and sum(w2[q0:]) != j - 1:
                     raise AssertionError("derivation dropped weight by more than one")
                 row = tgt_index.get(w2)
                 if row is None:
                     raise AssertionError(f"image word {w2} missing at position {j - 1}")
-                mat.add_at(row, col, c)
-        mats[j] = mat
+                sums[row, col] = c
+        mats[j] = SparseMatrix.from_sums(len(tgt_words), len(src_words), ring, sums)
     return FilteredComplex(pres, p, positions, mats)
 
 
 def L_complex(pres, p):
     """The level complex of Hodge index p: position i carries the weight-i
     graded piece of the p-i forms."""
-    return _build_filtered(pres, p, graded=True)
+    return _build_filtered(envelope_forms(pres), p, graded=True)
 
 
 def Lprime_complex(pres, p):
     """The truncated complex of Hodge index p: position i carries the
     p-i forms modulo filtration weight i+1."""
-    return _build_filtered(pres, p, graded=False)
+    return _build_filtered(envelope_forms(pres), p, graded=False)
 
 
-def _layer_table(pres, n_max, make_complex):
-    """Totals and layers whose (n, p) entry is the homology of the
-    complex make_complex(pres, p) at position n - p."""
+def _layer_table(pres, n_max, graded):
+    """Totals and layers whose (n, p) entry is the homology of the level
+    (graded) or prime complex of Hodge index p at position n - p, all
+    built on one EnvelopeForms."""
+    forms = envelope_forms(pres)
     layers = {}
     totals = {}
     complexes = {}
@@ -220,7 +209,7 @@ def _layer_table(pres, n_max, make_complex):
             if j > p:
                 continue  # positions run 0..p
             if p not in complexes:
-                complexes[p] = make_complex(pres, p)
+                complexes[p] = _build_filtered(forms, p, graded)
             g = complexes[p].homology(j)
             if not g.is_trivial():
                 layers[(n, p)] = g
@@ -232,7 +221,7 @@ def _layer_table(pres, n_max, make_complex):
 def hodge_hh(pres, n_max):
     """Hochschild homology with its Hodge decomposition: the (n, p) layer
     is the homology of the level complex L^p at position n - p."""
-    return _layer_table(pres, n_max, L_complex)
+    return _layer_table(pres, n_max, graded=True)
 
 
 def hc_layers_small(pres, n_max):
@@ -242,4 +231,4 @@ def hc_layers_small(pres, n_max):
         raise TooManyVariables(
             "the truncated-complex layer formula holds for <= 2 variables; "
             "use the forms-complex cyclic assembly instead")
-    return _layer_table(pres, n_max, Lprime_complex)
+    return _layer_table(pres, n_max, graded=False)

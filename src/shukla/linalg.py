@@ -157,9 +157,6 @@ class SparseMatrix:
         else:
             self.entries[key] = value
 
-    def add_at(self, i, j, value):
-        self[i, j] = self.ring.add(self[i, j], value)
-
     @staticmethod
     def from_sums(rows, cols, ring, sums):
         """The matrix whose (i, j) entry is sums[i, j] over the ring.

@@ -127,7 +127,7 @@ def test_hh0_hc0_are_the_algebra():
 
 
 def _reference_b(A, labels, index, q):
-    """Hochschild b of the bar complex, term by term through add_at."""
+    """Hochschild b of the bar complex, term by term through the entry setter."""
     ring = A.ring
     mat = SparseMatrix(len(index), len(labels), ring)
     for col, lab in enumerate(labels):
@@ -138,18 +138,20 @@ def _reference_b(A, labels, index, q):
             for k, v in prod.items():
                 if slot == 0 or k != 0:
                     row = index[tensor[:slot] + (k,) + tensor[slot + 1:]]
-                    mat.add_at(row, col, ring.mul(sign, v))
+                    mat[row, col] = ring.add(mat[row, col], ring.mul(sign, v))
     return mat
 
 
 def _reference_B(A, labels, index, q):
-    """Connes' B of the bar complex, term by term through add_at."""
-    mat = SparseMatrix(len(index), len(labels), A.ring)
+    """Connes' B of the bar complex, term by term through the entry setter."""
+    ring = A.ring
+    mat = SparseMatrix(len(index), len(labels), ring)
     for col, lab in enumerate(labels):
         for i in range(q + 1):
             rotated = lab[i:] + lab[:i]
             if 0 not in rotated:
-                mat.add_at(index[(0,) + rotated], col, (-1) ** (q * i))
+                row = index[(0,) + rotated]
+                mat[row, col] = ring.add(mat[row, col], (-1) ** (q * i))
     return mat
 
 

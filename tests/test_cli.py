@@ -51,6 +51,28 @@ def test_parse_poly_forms():
     assert parse_poly("x^2 - 2", ["x"], 1) == {(2,): 1, (0,): -2}
     assert parse_poly("2x y^2 + 3", ["x", "y"], 1) == {(1, 2): 2, (0, 0): 3}
     assert parse_poly("x*x - x", ["x"], 1) == {(2,): 1, (1,): -1}
+    # consecutive signs compose
+    assert parse_poly("x^2 - -3", ["x"], 1) == {(2,): 1, (0,): 3}
+    assert parse_poly("-x + -2 - +1", ["x"], 1) == {(1,): -1, (0,): -3}
+
+
+@pytest.mark.parametrize("rel", ["x^2 +", "x^2 - -", "-"])
+def test_trailing_sign_is_a_parse_error(tmp_path, rel):
+    with pytest.raises(ParseError, match="dangling sign"):
+        parse_poly(rel, ["x"], 1)
+    src = tmp_path / "job.txt"
+    src.write_text(f"ring Z\nvars x\nrel {rel}\n", encoding="utf-8")
+    out = tmp_path / "e.json"
+    assert main(["--input", str(src), "--cmd", "hh", "--json", str(out)]) == 2
+    error = json.loads(out.read_text())["error"]
+    assert error["type"] == "ParseError"
+    assert "dangling sign" in error["detail"]
+
+
+@pytest.mark.parametrize("rel", ["x^2 * -3", "x^2*", "*x^2", "2 * * x"])
+def test_star_without_factors_is_a_parse_error(rel):
+    with pytest.raises(ParseError, match="factor on each side"):
+        parse_poly(rel, ["x"], 1)
 
 
 def test_non_quasi_monic_warning():

@@ -1,14 +1,16 @@
+import random
+
 import pytest
 
 from shukla.crystalline import (
-    L_complex, Lprime_complex, _form_words, _weights_upto, dbar, hc_layers_small,
-    hodge_hh,
+    L_complex, Lprime_complex, _form_words, _weights_upto, dbar, envelope_forms,
+    hc_layers_small, hodge_hh,
 )
 from shukla.errors import TooManyVariables
 from shukla.gammaforms import build_gamma_forms, hc_assemble, hh_assemble, hh_layers
 from shukla.linalg import GroundRing, HomologyGroup
 from shukla.mixed import cyclic_e2
-from shukla.models import Presentation, koszul_model
+from shukla.models import Presentation, koszul_model, rewrite
 
 Z = GroundRing.Z()
 Q = GroundRing.Q()
@@ -25,6 +27,7 @@ FLAT_FIXTURES = [
                  id="Z9-x2p3y_y2"),
     pytest.param(Q, ["x"], [{(2,): 2, (0,): -1}], id="Q-2x2m1"),
     pytest.param(Z, ["x"], [{(0,): 2}, {(2,): 1}], id="Z-2_x2"),
+    pytest.param(Z, ["x", "y"], [{(0, 0): 4}, {(2, 0): 1}, {(0, 2): 1}], id="Z-4_x2_y2"),
 ]
 
 
@@ -37,24 +40,117 @@ def zero_forms(P, weight_max):
     return _form_words(P, 0, _weights_upto(len(P.relations), weight_max))
 
 
+def word(P, alpha, Q, S):
+    """The forms monomial x^alpha dx_S gamma^Q(ds) of a presentation."""
+    return (tuple(alpha) + (0,) * len(P.relations)
+            + tuple(int(i in S) for i in range(len(P.variables))) + tuple(Q))
+
+
+def weight(P, w):
+    return sum(w[len(w) - len(P.relations):])
+
+
 def test_dbar_examples():
     P = pres(Z, ["x"], [{(2,): 1}])
+    F = envelope_forms(P)
     # dbar(gamma_2(x^2)) = gamma_1(x^2) * 2x dx
-    assert dbar(P, {((0,), (2,), ()): 1}) == {((1,), (1,), (0,)): 2}
+    assert dbar(F, {word(P, (0,), (2,), ()): 1}) == {word(P, (1,), (1,), (0,)): 2}
     # de Rham on reduced powers
-    assert dbar(P, {((1,), (0,), ()): 1}) == {((0,), (0,), (0,)): 1}
+    assert dbar(F, {word(P, (1,), (0,), ()): 1}) == {word(P, (0,), (0,), (0,)): 1}
     # dbar of dbar is zero on every window word
     for w in zero_forms(P, 3):
-        img = dbar(P, {w: 1})
-        assert dbar(P, img) == {}
+        img = dbar(F, {w: 1})
+        assert dbar(F, img) == {}
 
 
 def test_dbar_drops_weight_by_at_most_one():
     P = pres(Z, ["x", "y"], [{(2, 0): 1}, {(0, 2): 1}])
+    F = envelope_forms(P)
     for w in zero_forms(P, 3):
-        weight = sum(w[1])
-        for w2 in dbar(P, {w: 1}):
-            assert sum(w2[1]) >= weight - 1
+        for w2 in dbar(F, {w: 1}):
+            assert weight(P, w2) >= weight(P, w) - 1
+
+
+def _reference_dbar(pres, element, weight_cap=None):
+    """dbar on (alpha, Q, S) words by its own Leibniz rule: the de Rham
+    part on the reduced coefficient, and gamma_q(f_t) -> gamma_{q-1}(f_t)
+    df_t with each partial derivative of f_t formed term by term."""
+    out = {}
+
+    def add(w, c):
+        out[w] = out.get(w, 0) + c
+
+    for (alpha, Q, S), coeff in element.items():
+        if weight_cap is None or sum(Q) <= weight_cap:
+            for j, a in enumerate(alpha):
+                if a and j not in S:
+                    sign = (-1) ** sum(1 for s in S if s < j)
+                    na = tuple(v - (i == j) for i, v in enumerate(alpha))
+                    add((na, Q, tuple(sorted(S + (j,)))), coeff * a * sign)
+        for t, q in enumerate(Q):
+            if q == 0:
+                continue
+            Qm = tuple(v - (i == t) for i, v in enumerate(Q))
+            for j in range(len(pres.variables)):
+                if j in S:
+                    continue
+                shifted = {}
+                for exps, c in pres.relations[t].items():
+                    if exps[j]:
+                        e = tuple(a + v - (i == j)
+                                  for i, (a, v) in enumerate(zip(alpha, exps)))
+                        shifted[e] = shifted.get(e, 0) + c * exps[j]
+                sign = (-1) ** sum(1 for s in S if s < j)
+                ns = tuple(sorted(S + (j,)))
+                for (na, nq), c in rewrite(pres, shifted, Qm).items():
+                    if weight_cap is None or sum(nq) <= weight_cap:
+                        add((na, nq, ns), coeff * c * sign)
+    return out
+
+
+def _seeded_presentation(rnd, ring, with_const):
+    nv = rnd.choice([1, 2])
+    rels = []
+    for i in range(nv):
+        m = rnd.choice([2, 3])
+        rel = {tuple(m if j == i else 0 for j in range(nv)): 1}
+        for _ in range(2):
+            e = tuple(rnd.randrange(m) if j == i else rnd.randrange(2) for j in range(nv))
+            if sum(e) < m:
+                rel[e] = rel.get(e, 0) + rnd.randint(-3, 3)
+        rels.append(rel)
+    if with_const:
+        rels.insert(rnd.randrange(nv + 1), {(0,) * nv: 3 if ring.modulus == 9 else 2})
+    return pres(ring, ["x", "y"][:nv], rels)
+
+
+def _normalized(ring, element):
+    out = {w: ring.normalize(c) for w, c in element.items()}
+    return {w: c for w, c in out.items() if c}
+
+
+# a constant relation over Q is a unit, which leaves no quasi-monic presentation
+@pytest.mark.parametrize("ring,with_const", [
+    (Z, False), (Z, True), (GroundRing.Zmod(4), False), (GroundRing.Zmod(4), True),
+    (GroundRing.Zmod(9), False), (GroundRing.Zmod(9), True), (Q, False),
+], ids=["Z", "Z-const", "Z4", "Z4-const", "Z9", "Z9-const", "Q"])
+def test_dbar_matches_word_reference(ring, with_const):
+    rnd = random.Random(f"{ring.kind}{ring.modulus}{with_const}")
+    for _ in range(8):
+        P = _seeded_presentation(rnd, ring, with_const)
+        assert P.is_quasi_monic
+        F = envelope_forms(P)
+        n, r = len(P.variables), len(P.relations)
+        words = [(w[:n], w[n + r + n:], tuple(i for i in range(n) if w[n + r + i]))
+                 for f in range(n + 1)
+                 for w in _form_words(P, f, _weights_upto(r, 3))]
+        for _ in range(10):
+            element = {w: rnd.randint(-4, 4) or 1 for w in rnd.sample(words, 3)}
+            for cap in (None, 0, 1, 2):
+                got = dbar(F, {word(P, *w): c for w, c in element.items()}, cap)
+                ref = {word(P, *w): c
+                       for w, c in _reference_dbar(P, element, cap).items()}
+                assert _normalized(ring, got) == _normalized(ring, ref), (P, element, cap)
 
 
 def test_L_complex_low_hodge():
