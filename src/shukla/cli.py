@@ -28,7 +28,7 @@ from .errors import EngineError, ParseError, TooManyVariables
 from .gammaforms import (
     build_gamma_forms, hc_assemble, hh_assemble, hh_layers, witness_nondegeneracy,
 )
-from .linalg import GroundRing
+from .linalg import GroundRing, universal_coefficients
 from .mixed import cyclic_total, hochschild_total, validate
 from .models import Presentation, koszul_model
 
@@ -217,8 +217,23 @@ def _groups_json(groups):
     return {str(n): g.to_json() for n, g in enumerate(groups)}
 
 
-def _forms_complex(job):
-    return build_gamma_forms(koszul_model(job.presentation), job.n_max, job.poly_bound)
+def _forms_complex(job, pres):
+    return build_gamma_forms(koszul_model(pres), job.n_max, job.poly_bound)
+
+
+def _lifted(pres):
+    """The presentation to build from, and the map taking its groups
+    H_0..H_N to the groups over pres.ring.
+
+    A quasi-monic Z/m presentation is built over Z, whose elimination
+    keeps its coefficients small, and its forms and bar complexes are
+    read mod m by the universal coefficient theorem.  Every other
+    presentation is built as it is.
+    """
+    lift = pres.integral()
+    if lift is None:
+        return pres, lambda groups: groups
+    return lift, lambda groups: universal_coefficients(groups, pres.ring)
 
 
 def run(job, command):
@@ -233,25 +248,30 @@ def run(job, command):
         report["warnings"] = list(job.warnings)
     try:
         if command == "hh":
-            G = _forms_complex(job)
-            report["hh"] = _groups_json(hh_assemble(G, job.n_max))
+            pres, in_ring = _lifted(job.presentation)
+            G = _forms_complex(job, pres)
+            report["hh"] = _groups_json(in_ring(hh_assemble(G, job.n_max)))
             return report, True
         if command == "hc":
-            G = _forms_complex(job)
-            report["hc"] = _groups_json(cyclic_total(G.complex, job.n_max))
+            pres, in_ring = _lifted(job.presentation)
+            G = _forms_complex(job, pres)
+            report["hc"] = _groups_json(in_ring(cyclic_total(G.complex, job.n_max)))
             return report, True
         if command == "layers":
-            G = _forms_complex(job)
+            # Hodge layers are graded pieces of a filtration, which the
+            # universal coefficient theorem does not carry, so Z/m stays
+            # on the presented path
+            G = _forms_complex(job, job.presentation)
             report["hh"] = hh_layers(G, job.n_max).to_json()
             report["hc"] = hc_assemble(G, job.n_max).to_json()
             return report, True
         if command == "oracle":
-            A = from_presentation(job.presentation)
-            cplx = cyclic_mixed(A, job.n_max)
+            pres, in_ring = _lifted(job.presentation)
+            cplx = cyclic_mixed(from_presentation(pres), job.n_max)
             ok = bool(validate(cplx))
             report["validated"] = ok
-            report["hh"] = _groups_json(hochschild_total(cplx, job.n_max))
-            report["hc"] = _groups_json(cyclic_total(cplx, job.n_max))
+            report["hh"] = _groups_json(in_ring(hochschild_total(cplx, job.n_max)))
+            report["hc"] = _groups_json(in_ring(cyclic_total(cplx, job.n_max)))
             return report, ok
         if command == "compare":
             return _run_compare(job, report)
@@ -281,10 +301,13 @@ def _agree_table(columns):
 
 def _run_compare(job, report):
     pres = job.presentation
-    G = _forms_complex(job)
+    # the forms and oracle columns are built from the lift; the
+    # crystalline column stays on pres, a check the lift does not share
+    built, in_ring = _lifted(pres)
+    G = _forms_complex(job, built)
     n = job.n_max
-    hh_cols = {"gamma_forms": dict(enumerate(hh_assemble(G, n)))}
-    hc_cols = {"gamma_forms": dict(enumerate(cyclic_total(G.complex, n)))}
+    hh_cols = {"gamma_forms": dict(enumerate(in_ring(hh_assemble(G, n))))}
+    hc_cols = {"gamma_forms": dict(enumerate(in_ring(cyclic_total(G.complex, n))))}
     crys_hc = None
     if pres.is_quasi_monic:
         crys = hodge_hh(pres, n)
@@ -294,10 +317,9 @@ def _run_compare(job, report):
         except TooManyVariables:
             pass
         if not pres.consts:
-            A = from_presentation(pres)
-            cplx = cyclic_mixed(A, n)
-            hh_cols["oracle"] = dict(enumerate(hochschild_total(cplx, n)))
-            hc_cols["oracle"] = dict(enumerate(cyclic_total(cplx, n)))
+            cplx = cyclic_mixed(from_presentation(built), n)
+            hh_cols["oracle"] = dict(enumerate(in_ring(hochschild_total(cplx, n))))
+            hc_cols["oracle"] = dict(enumerate(in_ring(cyclic_total(cplx, n))))
     report["hh"] = {name: {str(k): g.to_json() for k, g in col.items()}
                     for name, col in hh_cols.items()}
     report["hc"] = {name: {str(k): g.to_json() for k, g in col.items()}

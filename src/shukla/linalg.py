@@ -1,7 +1,7 @@
 """Exact scalar arithmetic and integer matrix kernels.
 
 Everything here is exact: integers, integers mod m, or rationals.  The
-work is integer elimination, and the ground ring k is decided in three
+work is integer elimination, and the ground ring k is decided in four
 places only:
 
 - `_int_columns` is the lift of a matrix over k to integer columns.  Q
@@ -11,6 +11,9 @@ places only:
 - `_tensor` returns an integer group (x) k: the group itself over Z and
   Z/m (over Z/m the lattices already hold every m*e_i), its free part
   over Q.  `subquotient` and `homology_at` report through it.
+- `universal_coefficients` turns the groups of a free complex over Z
+  into those of its reduction mod m, for the Z/m complexes that are
+  built over Z (`models.Presentation.integral`).
 - `preimage` asks `is_unit` and `inv` of the ring about one integer g,
   the gcd of the last coordinates of the kernel of [M | b].
 
@@ -795,6 +798,25 @@ def _tensor(free, factors, ring):
     return HomologyGroup.from_factors(free, factors)
 
 
+def universal_coefficients(groups, ring):
+    """H_0..H_N of C (x) Z/m from the groups H_0..H_N of a complex C of
+    free Z-modules: H_n (x) Z/m + Tor(H_{n-1}, Z/m) (Weibel, *An
+    Introduction to Homological Algebra*, Thm 3.6.2).
+
+    Z (x) Z/m = Z/m and Z/d (x) Z/m = Tor(Z/d, Z/m) = Z/gcd(d, m); a
+    free summand of H_{n-1} has no Tor.
+    """
+    m = ring.modulus
+    out = []
+    below = ()
+    for h in groups:
+        factors = [m] * h.free_rank
+        factors += [math.gcd(d, m) for d in h.invariant_factors + below]
+        out.append(HomologyGroup.from_factors(0, factors))
+        below = h.invariant_factors
+    return out
+
+
 def subquotient(gens_big, gens_small, nrows, ring, want_generators=False):
     """(span gens_big) / (span gens_small) (x) k, gens_small inside.
 
@@ -867,8 +889,10 @@ def homology_at(d_in, d_out, ring, r_out=None):
     d_in: C_{n+1} -> C_n and d_out: C_n -> C_{n-1} as SparseMatrix.
     Raises CompositionNonzero unless d_out * d_in = 0 over the ring.
     r_out, when given, is the rank of d_out over Z or Q, already known
-    to the caller; it is not used over Z/m.  chain_homology reads the
-    rank of d_in back from the result.
+    to the caller; it is not used over Z/m, where the group comes from
+    the presented module.  chain_homology reads the rank of d_in back
+    from the result.  A Z/m complex that lifts to Z is built over Z by
+    its caller and never reaches the Z/m branch.
     """
     if d_in.rows != d_out.cols:
         raise ValueError("middle dimensions disagree")
@@ -907,7 +931,9 @@ def chain_homology(ds, ring):
     part.  (Every caller's ds[0] is the boundary into degree -1, with no
     rows, so that first rank is 0.)  A zero middle gives 0, with no
     homology_at call, and passes rank 0 on.  Over Z/m every degree takes
-    the presented-module path.
+    the presented-module path; a complex that is the reduction of a free
+    complex over Z is swept over Z instead, and universal_coefficients
+    gives its Z/m groups.
     """
     ranked = ring.kind != "Zmod"
     groups = []

@@ -7,9 +7,10 @@ import pytest
 
 from shukla.errors import CompositionNonzero
 from shukla.linalg import (
-    ColumnEchelon, GroundRing, HomologyGroup, SparseMatrix, dense_snf, det,
-    homology_at, invariant_factors_sparse, kernel_basis, preimage, snf,
-    subquotient, _int_columns, integer_rank,
+    ColumnEchelon, GroundRing, HomologyGroup, SparseMatrix, chain_homology,
+    dense_snf, det, homology_at, invariant_factors_sparse, kernel_basis,
+    preimage, snf, subquotient, universal_coefficients, _int_columns,
+    integer_rank,
 )
 
 Z = GroundRing.Z()
@@ -442,6 +443,51 @@ def test_homology_mod_m():
     zero_out = SparseMatrix(0, 2, Zm)
     h = homology_at(zero_in, zero_out, Zm)
     assert h == HomologyGroup.from_factors(0, [4, 4])
+
+
+def test_universal_coefficients_tor_of_the_degree_below():
+    # H_0 = Z/6 over Z gives Z/2 in H_0 mod 4 and Tor(Z/6, Z/4) = Z/2 in H_1
+    got = universal_coefficients([HomologyGroup(0, (6,)), HomologyGroup(0, ())],
+                                 GroundRing.Zmod(4))
+    assert got == [HomologyGroup(0, (2,)), HomologyGroup(0, (2,))]
+
+
+def test_universal_coefficients_drops_factors_prime_to_m():
+    got = universal_coefficients([HomologyGroup(0, (3,)), HomologyGroup(0, (5, 15))],
+                                 GroundRing.Zmod(4))
+    assert got == [HomologyGroup(0, ()), HomologyGroup(0, ())]
+
+
+def test_universal_coefficients_free_rank_becomes_m_torsion():
+    # Z has no Tor, so a free H_0 adds nothing to H_1
+    got = universal_coefficients([HomologyGroup(2, ()), HomologyGroup(1, (4,))],
+                                 GroundRing.Zmod(6))
+    assert got == [HomologyGroup(0, (6, 6)), HomologyGroup.from_factors(0, [6, 2])]
+    assert all(g.free_rank == 0 for g in got)
+
+
+@pytest.mark.parametrize("m", [4, 6, 9])
+def test_universal_coefficients_matches_the_presented_path(m):
+    # random free chains over Z: C_2 -> C_1 -> C_0, d_2 built from integer
+    # kernel vectors of d_1; their reductions mod m go the presented way
+    rng = random.Random(m)
+    Zm = GroundRing.Zmod(m)
+    for _ in range(30):
+        c0, c1, c2 = rng.randint(1, 4), rng.randint(1, 5), rng.randint(1, 4)
+        d1 = [[rng.choice([0, 0, 1, 2, 3, -6]) for _ in range(c1)] for _ in range(c0)]
+        ker = kernel_basis(_int_columns(mat(d1)), c0)
+        d2 = [[0] * c2 for _ in range(c1)]
+        for j in range(c2):
+            for vec in ker:
+                s = rng.choice([0, 1, 2, 3, 4])
+                for i, v in vec.items():
+                    d2[i][j] += s * v
+
+        def chain(ring):
+            return [SparseMatrix(0, c0, ring), mat(d1, ring), mat(d2, ring),
+                    SparseMatrix(c2, 0, ring)]
+        assert (universal_coefficients(chain_homology(chain(Z), Z), Zm)
+                == chain_homology(chain(Zm), Zm))
 
 
 def test_preimage_identity_and_parity():
