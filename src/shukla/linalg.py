@@ -580,11 +580,12 @@ class ColumnEchelon:
         return coords, col
 
 
-def _int_columns(matrix):
+def _int_columns(matrix, drop=()):
     """The lift of a SparseMatrix over the ring to integer column dicts.
 
     Q entries are scaled by their common denominator.  Over Z/m one
     relation column m*e_i per row follows the matrix's own columns.
+    Entries in the rows of `drop` are left out.
     """
     ring = matrix.ring
     scale = 1
@@ -592,7 +593,8 @@ def _int_columns(matrix):
         scale = math.lcm(*{v.denominator for v in matrix.entries.values()})
     cols = [dict() for _ in range(matrix.cols)]
     for (i, j), v in matrix.entries.items():
-        cols[j][i] = int(v * scale) if scale != 1 else int(v)
+        if i not in drop:
+            cols[j][i] = int(v * scale) if scale != 1 else int(v)
     if ring.kind == "Zmod":
         cols += [{i: ring.modulus} for i in range(matrix.rows)]
     return cols
@@ -636,11 +638,13 @@ def _nearest_quotient(a, b):
     return q
 
 
-def invariant_factors_sparse(columns, nrows):
+def invariant_factors_sparse(columns, nrows, cancelled=None):
     """Nontrivial invariant factors and rank of an integer matrix.
 
     Returns (factors, rank) where factors is the normalized chain of
-    entries >= 2 and rank counts all nonzero diagonal entries.
+    entries >= 2 and rank counts all nonzero diagonal entries.  When
+    `cancelled` is a set, the column of every unit pivot isolated before
+    the first column operation is added to it (see chain_homology).
 
     Every pivot is eliminated sparsely until it is isolated, the only
     nonzero of its row and column; then coker = Z/|v| + coker(rest), so
@@ -661,6 +665,17 @@ def invariant_factors_sparse(columns, nrows):
     column ops touch only the pivot row, and again a surviving remainder
     becomes the pivot.  |v| falls with every move, so the step ends; a
     unit pivot is isolated in one pass.
+
+    Those cancelled columns P satisfy a lemma.  Until the first column
+    operation every row left is a row of L*A for a unimodular L, and the
+    row of a unit pivot at column p holds, besides p, only columns not
+    yet eliminated.  So on ker A each x_p is an integer combination of
+    later coordinates, and by back-substitution x_P is an integral
+    linear function of x_{P^c}: the projection ker A -> Z^{P^c} is
+    injective and its image is saturated.  A unit pivot reached after a
+    column operation is in coordinates U^-1 x and does not qualify: with
+    it, d_1 = [[-5, 17]] would cancel column 0, and its d_2 =
+    [[68, 34], [20, 10]] left with row 1 alone gives H_1 = C10, not C2.
     """
     rows = {}
     cols = {}
@@ -693,6 +708,7 @@ def invariant_factors_sparse(columns, nrows):
     heap = list(queued.values())
     heapq.heapify(heap)
     isolated = []
+    row_ops_only = cancelled is not None  # and no column operation yet
     while heap:
         key = heapq.heappop(heap)
         old_score, pi = divmod(key, span)
@@ -734,7 +750,8 @@ def invariant_factors_sparse(columns, nrows):
                 pi = move[1]
                 continue
             # the column is {pi: piv}: column ops change row pi only
-            if not unit:
+            if not unit and len(prow) > 1:
+                row_ops_only = False
                 for j, v in list(prow.items()):
                     if j != pj:
                         r = v - _nearest_quotient(v, piv) * piv
@@ -750,6 +767,8 @@ def invariant_factors_sparse(columns, nrows):
                 break
             pj = move[1]
         isolated.append(piv)
+        if unit and row_ops_only:
+            cancelled.add(pj)
         del rows[pi]
         queued.pop(pi, None)
         touched.discard(pi)
@@ -883,7 +902,7 @@ def homology_from_presentation(d_in_cols, d_out_cols, mid_dim, out_dim, ring,
                        want_generators=want_generators)
 
 
-def homology_at(d_in, d_out, ring, r_out=None):
+def homology_at(d_in, d_out, ring, r_out=None, cancelled=None):
     """Isomorphism class of ker(d_out)/im(d_in) over the ground ring.
 
     d_in: C_{n+1} -> C_n and d_out: C_n -> C_{n-1} as SparseMatrix.
@@ -893,6 +912,11 @@ def homology_at(d_in, d_out, ring, r_out=None):
     the presented module.  chain_homology reads the rank of d_in back
     from the result.  A Z/m complex that lifts to Z is built over Z by
     its caller and never reaches the Z/m branch.
+
+    cancelled, over Z only, is a set of rows of d_in that the
+    elimination of d_out cancelled (invariant_factors_sparse): d_in is
+    eliminated without them, and the set is refilled with the columns
+    of d_in that this elimination cancels.
     """
     if d_in.rows != d_out.cols:
         raise ValueError("middle dimensions disagree")
@@ -914,8 +938,12 @@ def homology_at(d_in, d_out, ring, r_out=None):
         r_in = integer_rank(_int_columns(d_in), n)
         return HomologyGroup.from_factors(n - r_in - r_out, ())
     # Torsion of ker/im equals torsion of Z^n/im since the quotient by
-    # the kernel is free.
-    factors, r_in = invariant_factors_sparse(_int_columns(d_in), n)
+    # the kernel is free; without the cancelled rows, ker d_out is a
+    # saturated lattice of the rest, so the torsion and rank stay.
+    columns = _int_columns(d_in, cancelled or ())
+    if cancelled is not None:
+        cancelled.clear()
+    factors, r_in = invariant_factors_sparse(columns, n, cancelled)
     return _tensor(n - r_in - r_out, factors, ring)
 
 
@@ -934,8 +962,23 @@ def chain_homology(ds, ring):
     the presented-module path; a complex that is the reduction of a free
     complex over Z is swept over Z instead, and universal_coefficients
     gives its Z/m groups.
+
+    Over Z, unit pivots are cancelled along the sweep (Kaczynski, Mrozek
+    and Slusarek, *Homology computation by reduction of chain
+    complexes*, 1998).  The elimination of ds[n + 1] returns the set P
+    of columns where it isolated a unit pivot before its first column
+    operation.  By the lemma in invariant_factors_sparse, the projection
+    to Z^{P^c} maps ker ds[n + 1] isomorphically onto a saturated
+    lattice.  So ds[n + 2] without its rows P keeps its rank, H_{n+1}
+    keeps the torsion of Z^{P^c} modulo its image, and it is eliminated
+    without those rows; its kernel is unchanged, so the lemma holds
+    again one degree up.  Not every unit pivot qualifies: d_1 =
+    [[-5, 17]] reaches its unit only through column operations, and
+    dropping the row at that column from d_2 = [[68, 34], [20, 10]]
+    turns H_1 = C2 into C10.
     """
     ranked = ring.kind != "Zmod"
+    cancelled = set() if ring.kind == "Z" else None
     groups = []
     r_out = None
     for n in range(len(ds) - 1):
@@ -946,7 +989,7 @@ def chain_homology(ds, ring):
             continue
         if ranked and r_out is None:
             r_out = integer_rank(_int_columns(d_out), d_out.rows)
-        h = homology_at(d_in, d_out, ring, r_out)
+        h = homology_at(d_in, d_out, ring, r_out, cancelled)
         groups.append(h)
         if ranked:
             r_out = d_in.rows - r_out - h.free_rank

@@ -393,6 +393,19 @@ def test_homology_composition_check():
         homology_at(d_in, d_out, Z)
 
 
+def test_chain_homology_cancels_no_unit_reached_by_column_operations():
+    # d_1 = [[-5, 17]] reaches a unit pivot only after column operations;
+    # its column is no cancellation, and dropping the row of d_2 there
+    # would read H_1 = C10 instead of ker d_1 / im d_2 = Z(17, 5) / 2Z
+    ds = [SparseMatrix(0, 1, Z), mat([[-5, 17]]), mat([[68, 34], [20, 10]]),
+          SparseMatrix(2, 0, Z)]
+    assert chain_homology(ds, Z) == [HomologyGroup(0, ()), HomologyGroup(0, (2,)),
+                                     HomologyGroup(1, ())]
+    cancelled = set()
+    assert invariant_factors_sparse([{0: -5}, {0: 17}], 1, cancelled) == ([], 1)
+    assert cancelled == set()
+
+
 def test_homology_free_rank_against_rational_oracle():
     rng = random.Random(31337)
     for _ in range(100):

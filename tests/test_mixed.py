@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from shukla.dpalgebra import (
@@ -281,9 +283,57 @@ SWEEP_COMPLEXES = {
 
 
 def _homology_per_degree(ds, ring):
-    """The reference sweep: one homology_at per degree, no rank passed on."""
+    """The reference sweep: one homology_at per degree, no rank passed on
+    and no row cancelled."""
     from shukla.linalg import homology_at
     return [homology_at(ds[n + 1], ds[n], ring) for n in range(len(ds) - 1)]
+
+
+def _unimodular(rng, n):
+    """A random unimodular n x n integer matrix P and its inverse."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    p_inv = [row[:] for row in p]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        q = rng.choice([-2, -1, 1, 2])
+        # P <- (1 + q e_ij) P and P^-1 <- P^-1 (1 - q e_ij)
+        p[i] = [a + q * b for a, b in zip(p[i], p[j])]
+        for row in p_inv:
+            row[j] -= q * row[i]
+    return p, p_inv
+
+
+def test_chain_homology_matches_known_groups_on_random_complexes():
+    """C_n is split as B_n + F_n + E_n: D_n sends the k-th basis vector of
+    E_n to s_k times the k-th of B_{n-1}, with s_k in {+-1, 2, 3, 4, 6},
+    so H_n = Z^|F_n| plus Z/|s| over the non-unit s of D_{n+1}.  The
+    boundaries are d_n = P_{n-1} D_n P_n^-1 for random unimodular P_n."""
+    from shukla.linalg import SparseMatrix, chain_homology
+    rng = random.Random(18)
+    for _ in range(1500):
+        top = rng.randint(1, 3)  # degrees 0..top
+        ranks = [0] + [rng.randint(0, 2) for _ in range(top)] + [0]
+        free = [rng.randint(0, 2) for _ in range(top + 1)]
+        dims = [ranks[n + 1] + free[n] + ranks[n] for n in range(top + 1)]
+        if not all(dims) or max(dims) > 6:
+            continue
+        scales = [[rng.choice([1, -1, 2, 3, 4, 6]) for _ in range(r)] for r in ranks]
+        ps = [_unimodular(rng, c) for c in dims]
+        ds = [SparseMatrix(0, dims[0], Z)]
+        for n in range(1, top + 1):
+            # B_{n-1} leads C_{n-1}; E_n trails C_n
+            d = [[0] * dims[n] for _ in range(dims[n - 1])]
+            for k, s in enumerate(scales[n]):
+                d[k][dims[n] - ranks[n] + k] = s
+            ds.append(SparseMatrix.from_rows(ps[n - 1][0], Z)
+                      * SparseMatrix.from_rows(d, Z)
+                      * SparseMatrix.from_rows(ps[n][1], Z))
+        ds.append(SparseMatrix(dims[top], 0, Z))
+        known = [HomologyGroup.from_factors(
+            free[n], [abs(s) for s in scales[n + 1] if abs(s) != 1])
+            for n in range(top + 1)]
+        assert chain_homology(ds, Z) == known
+        assert _homology_per_degree(ds, Z) == known
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_COMPLEXES))
@@ -336,29 +386,34 @@ def test_cyclic_e2_matches_homology_per_degree(text):
 @pytest.fixture
 def eliminated(monkeypatch):
     """The boundaries whose integer lifts reach integer_rank and
-    invariant_factors_sparse, in call order, as SparseMatrix objects."""
+    invariant_factors_sparse, in call order, as SparseMatrix objects;
+    under "columns", the lifts that invariant_factors_sparse saw."""
     import shukla.linalg as linalg
     seen = {"integer_rank": [], "invariant_factors_sparse": []}
     lifted = {}  # id of a column list -> (the list, its matrix), both kept alive
     int_columns = linalg._int_columns
+    columns_seen = []
 
-    def spy_columns(matrix):
-        cols = int_columns(matrix)
+    def spy_columns(matrix, *drop):
+        cols = int_columns(matrix, *drop)
         lifted[id(cols)] = (cols, matrix)
         return cols
 
     def spy(name):
         original = getattr(linalg, name)
 
-        def wrapper(columns, nrows):
+        def wrapper(columns, nrows, *cancelled):
             seen[name].append(lifted[id(columns)][1])
-            return original(columns, nrows)
+            if name == "invariant_factors_sparse":
+                columns_seen.append(columns)
+            return original(columns, nrows, *cancelled)
         return wrapper
 
     # chain_homology and homology_at, in linalg, are the only callers
     monkeypatch.setattr(linalg, "_int_columns", spy_columns)
     for name in seen:
         monkeypatch.setattr(linalg, name, spy(name))
+    seen["columns"] = columns_seen
     return seen
 
 
@@ -398,6 +453,12 @@ def test_sweeps_eliminate_each_boundary_once(name, eliminated):
         assert d[0].rows == 0
         assert ranked == [id(d[0])]
         assert ids("invariant_factors_sparse") == [id(m) for m in d[1:]]
+        if name == "oracle_Z_x4m2x_n3":
+            # the unit pivots of a boundary cancel rows of the next one
+            seen = zip(eliminated["invariant_factors_sparse"],
+                       eliminated["columns"])
+            assert any(len({i for col in cols for i in col})
+                       < len({i for (i, _) in m.entries}) for m, cols in seen)
     check(1)
 
 
