@@ -72,13 +72,26 @@ def dbar(forms, element, weight_cap=None):
     are dropped (the quotient by that filtration level), and without a
     cap the result is exact.  Coefficients are not reduced in the ring.
     """
-    n, q0 = forms.n, forms.q0
+    n, q0, pres = forms.n, forms.q0, forms.pres
+    bounds = [(i, m) for i, (_, m, _) in pres.rules.items()]
     out = {}
     for word, coeff in element.items():
+        # an image term whose x part is below every rule's bound is a
+        # word already; the others go to rewrite, one call per non-x part
+        parts = {}
         for img, c in _leibniz(forms.deriv, forms.table, word).items():
-            for (alpha, Q), c2 in rewrite(forms.pres, {img[:n]: c}, img[q0:]).items():
+            for i, m in bounds:
+                if img[i] >= m:
+                    parts.setdefault(img[n:], {})[img[:n]] = c
+                    break
+            else:
+                if weight_cap is None or sum(img[q0:]) <= weight_cap:
+                    out[img] = out.get(img, 0) + coeff * c
+        for rest, terms in parts.items():
+            mid = rest[:q0 - n]
+            for (alpha, Q), c2 in rewrite(pres, terms, rest[q0 - n:]).items():
                 if weight_cap is None or sum(Q) <= weight_cap:
-                    key = alpha + img[n:q0] + Q
+                    key = alpha + mid + Q
                     out[key] = out.get(key, 0) + coeff * c2
     return {w: c for w, c in out.items() if c}
 

@@ -358,22 +358,56 @@ class Slice:
         return e
 
 
-def _tails(gens, memo, i, h, w, budget):
+def _least_budgets(gens, hdeg, weight):
+    """The need table of a slice: need[i] maps each (h, w) with
+    h <= hdeg and w <= weight that some exponent vector over gens[i:]
+    reaches to the least truncation degree of such a vector.
+
+    need[len(gens)] holds only (0, 0) at 0, and need[i] adds the
+    exponents of generator i to the entries of need[i + 1].  Grades are
+    non-negative, so the exponents stop where (h, w) passes the caps; a
+    generator of degree and weight 0 reaches nothing new at a lower
+    truncation degree, so its level shares the table of the next one.
+    """
+    cur = {(0, 0): 0} if hdeg >= 0 and weight >= 0 else {}
+    need = [cur]
+    for g in reversed(gens):
+        if g.hdeg or g.weight:
+            prev, cur = cur, dict(cur)
+            for (h, w), b in prev.items():
+                for e in (1,) if g.kind == EXTERIOR else count(1):
+                    nh = h + e * g.hdeg
+                    nw = w + e * g.weight
+                    if nh > hdeg or nw > weight:
+                        break
+                    nb = b + e * g.poly_weight
+                    if cur.get((nh, nw), nb + 1) > nb:
+                        cur[nh, nw] = nb
+        need.append(cur)
+    need.reverse()
+    return need
+
+
+def _tails(gens, need, memo, i, h, w, budget):
     """The exponent vectors over gens[i:] of degree h, weight w and
     truncation degree at most budget (None: no bound), sorted.
 
     Generator i's exponent ascends, each followed by its suffixes in
-    order, so the vectors come out sorted.  memo holds the lists already
-    made, keyed (i, h, w, budget).
+    order, so the vectors come out sorted.  need is _least_budgets of the
+    slice: an exponent whose remainder (h', w') is missing from
+    need[i + 1], or needs more than the budget left, is skipped, so a
+    call is made only where some vector exists and no list comes back
+    empty.  memo holds the lists already made, keyed (i, h, w, budget).
     """
     key = (i, h, w, budget)
     out = memo.get(key)
     if out is not None:
         return out
     if i == len(gens):
-        out = [()] if h == 0 and w == 0 else []
+        out = [()]
     else:
         g = gens[i]
+        reach = need[i + 1]
         out = []
         for e in range(2) if g.kind == EXTERIOR else count():
             nh = h - e * g.hdeg
@@ -381,7 +415,10 @@ def _tails(gens, memo, i, h, w, budget):
             nb = budget - e * g.poly_weight if budget is not None else None
             if nh < 0 or nw < 0 or (nb is not None and nb < 0):
                 break
-            out += [(e,) + t for t in _tails(gens, memo, i + 1, nh, nw, nb)]
+            least = reach.get((nh, nw))
+            if least is None or (nb is not None and least > nb):
+                continue
+            out += [(e,) + t for t in _tails(gens, need, memo, i + 1, nh, nw, nb)]
     memo[key] = out
     return out
 
@@ -394,18 +431,28 @@ def basis_slice(algebra, hdeg, weight, poly_bound=None):
     whenever the slice would otherwise be infinite.  Monomials come out
     sorted as exponent vectors.
 
+    The call first builds the need table (_least_budgets): for each
+    generator i and each (h, w) up to (hdeg, weight), the least
+    truncation degree of a vector over the generators from i on with
+    degree h and weight w.  The enumeration descends only into
+    remainders that table says can still be met within the budget left.
     The suffixes are memoized within the call: the exponent vectors over
     the generators from i on with degree h, weight w and truncation
     degree at most budget are listed once per (i, h, w, budget), and
-    every prefix that leaves that remainder reuses them.
+    every prefix that leaves that remainder reuses them.  Table and memo
+    are freed when the call returns.
     """
     gens = algebra.generators
     for g in gens:
         if (g.kind == POLYNOMIAL and g.hdeg == 0 and g.weight == 0
                 and (poly_bound is None or g.poly_weight == 0)):
             raise ValueError(f"slice on {g.name!r} is infinite without a poly bound")
+    need = _least_budgets(gens, hdeg, weight)
+    least = need[0].get((hdeg, weight))
+    if least is None or (poly_bound is not None and least > poly_bound):
+        return Slice(algebra, hdeg, weight, poly_bound, ())
     return Slice(algebra, hdeg, weight, poly_bound,
-                 tuple(_tails(gens, {}, 0, hdeg, weight, poly_bound)))
+                 tuple(_tails(gens, need, {}, 0, hdeg, weight, poly_bound)))
 
 
 def derivation_matrix(deriv, source, target):

@@ -201,20 +201,33 @@ class SparseMatrix:
         return out
 
     def __mul__(self, other):
+        """The product, one column at a time: for each run of entries of
+        other in one column k, other[j, k] times column j of self is
+        summed under plain row keys, and only the nonzero sums become
+        (row, k) entries.  A column whose entries come in several runs
+        adds each run to what the earlier ones left."""
         if not isinstance(other, SparseMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         ring = self.ring
-        by_row = {}
-        for (i, k), v in other.entries.items():
-            by_row.setdefault(i, []).append((k, v))
-        acc = {}
+        self_cols = {}
         for (i, j), v in self.entries.items():
-            for (k, w) in by_row.get(j, ()):
-                key = (i, k)
-                acc[key] = acc.get(key, 0) + v * w
-        return SparseMatrix.from_sums(self.rows, other.cols, ring, acc)
+            self_cols.setdefault(j, []).append((i, v))
+        m = SparseMatrix(self.rows, other.cols, ring)
+        acc = {}
+        run = None
+        for (j, k), w in other.entries.items():
+            if k != run:
+                if acc:
+                    _add_column(m.entries, run, acc, ring.normalize)
+                    acc.clear()
+                run = k
+            for i, v in self_cols.get(j, ()):
+                acc[i] = acc.get(i, 0) + v * w
+        if acc:
+            _add_column(m.entries, run, acc, ring.normalize)
+        return m
 
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -241,6 +254,20 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
+
+
+def _add_column(entries, k, sums, normalize):
+    """Add the row sums of column k into a product's entries, keeping
+    only the nonzero results; a zero sum leaves its entry as it is."""
+    for i, v in sums.items():
+        if not v:
+            continue
+        key = (i, k)
+        if key in entries:
+            v += entries.pop(key)
+        v = normalize(v)
+        if v:
+            entries[key] = v
 
 
 def _normalize_torsion(factors):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from shukla import crystalline
 from shukla.crystalline import (
     L_complex, Lprime_complex, _form_words, _weights_upto, dbar, envelope_forms,
     hc_layers_small, hodge_hh,
@@ -69,6 +70,29 @@ def test_dbar_drops_weight_by_at_most_one():
     for w in zero_forms(P, 3):
         for w2 in dbar(F, {w: 1}):
             assert weight(P, w2) >= weight(P, w) - 1
+
+
+def test_dbar_rewrites_once_per_unreduced_part(monkeypatch):
+    # f = x^2 + xy: -delta(xy gamma_1(ds)) = xy df
+    # = (2x^2y + xy^2) dx + x^2y dy.  Both dx terms meet a rule's bound
+    # and share their non-x part, so they go to rewrite in one call, the
+    # dy term in another; d(xy gamma_1(ds)) = (y dx + x dy) gamma_1(ds)
+    # is reduced and goes to none.
+    calls = []
+
+    def spy(P, terms, Q):
+        calls.append(dict(terms))
+        return rewrite(P, terms, Q)
+
+    monkeypatch.setattr(crystalline, "rewrite", spy)
+    P = pres(Z, ["x", "y"], [{(2, 0): 1, (1, 1): 1}, {(0, 2): 1}])
+    F = envelope_forms(P)
+    for cap in (None, 0):
+        calls.clear()
+        got = dbar(F, {word(P, (1, 1), (1, 0), ()): 1}, cap)
+        assert sorted(calls, key=len) == [{(2, 1): 1}, {(2, 1): 2, (1, 2): 1}]
+        ref = _reference_dbar(P, {((1, 1), (1, 0), ()): 1}, cap)
+        assert got == {word(P, *w): c for w, c in ref.items()}
 
 
 def _reference_dbar(pres, element, weight_cap=None):

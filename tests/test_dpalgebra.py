@@ -8,8 +8,8 @@ import pytest
 from shukla.errors import TruncationOverflow, UndefinedGenerator
 from shukla.dpalgebra import (
     DIVIDED_POWER, EXTERIOR, POLYNOMIAL, Element, GammaDerivation, Generator,
-    GradedAlgebra, Slice, basis_slice, contraction_complex, derivation_matrix,
-    derive, homotopy_h,
+    GradedAlgebra, Slice, _least_budgets, _tails, basis_slice, contraction_complex,
+    derivation_matrix, derive, homotopy_h,
 )
 from shukla import gammaforms
 from shukla.gammaforms import build_gamma_forms, witness_model
@@ -435,17 +435,67 @@ def _brute_force_slice(alg, h, w, bound):
 
 
 # the forms algebras of the presentations of the benchmark corpus
-@pytest.mark.parametrize("variables, rels, n_max", [
+corpus_forms_algebras = pytest.mark.parametrize("variables, rels, n_max", [
     (["x", "y"], [{(2, 0): 1}, {(0, 2): 1}], 3),
     (["x", "y", "z"], [{(2, 0, 0): 1}, {(0, 2, 0): 1}, {(0, 0, 2): 1}], 1),
     (["x", "y"], [{(2, 0): 1, (0, 3): -1}], 3),
     (["x", "y"], [{(0, 0): 4}, {(2, 0): 1}, {(0, 2): 1}], 2),
 ], ids=["x2_y2", "x2_y2_z2", "cusp", "4_x2_y2"])
+
+
+@corpus_forms_algebras
 def test_basis_slice_matches_brute_force_on_forms_algebras(variables, rels, n_max):
     P = Presentation.make(Z, variables, rels)
     G = build_gamma_forms(koszul_model(P), n_max)
     for (h, q), s in G.slices.items():
         assert s.monomials == _brute_force_slice(G.algebra, h, q, G.poly_bound), (h, q)
+
+
+@corpus_forms_algebras
+def test_tails_makes_no_empty_list_on_forms_algebras(variables, rels, n_max):
+    # the need table keeps the enumeration out of every remainder that
+    # cannot be met within the budget left, so each suffix list it makes
+    # holds a vector
+    P = Presentation.make(Z, variables, rels)
+    G = build_gamma_forms(koszul_model(P), n_max)
+    gens = G.algebra.generators
+    made = 0
+    for (h, q), s in G.slices.items():
+        if not s.dim:
+            continue
+        memo = {}
+        need = _least_budgets(gens, h, q)
+        assert tuple(_tails(gens, need, memo, 0, h, q, G.poly_bound)) == s.monomials
+        assert all(memo.values()), (h, q)
+        made += len(memo)
+    assert made
+
+
+def test_least_budgets_match_brute_force():
+    # exponents up to 3 reach every (h, w) <= (5, 2), and a degree-0
+    # letter only raises the truncation degree
+    rng = random.Random(6)
+    for _ in range(4):
+        alg = _all_kinds_algebra(Z, rng)
+        gens = alg.generators
+        grades = _brute_force_grades(alg)
+        need = _least_budgets(gens, 5, 2)
+        assert len(need) == len(gens) + 1
+        for i in range(len(gens) + 1):
+            expected = {}
+            for vec, vh, vw, vp in grades:
+                if vh <= 5 and vw <= 2 and not any(vec[:i]):
+                    expected[vh, vw] = min(expected.get((vh, vw), vp), vp)
+            assert need[i] == expected, i
+
+
+def test_basis_slice_on_an_empty_generator_table():
+    alg = GradedAlgebra(Z, [])
+    for bound in (None, 0, 3):
+        for h in range(-1, 3):
+            for w in range(-1, 3):
+                expected = ((),) if (h, w) == (0, 0) else ()
+                assert basis_slice(alg, h, w, bound).monomials == expected, (h, w)
 
 
 def test_basis_slice_matches_brute_force_without_bound():
