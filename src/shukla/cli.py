@@ -20,7 +20,7 @@ import json
 import random
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .baroracle import cyclic_mixed, from_presentation
 from .crystalline import hc_layers_small, hodge_hh
@@ -236,8 +236,28 @@ def _lifted(pres):
     return lift, lambda groups: universal_coefficients(groups, pres.ring)
 
 
+def _zero_if_unit(pres):
+    """pres, or the presentation of A = 0 (no variables and the one
+    relation 1) when a constant relation of pres is a unit of k.
+
+    Then 1 = 0 in A and every group is 0, which the forms complex of the
+    small presentation shows at once; the presented-module path on the
+    original variables can run for minutes (Z/8 or Z/9 with a unit
+    constant) before it finds the same.
+    """
+    ring = pres.ring
+    for rel in pres.relations:
+        (exps, c), *more = rel.items()
+        if not more and not any(exps) and ring.is_unit(c):
+            return Presentation.make(ring, (), ({(): 1},))
+    return pres
+
+
 def run(job, command):
-    """Execute one command; returns (report dict, ok flag)."""
+    """Execute one command; returns (report dict, ok flag).
+
+    The report echoes the job as given; the pipelines are built from
+    _zero_if_unit of its presentation."""
     report = {
         "command": command,
         "ring": repr(job.presentation.ring),
@@ -246,6 +266,7 @@ def run(job, command):
     }
     if job.warnings:
         report["warnings"] = list(job.warnings)
+    job = replace(job, presentation=_zero_if_unit(job.presentation))
     try:
         if command == "hh":
             pres, in_ring = _lifted(job.presentation)

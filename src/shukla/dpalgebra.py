@@ -17,6 +17,7 @@ D(gamma_q(v)) = gamma_{q-1}(v) D(v).
 from dataclasses import dataclass
 from itertools import count
 from math import comb
+from operator import add
 
 from .errors import TruncationOverflow, UndefinedGenerator
 from .linalg import SparseMatrix
@@ -455,15 +456,76 @@ def basis_slice(algebra, hdeg, weight, poly_bound=None):
                  tuple(_tails(gens, need, {}, 0, hdeg, weight, poly_bound)))
 
 
+def _r_parts(deriv, table, lead_values, p, r):
+    """The images a monomial x^a * r shares with every other a, for
+    derivation_matrix: (own, lead, merge).
+
+    own is D(r), its coefficients reduced in the ring and its zero terms
+    dropped; lead[i] is D(x_i) r, from the terms lead_values[i] of
+    D(x_i), and lead is None when every D(x_i) r is 0.  Each holds
+    (x, rest, coefficient) triples, where x is the image's first p
+    exponents (None when all are 0) and rest the others.  merge says
+    whether two of these terms can land on one monomial of a column (the
+    same rest, and the same x offset from a: x for own, x - e_i for
+    lead[i]), so that the column has to sum them.
+    """
+    alg = deriv.algebra
+    zeros = (0,) * p
+    mono = zeros + r
+    own = []
+    offsets = []
+    for m, c in _leibniz(deriv, table, mono).items():
+        c = alg.ring.normalize(c)
+        if c != 0:
+            xs = m[:p]
+            own.append((xs if any(xs) else None, m[p:], c))
+            offsets.append((xs, m[p:]))
+    lead = []
+    for i, vals in enumerate(lead_values):
+        terms = []
+        for v, c in vals:
+            k, prod = alg.mono_mul(v, mono)
+            if prod is not None:
+                xs = prod[:p]
+                terms.append((xs if any(xs) else None, prod[p:], k * c))
+                offsets.append((tuple(x - (t == i) for t, x in enumerate(xs)), prod[p:]))
+        lead.append(terms)
+    if not any(lead):
+        lead = None
+    return own, lead, len(set(offsets)) < len(offsets)
+
+
 def derivation_matrix(deriv, source, target):
     """Matrix of a derivation between two slices, columns = source basis.
 
+    Let x_1..x_p be the polynomial generators that lead the generator
+    table, and write a source monomial as x^a * r with r free of x.  Each
+    x_i is even and has no binomial, so
+        D(x^a r) = x^a D(r) + sum_i a_i x^(a - e_i) (D(x_i) r).
+    D(r) (by _leibniz) and each D(x_i) r (by mono_mul) are computed once
+    per distinct r in the call (_r_parts), and a column adds a or
+    a - e_i to their x exponents.  The memo is freed when the call
+    returns; without such a prefix every monomial is its own r and
+    nothing is memoized.  The entries of a column come in the order of
+    _leibniz on the monomial: the x_i terms first, then D(r).
+
     Raises TruncationOverflow when an image monomial falls outside the
-    target slice because its polynomial degree exceeds the bound.
+    target slice because its polynomial degree exceeds the bound, and
+    UndefinedGenerator when a column holds a letter D has no value for.
     """
     alg = source.algebra
     ring = alg.ring
+    gens = alg.generators
+    p = 0
+    while p < len(gens) and gens[p].kind == POLYNOMIAL:
+        p += 1
     table = _leibniz_table(deriv)
+    # the terms of each D(x_i), none where D gives x_i no value; those x_i
+    # raise UndefinedGenerator in the first column that holds them
+    lead_values = [list(deriv.values[gens[i].name].terms.items())
+                   if table[2][i] is not None else [] for i in range(p)]
+    undefined = [i for i in range(p) if table[2][i] is None]
+    memo = {}
     rows = {mono: r for r, mono in enumerate(target.monomials)}
     normalize = ring.normalize
     m = SparseMatrix(target.dim, source.dim, ring)
@@ -471,8 +533,34 @@ def derivation_matrix(deriv, source, target):
     # entries are in range and need no check
     entries = m.entries
     for j, mono in enumerate(source.monomials):
-        for im, c in _leibniz(deriv, table, mono).items():
-            c = normalize(c)
+        a, r = mono[:p], mono[p:]
+        for i in undefined:
+            if a[i]:
+                deriv.value_of(gens[i].name)  # raises UndefinedGenerator
+        parts = memo.get(r) if p else None
+        if parts is None:
+            # raises UndefinedGenerator on a letter of r without a value
+            parts = _r_parts(deriv, table, lead_values, p, r)
+            if p:
+                memo[r] = parts
+        own, lead, merge = parts
+        col = []
+        for i, ai in enumerate(a) if lead else ():
+            terms = lead[i]
+            if ai and terms:
+                shift = list(a)
+                shift[i] -= 1
+                shift = tuple(shift)
+                col += [((tuple(map(add, shift, xs)) if xs else shift) + rest,
+                         normalize(ai * c)) for xs, rest, c in terms]
+        col += [((tuple(map(add, a, xs)) if xs else a) + rest, c)
+                for xs, rest, c in own]
+        if merge:
+            sums = {}
+            for im, c in col:
+                sums[im] = sums.get(im, 0) + c
+            col = [(im, normalize(c)) for im, c in sums.items()]
+        for im, c in col:
             if c == 0:
                 continue
             row = rows.get(im)

@@ -11,7 +11,7 @@ from shukla.dpalgebra import (
     GradedAlgebra, Slice, _least_budgets, _tails, basis_slice, contraction_complex,
     derivation_matrix, derive, homotopy_h,
 )
-from shukla import gammaforms
+from shukla import dpalgebra, gammaforms
 from shukla.gammaforms import build_gamma_forms, witness_model
 from shukla.linalg import GroundRing
 from shukla.models import Presentation, koszul_model
@@ -192,6 +192,11 @@ def test_derivation_matrix_truncation_overflow():
     tgt = basis_slice(alg, 0, 0, poly_bound=2)   # too small for x^4
     with pytest.raises(TruncationOverflow,
                        match=r"^image of x\*y has truncation degree 3 > bound 2$"):
+        derivation_matrix(delta, src, tgt)
+    # the message names the source monomial x^a * r, not its r
+    tgt = basis_slice(alg, 0, 0, poly_bound=3)
+    with pytest.raises(TruncationOverflow,
+                       match=r"^image of x\^2\*y has truncation degree 4 > bound 3$"):
         derivation_matrix(delta, src, tgt)
 
 
@@ -555,6 +560,158 @@ def test_derivation_matrix_matches_element_products(monkeypatch, make_model, n_m
     for deriv, source, target, mat in built:
         assert mat.entries == _reference_matrix(deriv, source, target), \
             (deriv.parity, source.hdeg, source.weight)
+
+
+def _every_image_slice(deriv, monomials):
+    """The source slice on the given monomials and a target slice holding
+    every monomial of their reference images."""
+    alg = deriv.algebra
+    src = Slice(alg, 0, 0, None, tuple(monomials))
+    images = {m for mono in src.monomials
+              for m in _reference_derive(deriv, Element(alg, {mono: 1})).terms}
+    return src, Slice(alg, 0, 0, None, tuple(sorted(images)))
+
+
+def _prefix_algebra(ring):
+    """Two polynomial letters x1, x2 ahead of odd and divided-power ones."""
+    return GradedAlgebra(ring, [
+        Generator("x1", 0, POLYNOMIAL, poly_weight=1),
+        Generator("x2", 0, POLYNOMIAL, poly_weight=1),
+        Generator("y", 1, EXTERIOR),
+        Generator("z", 1, EXTERIOR),
+        Generator("g", 2, DIVIDED_POWER, weight=1),
+    ])
+
+
+@pytest.mark.parametrize("ring", [GroundRing.Z(), GroundRing.Zmod(4), GroundRing.Q()],
+                         ids=repr)
+def test_derivation_matrix_prefix_terms_carry_x_and_odd_letters(ring):
+    # D(x_i) holds x letters and odd letters, so the x^(a - e_i) D(x_i) r
+    # terms meet x^a D(r): in the column of x1^a1 x2^a2 g the monomial
+    # x1^a1 x2^(a2+1) g gets a1 from D(x1) = x1 x2 + ... and -2 from
+    # D(g) = -2 x2 g + ..., which cancel at a1 = 2
+    alg = _prefix_algebra(ring)
+    e = alg.element
+    deriv = GammaDerivation(alg, -1, {
+        "x1": e({(("x1", 1), ("x2", 1)): 1, (("y", 1),): 2}),
+        "x2": e({(("x1", 2), ("y", 1)): 1, (("g", 1),): -1, (("x2", 1), ("y", 1), ("z", 1)): 3}),
+        "y": e({(("x2", 1),): 1, (("x1", 1), ("z", 1)): -1}),
+        "z": e({(("x1", 1), ("y", 1)): 1}),
+        "g": e({(("x2", 1), ("g", 1)): -2, (("x1", 1), ("y", 1), ("z", 1)): 1}),
+    })
+    src, tgt = _every_image_slice(
+        deriv, product(range(3), range(3), range(2), range(2), range(3)))
+    mat = derivation_matrix(deriv, src, tgt)
+    assert mat.entries == _reference_matrix(deriv, src, tgt)
+    col = src.monomials.index((2, 0, 0, 0, 1))
+    assert (tgt.monomials.index((2, 1, 0, 0, 1)), col) not in mat.entries
+    col = src.monomials.index((1, 0, 0, 0, 1))
+    assert mat.entries[tgt.monomials.index((1, 1, 0, 0, 1)), col] == ring.normalize(-1)
+
+
+def test_derivation_matrix_on_an_all_polynomial_algebra():
+    # every monomial is x^a with r = (): one r serves every column
+    alg = GradedAlgebra(Z, [Generator("x", 0, POLYNOMIAL, poly_weight=1),
+                            Generator("u", 2, POLYNOMIAL, poly_weight=1)])
+    deriv = GammaDerivation(alg, 1, {
+        "x": alg.element({(("u", 2),): 1, (("x", 1), ("u", 1)): -3, (): 5}),
+        "u": alg.element({(("x", 2),): 2}),
+    })
+    src, tgt = _every_image_slice(deriv, product(range(4), range(4)))
+    assert derivation_matrix(deriv, src, tgt).entries == _reference_matrix(deriv, src, tgt)
+
+
+def _count_r_parts(monkeypatch):
+    calls = []
+    real = dpalgebra._r_parts
+
+    def counted(deriv, table, lead_values, p, r):
+        calls.append(r)
+        return real(deriv, table, lead_values, p, r)
+
+    monkeypatch.setattr(dpalgebra, "_r_parts", counted)
+    return calls
+
+
+def test_derivation_matrix_shares_each_r_within_a_call(monkeypatch):
+    calls = _count_r_parts(monkeypatch)
+    alg = hypersurface_algebra()
+    d = GammaDerivation(alg, +1, {"x": alg.gen_element("dx"), "y": alg.gen_element("dy"),
+                                  "dx": Element(alg), "dy": Element(alg)})
+    src = basis_slice(alg, 2, 1, poly_bound=8)
+    tgt = basis_slice(alg, 3, 2, poly_bound=8)
+    mat = derivation_matrix(d, src, tgt)
+    assert mat.entries == _reference_matrix(d, src, tgt)
+    assert sorted(calls) == sorted({mono[1:] for mono in src.monomials})
+    assert len(calls) < src.dim
+
+
+def test_derivation_matrix_without_a_polynomial_prefix(monkeypatch):
+    # an exterior first generator: no prefix, so each monomial is its own
+    # r and nothing is memoized or looked up twice
+    calls = _count_r_parts(monkeypatch)
+    alg = GradedAlgebra(Z, [
+        Generator("y", 1, EXTERIOR, poly_weight=2),
+        Generator("x", 0, POLYNOMIAL, poly_weight=1),
+        Generator("dy", 2, DIVIDED_POWER, weight=1, poly_weight=2),
+        Generator("dx", 1, EXTERIOR, weight=1, poly_weight=1),
+    ])
+    delta = GammaDerivation(alg, -1, {
+        "y": alg.element({(("x", 2),): 1}),
+        "x": Element(alg),
+        "dy": alg.element({(("x", 1), ("dx", 1)): -2}),
+        "dx": Element(alg),
+    })
+    src = basis_slice(alg, 3, 1, poly_bound=6)
+    tgt = basis_slice(alg, 2, 1, poly_bound=6)
+    assert derivation_matrix(delta, src, tgt).entries == _reference_matrix(delta, src, tgt)
+    assert calls == list(src.monomials)
+
+
+def test_derivation_matrix_raises_undefined_only_where_a_column_holds_it():
+    alg = _prefix_algebra(Z)
+    # no value for the prefix letter x2 nor for the odd letter z
+    deriv = GammaDerivation(alg, -1, {
+        "x1": alg.element({(("y", 1),): 1}),
+        "y": alg.element({(("x1", 2),): 1}),
+        "g": alg.element({(("x1", 1), ("y", 1)): 1}),
+    })
+    held = [mono for mono in product(range(3), range(3), range(2), range(2), range(3))
+            if not mono[1] and not mono[3]]
+    src, tgt = _every_image_slice(deriv, held)
+    assert derivation_matrix(deriv, src, tgt).entries == _reference_matrix(deriv, src, tgt)
+    for letter, mono in (("x2", (1, 1, 1, 0, 0)), ("z", (2, 0, 0, 1, 1)),
+                         ("x2", (0, 2, 0, 1, 0))):
+        src = Slice(alg, 0, 0, None, tuple(held) + (mono,))
+        with pytest.raises(UndefinedGenerator, match=f"'{letter}'"):
+            derivation_matrix(deriv, src, tgt)
+
+
+def test_derivation_matrix_leaves_no_garbage_and_no_state(monkeypatch):
+    # the memo of a call is freed by reference counting when the call
+    # returns, and a second call computes every r again
+    calls = _count_r_parts(monkeypatch)
+    alg = hypersurface_algebra()
+    delta = GammaDerivation(alg, -1, {
+        "x": Element(alg),
+        "y": alg.element({(("x", 2),): 1}),
+        "dx": Element(alg),
+        "dy": alg.element({(("x", 1), ("dx", 1)): -2}),
+    })
+    src = basis_slice(alg, 3, 1, poly_bound=6)
+    tgt = basis_slice(alg, 2, 1, poly_bound=6)
+    gc.collect()
+    gc.disable()
+    try:
+        first = derivation_matrix(delta, src, tgt)
+        assert gc.collect() == 0
+        made = len(calls)
+        second = derivation_matrix(delta, src, tgt)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert first.entries and first.entries == second.entries
+    assert made and len(calls) == 2 * made
 
 
 def test_basis_slice_leaves_no_garbage():

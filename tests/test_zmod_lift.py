@@ -226,3 +226,41 @@ def test_integral_lift_scope():
     ):
         assert pres.integral() is None
 
+
+
+# A constant relation that is a unit of k makes A = 0.  Before the CLI
+# built these from the zero algebra's presentation, `layers` on the first
+# and `hh`, `layers` and `compare` on the second ran past 15 s on the
+# presented path and printed nothing.
+UNIT_CONSTANT = {
+    "Z8_3_n1": "ring Z/8\nvars x y\nrel x^2+4*x\nrel y^2+7*x+6*y\nrel 3\nnmax 1\n",
+    "Z9_1_n3": "ring Z/9\nvars x y\nrel x^3+7\nrel y^3-4*x\nrel 1\nnmax 3\n",
+    "Q_2_n2": "ring Q\nvars x\nrel x^2\nrel 2\nnmax 2\n",
+}
+
+
+def _groups(node):
+    """Every group ({free_rank, torsion}) in a report field."""
+    if isinstance(node, dict):
+        if "free_rank" in node:
+            return [node]
+        return [g for v in node.values() for g in _groups(v)]
+    return []
+
+
+@pytest.mark.parametrize("name, command", [
+    ("Z8_3_n1", "hh"), ("Z8_3_n1", "layers"),
+    ("Z9_1_n3", "hh"), ("Z9_1_n3", "layers"), ("Z9_1_n3", "compare"),
+    ("Q_2_n2", "layers"),
+])
+def test_unit_constant_relation_gives_zero_groups(name, command):
+    text = UNIT_CONSTANT[name]
+    code, report = _cli(text, command)
+    assert code == 0
+    # the report echoes the job's variables, not the zero algebra's
+    assert report["vars"] == list(parse(text).presentation.variables)
+    groups = _groups(report["hh"]) + _groups(report["hc"] if command != "hh" else {})
+    assert groups and all(g == {"free_rank": 0, "torsion": []} for g in groups)
+    if command == "compare":
+        assert sorted(report["hh"]) == ["crystalline", "gamma_forms"]
+        assert report["all_agree"] is True
