@@ -18,7 +18,8 @@ from .models import quasi_monic_reduce
 
 @dataclass
 class FiniteAlgebra:
-    """Structure constants of A on a free basis whose first element is 1.
+    """Structure constants of A on a free basis whose first element is 1;
+    the empty basis is A = 0, where 1 = 0.
 
     mult[(i, j)] is the expansion of basis_i * basis_j as a dict
     {basis index: coefficient}.
@@ -29,8 +30,6 @@ class FiniteAlgebra:
     mult: dict
 
     def __post_init__(self):
-        if not self.basis:
-            raise ValueError("the algebra needs at least a unit")
         r = len(self.basis)
         for i in range(r):
             for j in range(r):
@@ -77,7 +76,13 @@ class FiniteAlgebra:
 
 def from_presentation(pres):
     """Finite free algebra on the reduced monomial basis of a quasi-monic
-    presentation; raises NotQuasiMonic when no finite free basis exists."""
+    presentation; raises NotQuasiMonic when no finite free basis exists.
+
+    A presentation with a unit constant relation gives A = 0, free of
+    rank 0 on every ring: its basis is empty, as 1 = 0.
+    """
+    if pres.is_zero_algebra:
+        return FiniteAlgebra(pres.ring, (), {})
     if pres.consts:
         raise NotQuasiMonic("constant relations leave A non-free over k; "
                             "use the model pipelines instead")

@@ -245,11 +245,8 @@ def _zero_if_unit(pres):
     original variables can run for minutes (Z/8 or Z/9 with a unit
     constant) before it finds the same.
     """
-    ring = pres.ring
-    for rel in pres.relations:
-        (exps, c), *more = rel.items()
-        if not more and not any(exps) and ring.is_unit(c):
-            return Presentation.make(ring, (), ({(): 1},))
+    if pres.is_zero_algebra:
+        return Presentation.make(pres.ring, (), ({(): 1},))
     return pres
 
 
@@ -337,10 +334,11 @@ def _run_compare(job, report):
             crys_hc = hc_layers_small(pres, n).total
         except TooManyVariables:
             pass
-        if not pres.consts:
-            cplx = cyclic_mixed(from_presentation(built), n)
-            hh_cols["oracle"] = dict(enumerate(in_ring(hochschild_total(cplx, n))))
-            hc_cols["oracle"] = dict(enumerate(in_ring(cyclic_total(cplx, n))))
+    if pres.is_zero_algebra or (pres.is_quasi_monic and not pres.consts):
+        # A is finite free over k, the zero algebra included
+        cplx = cyclic_mixed(from_presentation(built), n)
+        hh_cols["oracle"] = dict(enumerate(in_ring(hochschild_total(cplx, n))))
+        hc_cols["oracle"] = dict(enumerate(in_ring(cyclic_total(cplx, n))))
     report["hh"] = {name: {str(k): g.to_json() for k, g in col.items()}
                     for name, col in hh_cols.items()}
     report["hc"] = {name: {str(k): g.to_json() for k, g in col.items()}

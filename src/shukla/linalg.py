@@ -665,6 +665,58 @@ def _nearest_quotient(a, b):
     return q
 
 
+def _peel_unit_singletons(rows, cols, cancelled):
+    """Isolate every unit alone in its column or alone in its row, until
+    none is left; returns the isolated units.
+
+    rows and cols are the dicts of invariant_factors_sparse and lose the
+    rows and columns of every isolated unit; the columns go into
+    `cancelled` when it is a set.  A row is looked at again only when it
+    drops to one entry or one of its columns drops to one row, so the
+    pass is linear in the number of entries.
+    """
+    isolated = []
+    # (row, None): the row has one entry; (row, j): column j has one row
+    todo = [(i, None) for i, row in rows.items() if len(row) == 1]
+    todo += [(next(iter(col)), j) for j, col in cols.items() if len(col) == 1]
+    while todo:
+        i, j = todo.pop()
+        row = rows.get(i)
+        if row is None:
+            continue
+        if j is None:
+            # the row ops that clear column j change no other column
+            (j, v), = row.items()
+            if v != 1 and v != -1:
+                continue
+            for k in cols.pop(j):
+                if k != i:
+                    other = rows[k]
+                    del other[j]
+                    if not other:
+                        del rows[k]
+                    elif len(other) == 1:
+                        todo.append((k, None))
+        else:
+            # column j is {i: v}: no row op, and the column ops clearing
+            # row i change no other row
+            v = row[j]
+            if v != 1 and v != -1:
+                continue
+            for k in row:
+                col = cols[k]
+                col.discard(i)
+                if not col:
+                    del cols[k]
+                elif len(col) == 1:
+                    todo.append((next(iter(col)), k))
+        del rows[i]
+        isolated.append(v)
+        if cancelled is not None:
+            cancelled.add(j)
+    return isolated
+
+
 def invariant_factors_sparse(columns, nrows, cancelled=None):
     """Nontrivial invariant factors and rank of an integer matrix.
 
@@ -677,6 +729,17 @@ def invariant_factors_sparse(columns, nrows, cancelled=None):
     nonzero of its row and column; then coker = Z/|v| + coker(rest), so
     the isolated |v| are collected and _normalize_torsion makes the
     chain d1 | d2 | ... of them.  No dense matrix is built.
+
+    A linear pass (_peel_unit_singletons) first isolates every unit
+    alone in its column or alone in its row, and those it frees in turn
+    (the singleton pass of sparse LU; Davis, *Direct Methods for Sparse
+    Linear Systems*, 2006, ch. 7).  A unit alone in its column needs no
+    row op: its row goes, and the row's other columns get shorter.  A
+    unit alone in its row clears its column by row ops that touch that
+    column only: the column goes.  Neither makes fill, and the heap
+    below would take these entries first anyway, since (|v| = 1,
+    fill 0) is the least key; the pass only takes them without the
+    heap's keys.  The heap then runs on what is left.
 
     Each pivot is the entry of least (|v|, Markowitz fill
     (len(row) - 1) * (len(col) - 1), row), so units go first.  It comes
@@ -703,6 +766,11 @@ def invariant_factors_sparse(columns, nrows, cancelled=None):
     column operation is in coordinates U^-1 x and does not qualify: with
     it, d_1 = [[-5, 17]] would cancel column 0, and its d_2 =
     [[68, 34], [20, 10]] left with row 1 alone gives H_1 = C10, not C2.
+    Every unit the linear pass isolates qualifies: the pass makes no
+    column operation, a unit alone in its row gives x_p = 0 on ker A,
+    and the row of a unit alone in its column holds only columns still
+    there.  The set may differ from the one the heap alone would give;
+    any such set is valid.
     """
     rows = {}
     cols = {}
@@ -711,6 +779,7 @@ def invariant_factors_sparse(columns, nrows, cancelled=None):
             if v:
                 rows.setdefault(i, {})[j] = v
                 cols.setdefault(j, set()).add(i)
+    isolated = _peel_unit_singletons(rows, cols, cancelled)
     span = max(rows, default=0) + 1
     # a key is (|v| * cap + fill) * span + row; fill < cap always
     cap = span * (len(columns) + 1)
@@ -734,7 +803,6 @@ def invariant_factors_sparse(columns, nrows, cancelled=None):
     queued = {i: best_entry(i)[0] * span + i for i in rows}  # live keys
     heap = list(queued.values())
     heapq.heapify(heap)
-    isolated = []
     row_ops_only = cancelled is not None  # and no column operation yet
     while heap:
         key = heapq.heappop(heap)

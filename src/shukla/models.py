@@ -87,6 +87,12 @@ class Presentation:
     def is_quasi_monic(self):
         return len(self.rules) + len(self.consts) == len(self.relations)
 
+    @property
+    def is_zero_algebra(self):
+        """Some relation is a constant unit of k, so 1 = 0 in A."""
+        return any(len(rel) == 1 and not any(e) and self.ring.is_unit(c)
+                   for rel in self.relations for e, c in rel.items())
+
     def integral(self):
         """The same relations over Z, with the stored coefficients in
         [0, m), or None unless this is a quasi-monic presentation over

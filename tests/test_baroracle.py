@@ -29,6 +29,18 @@ def test_from_presentation_refuses_constant_relations():
         from_presentation(Presentation.make(Z, [], [{(): 5}]))
 
 
+@pytest.mark.parametrize("ring", [Z, Q, GroundRing.Zmod(9)])
+def test_unit_constant_gives_the_zero_algebra(ring):
+    # 1 = 0 in A: free of rank 0 even on variables with no rule
+    A = from_presentation(Presentation.make(ring, ["x", "y"], [{(2, 0): 1}, {(0, 0): 1}]))
+    assert A.rank == 0
+    cplx = cyclic_mixed(A, 2)
+    assert validate(cplx)
+    zero = [HomologyGroup(0, ())] * 3
+    assert hochschild_total(cplx, 2) == zero
+    assert cyclic_total(cplx, 2) == zero
+
+
 def test_bar_boundary_vanishes_on_length_one():
     # b(a (x) x) = ax - xa = 0 for commutative A
     A = from_presentation(Presentation.make(Z, ["x"], [{(2,): 1}]))

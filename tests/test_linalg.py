@@ -205,6 +205,84 @@ def test_unit_created_by_elimination_is_peeled(monkeypatch):
     assert invariant_factors_sparse([{0: 1, 1: 1}, {0: 2, 1: 3}], 2) == ([], 2)
 
 
+def _spy_peel(monkeypatch):
+    """The units each call's singleton pass isolated, one list per call."""
+    import shukla.linalg
+    peeled = []
+    peel = shukla.linalg._peel_unit_singletons
+
+    def spy(rows, cols, cancelled):
+        out = peel(rows, cols, cancelled)
+        peeled.append(list(out))
+        return out
+
+    monkeypatch.setattr(shukla.linalg, "_peel_unit_singletons", spy)
+    return peeled
+
+
+def test_peel_unit_alone_in_its_column(monkeypatch):
+    # [[1, 3, 2], [0, 4, 6]]: the unit's row goes without a row op, and
+    # columns 1 and 2 are left with 4 and 6 for the heap
+    peeled = _spy_peel(monkeypatch)
+    cancelled = set()
+    columns = [{0: 1}, {0: 3, 1: 4}, {0: 2, 1: 6}]
+    assert invariant_factors_sparse(columns, 2, cancelled) == ([2], 2)
+    assert peeled == [[1]]
+    assert cancelled == {0}
+
+
+def test_peel_unit_alone_in_its_row(monkeypatch):
+    # [[-1, 0], [5, 6], [7, 9]]: row ops clear column 0 and touch no
+    # other column, leaving [[6], [9]]
+    peeled = _spy_peel(monkeypatch)
+    cancelled = set()
+    columns = [{0: -1, 1: 5, 2: 7}, {1: 6, 2: 9}]
+    assert invariant_factors_sparse(columns, 3, cancelled) == ([3], 2)
+    assert peeled == [[-1]]
+    assert cancelled == {0}
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["rows", "columns"])
+def test_peel_bidiagonal_chain(monkeypatch, transpose):
+    # entries (i, i) = 1 and (i + 1, i) = 2 in n + 1 rows: only row 0 is
+    # alone, and each unit it isolates leaves the next one alone in its
+    # row; transposed, each leaves the next alone in its column.  At this
+    # size a pass that re-scanned the matrix per pivot would crawl.
+    peeled = _spy_peel(monkeypatch)
+    n = 5000
+    entries = [(i, i, 1) for i in range(n)] + [(i + 1, i, 2) for i in range(n)]
+    if transpose:
+        entries = [(j, i, v) for i, j, v in entries]
+    nrows, ncols = (n, n + 1) if transpose else (n + 1, n)
+    columns = [{} for _ in range(ncols)]
+    for i, j, v in entries:
+        columns[j][i] = v
+    cancelled = set()
+    assert invariant_factors_sparse(columns, nrows, cancelled) == ([], n)
+    assert len(peeled[0]) == n
+    assert len(cancelled) == n
+
+
+def test_peel_leaves_non_units_to_the_heap(monkeypatch):
+    peeled = _spy_peel(monkeypatch)
+    cancelled = set()
+    # 2 and 3 are each alone in their row and column
+    assert invariant_factors_sparse([{0: 2}, {1: 3}], 2, cancelled) == ([6], 2)
+    # [[-5, 17]]: no unit until column operations, so nothing is cancelled
+    assert invariant_factors_sparse([{0: -5}, {0: 17}], 1, cancelled) == ([], 1)
+    assert peeled == [[], []]
+    assert cancelled == set()
+
+
+def test_invariant_factors_sparse_leaves_columns_unchanged():
+    rng = random.Random(77)
+    for _ in range(20):
+        columns = _sparse_unit_heavy(rng, 12, 15)
+        before = [dict(col) for col in columns]
+        invariant_factors_sparse(columns, 12, set())
+        assert columns == before
+
+
 def test_invariant_factors_sparse_matches_sympy():
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import invariant_factors

@@ -336,6 +336,122 @@ def test_chain_homology_matches_known_groups_on_random_complexes():
         assert _homology_per_degree(ds, Z) == known
 
 
+def _signed_permutation(rng, n):
+    """A random signed n x n permutation matrix: sparse and unimodular."""
+    perm = rng.sample(range(n), n)
+    return [[rng.choice((1, -1)) if j == perm[i] else 0 for j in range(n)]
+            for i in range(n)]
+
+
+def _unit_heavy_block(rng, nrows, ncols):
+    """A signed partial permutation with a few non-unit entries added."""
+    rows = [[0] * ncols for _ in range(nrows)]
+    k = rng.randint(0, min(nrows, ncols))
+    for i, j in zip(rng.sample(range(nrows), k), rng.sample(range(ncols), k)):
+        rows[i][j] = rng.choice((1, -1))
+    for _ in range(rng.randint(0, (nrows * ncols) // 8 + 1)):
+        rows[rng.randrange(nrows)][rng.randrange(ncols)] = rng.choice((2, -2, 3, 4, -6))
+    return rows
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _columns(rows, ncols):
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
+
+
+def _unit_heavy_matrices(rng, trials, most):
+    """(columns, nrows): unit-heavy blocks, half of them as they are and
+    half conjugated to P M Q^-1 by random unimodular P and Q."""
+    for _ in range(trials):
+        nrows, ncols = rng.randint(1, most), rng.randint(1, most)
+        rows = _unit_heavy_block(rng, nrows, ncols)
+        if rng.random() < 0.5:
+            rows = _matmul(_matmul(_unimodular(rng, nrows)[0], rows),
+                           _unimodular(rng, ncols)[1])
+        yield _columns(rows, ncols), nrows
+
+
+def _snf_invariants(columns, nrows):
+    """(factors, rank) of the matrix through dense_snf."""
+    from shukla.linalg import dense_snf
+    rows = [[col.get(i, 0) for col in columns] for i in range(nrows)]
+    _, s, _, _ = dense_snf(rows)
+    diag = [s[i][i] for i in range(min(nrows, len(columns)))]
+    return [d for d in diag if d not in (0, 1)], sum(1 for d in diag if d)
+
+
+def test_invariant_factors_sparse_unit_heavy_conjugated_matches_dense():
+    from shukla.linalg import invariant_factors_sparse
+    rng = random.Random(2121)
+    for trial, (columns, nrows) in enumerate(_unit_heavy_matrices(rng, 300, 14)):
+        factors, rank = invariant_factors_sparse(columns, nrows, set())
+        assert (list(factors), rank) == _snf_invariants(columns, nrows), trial
+
+
+def test_invariant_factors_sparse_unit_heavy_conjugated_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    from shukla.linalg import invariant_factors_sparse
+    rng = random.Random(2122)
+    for trial, (columns, nrows) in enumerate(_unit_heavy_matrices(rng, 25, 9)):
+        rows = [[col.get(i, 0) for col in columns] for i in range(nrows)]
+        diag = [abs(int(d)) for d in
+                invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)]
+        want = ([d for d in diag if d not in (0, 1)], sum(1 for d in diag if d))
+        factors, rank = invariant_factors_sparse(columns, nrows)
+        assert (list(factors), rank) == want, trial
+
+
+def test_chain_homology_with_unit_heavy_boundaries_matches_reference(monkeypatch):
+    """C_n is split as B_n + F_n + E_n and D_n maps E_n to B_{n-1} by a
+    unit-heavy block, so D_{n-1} D_n = 0; d_n = P_{n-1} D_n P_n^-1 with
+    P_n a signed permutation (which keeps the units alone in their rows
+    and columns) or a random unimodular matrix.  The reference sweep
+    cancels nothing, so the peeled sets of cancelled columns are checked
+    against it."""
+    from shukla import linalg
+    from shukla.linalg import SparseMatrix, chain_homology
+    peeled = []
+    peel = linalg._peel_unit_singletons
+
+    def spy(rows, cols, cancelled):
+        out = peel(rows, cols, cancelled)
+        peeled.append(len(out))
+        return out
+
+    monkeypatch.setattr(linalg, "_peel_unit_singletons", spy)
+    rng = random.Random(21)
+    for _ in range(300):
+        top = rng.randint(1, 4)
+        ranks = [0] + [rng.randint(0, 4) for _ in range(top)] + [0]
+        free = [rng.randint(0, 2) for _ in range(top + 1)]
+        dims = [ranks[n + 1] + free[n] + ranks[n] for n in range(top + 1)]
+        if not all(dims):
+            continue
+        ps = []
+        for c in dims:
+            if rng.random() < 0.5:
+                p = _signed_permutation(rng, c)
+                ps.append((p, [list(col) for col in zip(*p)]))  # P^-1 = P^T
+            else:
+                ps.append(_unimodular(rng, c))
+        ds = [SparseMatrix(0, dims[0], Z)]
+        for n in range(1, top + 1):
+            d = [[0] * dims[n] for _ in range(dims[n - 1])]
+            if ranks[n]:
+                block = _unit_heavy_block(rng, ranks[n], ranks[n])
+                for k, row in enumerate(block):
+                    d[k][dims[n] - ranks[n]:] = row
+            ds.append(SparseMatrix.from_rows(_matmul(_matmul(ps[n - 1][0], d),
+                                                     ps[n][1]), Z))
+        ds.append(SparseMatrix(dims[top], 0, Z))
+        assert chain_homology(ds, Z) == _homology_per_degree(ds, Z)
+    assert sum(peeled) > 200  # the peel did take part
+
+
 @pytest.mark.parametrize("name", sorted(SWEEP_COMPLEXES))
 def test_sweeps_match_homology_per_degree(name):
     from shukla.mixed import _cyclic_matrix, _degree_slices, _total_matrix

@@ -262,5 +262,25 @@ def test_unit_constant_relation_gives_zero_groups(name, command):
     groups = _groups(report["hh"]) + _groups(report["hc"] if command != "hh" else {})
     assert groups and all(g == {"free_rank": 0, "torsion": []} for g in groups)
     if command == "compare":
-        assert sorted(report["hh"]) == ["crystalline", "gamma_forms"]
+        assert sorted(report["hh"]) == ["crystalline", "gamma_forms", "oracle"]
+        assert report["all_agree"] is True
+
+
+# A = 0 is free of rank 0 on every ring, so the oracle runs on it and
+# `compare` has a second pipeline over Z and Q too.  Before, `oracle`
+# exited 1 with NotQuasiMonic on all three rings, and `compare` over Z
+# and Q reported "pipelines": 1 and exited 1.
+@pytest.mark.parametrize("ring", ["Z/9", "Z", "Q"])
+@pytest.mark.parametrize("command", ["oracle", "compare"])
+def test_zero_algebra_oracle_and_compare(ring, command):
+    text = f"ring {ring}\nvars x\nrel x^2\nrel 1\nnmax 2\n"
+    code, report = _cli(text, command)
+    assert code == 0
+    groups = _groups(report["hh"]) + _groups(report["hc"])
+    assert groups and all(g == {"free_rank": 0, "torsion": []} for g in groups)
+    if command == "oracle":
+        assert report["validated"] is True
+        assert sorted(report["hh"]) == ["0", "1", "2"]
+    else:
+        assert "oracle" in report["hh"] and len(report["hh"]) >= 2
         assert report["all_agree"] is True
