@@ -29,7 +29,7 @@ from .gammaforms import (
     build_gamma_forms, hc_assemble, hh_assemble, hh_layers, witness_nondegeneracy,
 )
 from .linalg import GroundRing, universal_coefficients
-from .mixed import cyclic_total, hochschild_total, validate
+from .mixed import FilteredGroups, cyclic_total, hochschild_total, validate
 from .models import Presentation, koszul_model
 
 
@@ -236,6 +236,18 @@ def _lifted(pres):
     return lift, lambda groups: universal_coefficients(groups, pres.ring)
 
 
+def _layers_in_ring(groups, n_max, in_ring):
+    """FilteredGroups with its totals and each weight's layers mapped by
+    in_ring: the layers of one weight are H_0..H_n_max of one block of
+    the forms complex, a complex of its own."""
+    total = in_ring([groups.total[n] for n in range(n_max + 1)])
+    layers = {}
+    for p in {p for (_, p) in groups.layers}:
+        chain = in_ring([groups.layer(n, p) for n in range(n_max + 1)])
+        layers.update(((n, p), h) for n, h in enumerate(chain) if not h.is_trivial())
+    return FilteredGroups(dict(enumerate(total)), layers)
+
+
 def _zero_if_unit(pres):
     """pres, or the presentation of A = 0 (no variables and the one
     relation 1) when a constant relation of pres is a unit of k.
@@ -276,12 +288,11 @@ def run(job, command):
             report["hc"] = _groups_json(in_ring(cyclic_total(G.complex, job.n_max)))
             return report, True
         if command == "layers":
-            # Hodge layers are graded pieces of a filtration, which the
-            # universal coefficient theorem does not carry, so Z/m stays
-            # on the presented path
-            G = _forms_complex(job, job.presentation)
-            report["hh"] = hh_layers(G, job.n_max).to_json()
-            report["hc"] = hc_assemble(G, job.n_max).to_json()
+            pres, in_ring = _lifted(job.presentation)
+            G = _forms_complex(job, pres)
+            for key, groups in (("hh", hh_layers(G, job.n_max)),
+                                ("hc", hc_assemble(G, job.n_max))):
+                report[key] = _layers_in_ring(groups, job.n_max, in_ring).to_json()
             return report, True
         if command == "oracle":
             pres, in_ring = _lifted(job.presentation)
@@ -352,13 +363,11 @@ def _run_compare(job, report):
     report["agree"] = {"hh": hh_table, "hc": hc_table}
     ok = hh_ok and hc_ok
     if crys_hc is not None:
-        # the crystalline HC layer sums agree in rank and torsion order only
-        def orders(col):
-            return {k: (g.free_rank, g.torsion_order) for k, g in col.items()}
-        weak_table, weak_ok = _agree_table({"gamma_forms": orders(hc_cols["gamma_forms"]),
-                                            "crystalline": orders(crys_hc)})
-        report["agree"]["hc_crystalline_layer_sums"] = weak_table
-        ok = ok and weak_ok
+        # the crystalline HC totals are the direct sums of its layers
+        sum_table, sum_ok = _agree_table({"gamma_forms": hc_cols["gamma_forms"],
+                                          "crystalline": crys_hc})
+        report["agree"]["hc_crystalline_layer_sums"] = sum_table
+        ok = ok and sum_ok
     report["all_agree"] = ok
     return report, ok
 

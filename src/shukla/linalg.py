@@ -1006,9 +1006,10 @@ def homology_at(d_in, d_out, ring, r_out=None, cancelled=None):
     to the caller; it is not used over Z/m, where the group comes from
     the presented module.  chain_homology reads the rank of d_in back
     from the result.  A Z/m complex that lifts to Z is built over Z by
-    its caller and never reaches the Z/m branch.
+    its caller and never reaches the Z/m branch.  Q takes the integer
+    elimination of Z, and _tensor keeps its free part.
 
-    cancelled, over Z only, is a set of rows of d_in that the
+    cancelled, over Z and Q, is a set of rows of d_in that the
     elimination of d_out cancelled (invariant_factors_sparse): d_in is
     eliminated without them, and the set is refilled with the columns
     of d_in that this elimination cancels.
@@ -1027,11 +1028,7 @@ def homology_at(d_in, d_out, ring, r_out=None, cancelled=None):
     # the two are never alive together.
     if r_out is None:
         r_out = integer_rank(_int_columns(d_out), d_out.rows)
-    # over Z and Q the free rank is n - r_in - r_out; chain_homology inverts it
-    if ring.kind == "Q":
-        # a Q-vector space: the ranks are all there is
-        r_in = integer_rank(_int_columns(d_in), n)
-        return HomologyGroup.from_factors(n - r_in - r_out, ())
+    # the free rank is n - r_in - r_out; chain_homology inverts it.
     # Torsion of ker/im equals torsion of Z^n/im since the quotient by
     # the kernel is free; without the cancelled rows, ker d_out is a
     # saturated lattice of the rest, so the torsion and rank stay.
@@ -1058,8 +1055,8 @@ def chain_homology(ds, ring):
     complex over Z is swept over Z instead, and universal_coefficients
     gives its Z/m groups.
 
-    Over Z, unit pivots are cancelled along the sweep (Kaczynski, Mrozek
-    and Slusarek, *Homology computation by reduction of chain
+    Over Z and Q, unit pivots are cancelled along the sweep (Kaczynski,
+    Mrozek and Slusarek, *Homology computation by reduction of chain
     complexes*, 1998).  The elimination of ds[n + 1] returns the set P
     of columns where it isolated a unit pivot before its first column
     operation.  By the lemma in invariant_factors_sparse, the projection
@@ -1070,10 +1067,12 @@ def chain_homology(ds, ring):
     again one degree up.  Not every unit pivot qualifies: d_1 =
     [[-5, 17]] reaches its unit only through column operations, and
     dropping the row at that column from d_2 = [[68, 34], [20, 10]]
-    turns H_1 = C2 into C10.
+    turns H_1 = C2 into C10.  Over Q the integer lift of a boundary has
+    its rational kernel, so the projection is injective there too and
+    the ranks stay.
     """
     ranked = ring.kind != "Zmod"
-    cancelled = set() if ring.kind == "Z" else None
+    cancelled = set() if ranked else None
     groups = []
     r_out = None
     for n in range(len(ds) - 1):

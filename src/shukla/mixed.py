@@ -12,20 +12,21 @@ homology totalizes the shifted complex whose degree-n term is the sum of
 copies i >= 0 of C_{n-2i}, with b acting inside each copy and B feeding
 copy i into copy i - 1 (and falling off the i = 0 copy).
 
-Hodge layers of cyclic homology are read off the column filtration of
-that totalization: the (n, p) layer is a graded piece of HC_n, computed
-as an exact subquotient of integer lattices.
+When b keeps the weight and B raises it by one, copy i of slice (m, w)
+has shifted weight w + i, and b and B both keep it.  The totalization is
+then a direct sum of blocks, one per shifted weight, and the Hodge layer
+(n, p) of HC_n is the homology of block p at degree n.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import WindowTooSmall
+from .errors import HypothesisViolated, WindowTooSmall
 # homology_at stays bound here because perfbench's tracer test reads
 # mixed.homology_at; chain_homology calls it in linalg
 from .linalg import (
     HomologyGroup, SparseMatrix, _int_columns, chain_homology, homology_at,
-    kernel_basis, lattice_echelon, subquotient,
+    kernel_basis, subquotient,
 )
 
 
@@ -243,21 +244,24 @@ def cyclic_total(M, n_max, boundaries=None):
 def cyclic_layers(M, n_max):
     """HC_n(M) for 0 <= n <= n_max and its Hodge layers.
 
-    Copy i of slice (m, w) has weight w + i in the shifted complex; the
-    column filtration by n minus that weight gives the (n, weight) layers
-    as the graded pieces of HC_n.
+    Copy i of slice (m, w) has shifted weight p = w + i, which b and B
+    keep when B raises the weight by one, so the (n, p) layer is the
+    homology of block p at degree n.  A complex that does not split so
+    (the bar complex, whose B keeps the weight) raises HypothesisViolated.
     """
+    if (any(s[1] != t[1] for s, t in M.b)
+            or any(s[1] + 1 != t[1] for s, t in M.B)):
+        raise HypothesisViolated(
+            "Hodge layers need b to keep the weight and B to raise it by one")
     M.require_window(n_max)
     d = [_cyclic_matrix(M, n) for n in range(n_max + 2)]
     totals = cyclic_total(M, n_max, d)
     layers = {}
     for n in range(n_max + 1):
-        columns = [n - w - i for (i, (m, w)) in _cyclic_summands(M, n)
+        weights = [w + i for (i, (m, w)) in _cyclic_summands(M, n)
                    for _ in range(M.dim(m, w))]
-        pieces = _column_graded_pieces(d[n + 1], d[n], columns, M.ring)
-        for c, g in pieces.items():
-            if not g.is_trivial():
-                layers[(n, n - c)] = g
+        pieces = _column_graded_pieces(d[n + 1], d[n], weights, M.ring)
+        layers.update(((n, p), g) for p, g in pieces.items())
     return FilteredGroups(dict(enumerate(totals)), layers)
 
 
@@ -283,54 +287,35 @@ def cyclic_e2(M, n_max):
 
 
 def _column_graded_pieces(d_in, d_out, cols_mid, ring):
-    """Graded pieces of H = ker(d_out)/im(d_in) for the filtration by
-    column value (values >= 0): piece c = (Z n F_c) / (Z n F_{c-1} + B n F_c).
+    """Homology of ker(d_out)/im(d_in) at the middle columns of each value
+    c, for a complex that splits by value: every column of d_out and of
+    d_in reaches the rows of one block only.
 
-    One kernel and one echelon serve every c.  The kernel is taken on the
-    target relations followed by the middle columns by increasing value:
-    after the first k columns, the null witnesses of a ColumnEchelon are a
-    basis of the kernel of those k columns, and every later witness is
-    independent of them.  So Z n F_c is spanned by the cycles whose
-    largest value is at most c.  The boundaries are echeloned with the
-    middle rows by decreasing value: an echelon column has no entry above
-    its pivot row, so B n F_c is spanned by the pivot columns whose pivot
-    row has value at most c.
+    Each value takes one kernel, of the d_out columns of its block (over
+    Z/m with the relations of the rows they reach), and one subquotient
+    by the d_in columns that land in it.
     """
     n = len(cols_mid)
-    if n == 0:
-        return {}
     out_cols = _int_columns(d_out)
     rels = out_cols[n:]
-    r = len(rels)
-    up = sorted(range(n), key=cols_mid.__getitem__)
-    cycles = []
-    for vec in kernel_basis(rels + [out_cols[j] for j in up], d_out.rows):
-        top = max(vec)  # the vector's last column, of the largest value
-        if top >= r:
-            g = {up[k - r]: v for k, v in vec.items() if k >= r}
-            cycles.append((cols_mid[up[top - r]], g))
-    down = up[::-1]
-    pos = {j: p for p, j in enumerate(down)}
-    ech = lattice_echelon([{pos[j]: v for j, v in g.items()}
-                           for g in _int_columns(d_in)], n)
-    bnd = [(cols_mid[down[row]], {down[k]: v for k, v in col.items()})
-           for row, col in ech.pivots.items()]
-    # p_c keeps the columns of value c, numbered within that value.  On
-    # Z n F_c its kernel is Z n F_{c-1}, and a boundary pivot column of
-    # value below c has no entry of value c, so piece c is the subquotient
-    # of the p_c images of the cycles and boundaries of value exactly c.
-    slot, width = [], {}
-    for c in cols_mid:
-        slot.append(width.get(c, 0))
-        width[c] = slot[-1] + 1
-    z, b = {}, {}
-    for at, vectors in ((z, cycles), (b, bnd)):
-        for c, g in vectors:
-            at.setdefault(c, []).append(
-                {slot[j]: v for j, v in g.items() if cols_mid[j] == c})
+    blocks, slot = {}, []
+    for j, c in enumerate(cols_mid):
+        block = blocks.setdefault(c, [])
+        slot.append(len(block))
+        block.append(j)
+    bnd = {}
+    for col in _int_columns(d_in):
+        if col:
+            bnd.setdefault(cols_mid[next(iter(col))], []).append(
+                {slot[j]: v for j, v in col.items()})
     pieces = {}
-    for c in sorted(z):
-        group, _ = subquotient(z[c], b.get(c, []), width[c], ring)
+    for c, mid in sorted(blocks.items()):
+        cols = [out_cols[j] for j in mid]
+        if rels:
+            cols += [rels[i] for i in sorted({i for col in cols for i in col})]
+        cycles = [{k: v for k, v in vec.items() if k < len(mid)}
+                  for vec in kernel_basis(cols, d_out.rows)]
+        group, _ = subquotient(cycles, bnd.get(c, []), len(mid), ring)
         if not group.is_trivial():
             pieces[c] = group
     return pieces

@@ -36,6 +36,11 @@ FIXTURES = {
     "Q_2x2m1_n4": ("Q", "x", ("2*x^2-1",), 4),
     "Q_3x2my_2y2_n2": ("Q", "x y", ("3*x^2-y", "2*y^2"), 2),
     "Z6_5x2p3_n3": ("Z/6", "x", ("5*x^2+3",), 3),
+    # regular inputs whose layers, as graded pieces of a filtration over
+    # Z/m, took more than 30 s; as block homology over Z they take < 1 s
+    "Z6_x3mxy_y2m3_n2": ("Z/6", "x y", ("x^3-x*y", "y^2-3"), 2),
+    "Z9_x3_y2m3y_n3": ("Z/9", "x y", ("x^3", "y^2-3*y"), 3),
+    "Z8_x3m2x_n4": ("Z/8", "x", ("x^3-2*x",), 4),
 }
 
 

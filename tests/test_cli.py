@@ -158,6 +158,31 @@ def test_cli_compare_single_pipeline_fails(tmp_path):
     assert list(data["hh"]) == ["gamma_forms"]
 
 
+def test_cli_compare_crystalline_layer_sums_compare_full_groups(tmp_path, monkeypatch):
+    # forms HC_3 of Z[x]/(x^3 - x) is C2^2; a crystalline total of C4 has
+    # the same free rank and torsion order and still disagrees
+    import shukla.cli
+    from shukla.linalg import HomologyGroup
+    real = shukla.cli.hc_layers_small
+
+    def c4_in_degree_3(pres, n_max):
+        groups = real(pres, n_max)
+        assert groups.total[3] == HomologyGroup.from_factors(0, [2, 2])
+        groups.total[3] = HomologyGroup.from_factors(0, [4])
+        return groups
+
+    monkeypatch.setattr(shukla.cli, "hc_layers_small", c4_in_degree_3)
+    src = tmp_path / "job.txt"
+    src.write_text("ring Z\nvars x\nrel x^3-x\nnmax 3\n", encoding="utf-8")
+    out = tmp_path / "c.json"
+    assert main(["--input", str(src), "--cmd", "compare", "--json", str(out)]) == 1
+    data = json.loads(out.read_text())
+    assert data["all_agree"] is False
+    assert data["agree"]["hc_crystalline_layer_sums"] == {
+        "0": True, "1": True, "2": True, "3": False}
+    assert all(data["agree"]["hc"].values())
+
+
 def test_cli_parse_error_exit(tmp_path):
     src = tmp_path / "bad.txt"
     src.write_text("ring Z\nfrob x\n", encoding="utf-8")

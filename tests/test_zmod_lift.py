@@ -4,9 +4,10 @@ A quasi-monic Z/m presentation lifts to Z with its coefficients in
 [0, m).  Its Koszul forms complex and its normalized bar complex are
 then free complexes over Z that reduce mod m to the complexes built over
 Z/m, so the universal coefficient theorem gives the Z/m groups from the
-Z ones.  `hh`, `hc`, `oracle` and the forms and oracle columns of
-`compare` take that path; `layers` and the crystalline pipeline stay on
-the presented-module path.
+Z ones.  `hh`, `hc`, `layers`, `oracle` and the forms and oracle
+columns of `compare` take that path (each Hodge layer is the homology of
+one block of the forms complex); the crystalline pipeline stays on the
+presented-module path.
 """
 
 import json
@@ -18,9 +19,10 @@ from pathlib import Path
 
 import pytest
 
-from shukla import linalg
+from shukla import crystalline, linalg
 from shukla.baroracle import cyclic_mixed, from_presentation
 from shukla.cli import JobSpec, parse, run
+from shukla.crystalline import hc_layers_small, hodge_hh
 from shukla.gammaforms import build_gamma_forms, hh_assemble
 from shukla.linalg import GroundRing, universal_coefficients
 from shukla.mixed import cyclic_total, hochschild_total
@@ -171,6 +173,25 @@ def test_z6_hh_by_universal_coefficients():
     assert report["hh"]["2"] == {"free_rank": 0, "torsion": [3] + [6] * 6}
 
 
+# regular Z/m inputs whose `layers` ran past 30 s on the presented path,
+# where each Hodge layer was a graded piece of a filtration over Z/m
+LIFTED_LAYERS = {
+    "Z6_x3mxy_y2m3_n2": ITEM8["Z6_x3mxy_y2m3_n2"],
+    "Z9_x3_y2m3y_n3": "ring Z/9\nvars x y\nrel x^3\nrel y^2-3*y\nnmax 3\n",
+    "Z8_x3m2x_n4": ITEM8["Z8_x3m2x_n4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIFTED_LAYERS))
+def test_lifted_layers_match_the_crystalline_layers(name):
+    text = LIFTED_LAYERS[name]
+    code, report = _cli(text, "layers")
+    assert code == 0
+    job = parse(text)
+    assert report["hh"] == hodge_hh(job.presentation, job.n_max).to_json()
+    assert report["hc"] == hc_layers_small(job.presentation, job.n_max).to_json()
+
+
 def _count_presented(monkeypatch):
     calls = []
     real = linalg.homology_from_presentation
@@ -179,7 +200,9 @@ def _count_presented(monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
 
+    # crystalline binds the name at import, so it is counted there too
     monkeypatch.setattr(linalg, "homology_from_presentation", counted)
+    monkeypatch.setattr(crystalline, "homology_from_presentation", counted)
     return calls
 
 
@@ -187,6 +210,8 @@ def _count_presented(monkeypatch):
     # the corpus jobs hc_Z9_x2p3y_y2_n3 and oracle_Z4_x2_y2_n4
     ("ring Z/9\nvars x y\nrel x^2+3*y\nrel y^2\nnmax 3\n", "hc"),
     ("ring Z/4\nvars x y\nrel x^2\nrel y^2\nnmax 4\n", "oracle"),
+    # each Hodge layer is the homology of one block of the forms complex
+    ("ring Z/4\nvars x y\nrel x^2\nrel y^2\nnmax 2\n", "layers"),
 ])
 def test_lifted_commands_take_no_presented_path(monkeypatch, text, command):
     calls = _count_presented(monkeypatch)
@@ -196,8 +221,8 @@ def test_lifted_commands_take_no_presented_path(monkeypatch, text, command):
 
 
 @pytest.mark.parametrize("text, command", [
-    # Hodge layers do not follow the universal coefficient theorem
-    ("ring Z/4\nvars x y\nrel x^2\nrel y^2\nnmax 2\n", "layers"),
+    # liftable, but the crystalline column of `compare` is built over Z/4
+    ("ring Z/4\nvars x y\nrel x^2\nrel y^2\nnmax 2\n", "compare"),
     # not quasi-monic: x^2 is the leading term of both relations
     ("ring Z/8\nvars x\nrel x^2-x\nrel x^2+2*x\nnmax 2\n", "hh"),
     # 1 is a constant over Z/6 but a unit relation over Z
