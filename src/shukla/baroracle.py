@@ -5,10 +5,18 @@ basis containing 1, the slices A (x) (A/k)^(x q) carry the Hochschild
 boundary b (lowering q) and the Connes boundary B (raising q).  As a
 mixed complex with every slice in weight 0 it gives HH and HC, which
 agree with the model pipelines exactly when A is free over k.
+
+Label codes.  With r = rank A and s = r - 1, the slice (q, 0) lists the
+labels (a0, a1, ..., aq), a0 < r and 1 <= at < r, in lexicographic
+order, so the label sits at position a0 s^q + sum (at - 1) s^(q - t): a
+base-s number with a leading digit a0.  b and B find every row and
+column by arithmetic on these codes; no label tuple is built or looked
+up while they are assembled.
 """
 
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 
 from .errors import NotQuasiMonic
 from .mixed import MixedComplex
@@ -70,9 +78,6 @@ class FiniteAlgebra:
         # i * (j * k), using commutativity to multiply i in from the right
         return self._mul_into(self.mult[(j, k)], i)
 
-    def product(self, i, j):
-        return self.mult[(i, j)]
-
 
 def from_presentation(pres):
     """Finite free algebra on the reduced monomial basis of a quasi-monic
@@ -110,13 +115,7 @@ def cyclic_mixed(algebra, n_max):
               for q in range(qmax + 1)}
 
     def blocks(boundary, step, qs):
-        # a target's label index lives only while its block is built
-        out = {}
-        for q in qs:
-            tgt = (q + step, 0)
-            index = {lab: pos for pos, lab in enumerate(slices[tgt])}
-            out[((q, 0), tgt)] = boundary(algebra, q, slices[(q, 0)], index)
-        return out
+        return {((q, 0), (q + step, 0)): boundary(algebra, q) for q in qs}
 
     return MixedComplex(algebra.ring, slices,
                         b=blocks(_hochschild_boundary, -1, range(1, qmax + 1)),
@@ -124,40 +123,91 @@ def cyclic_mixed(algebra, n_max):
                         window_total=qmax)
 
 
-def _add_tensor(sums, row_index, col, tensor, coeff, slot, coeffs):
-    """Accumulate a tensor whose given slot holds an expanded A-element."""
-    for k, v in coeffs.items():
-        if slot > 0 and k == 0:
-            continue  # normalized: unit in an interior slot dies
-        key = (row_index[tensor[:slot] + (k,) + tensor[slot + 1:]], col)
-        sums[key] = sums.get(key, 0) + coeff * v
+def _add_run(sums, ids, row, row_step, col, col_step, length, v):
+    """Add v at (row + S * row_step, col + S * col_step) for S in
+    range(length), each key built from the shared ints ids."""
+    get = sums.get
+    for key in zip(ids[row:row + length * row_step:row_step],
+                   ids[col:col + length * col_step:col_step]):
+        sums[key] = get(key, 0) + v
 
 
-def _hochschild_boundary(algebra, q, source_labels, target_index):
+def _hochschild_boundary(algebra, q):
+    """b from slice (q, 0) to (q - 1, 0), face by face over label codes.
+
+    With s = r - 1, face i of a label with prefix code P (Pn values) and
+    suffix code S (L = s^len(suffix) values) sends the letters a, b
+    between them to the letter k.  For fixed a, b, k the source and
+    target codes are affine in P and in S, so each face runs over the
+    longer of the two at fixed steps.  The last face moves a_q a_0 into
+    slot 0; there the middle letters run in step, at stride s in the
+    source.
+    """
+    r = algebra.rank
+    s = r - 1
+    rows, cols = r * s ** (q - 1), r * s ** q
+    if r <= 1:
+        return SparseMatrix(rows, cols, algebra.ring)
+    mult = algebra.mult
+    ids = list(range(cols))
     sums = {}
-    for col, lab in enumerate(source_labels):
-        for i in range(q):
-            sign = 1 if i % 2 == 0 else -1
-            prod = algebra.product(lab[i], lab[i + 1])
-            tensor = lab[:i] + (0,) + lab[i + 2:]
-            _add_tensor(sums, target_index, col, tensor, sign, i, prod)
-        sign = 1 if q % 2 == 0 else -1
-        prod = algebra.product(lab[q], lab[0])
-        tensor = (0,) + lab[1:q]
-        _add_tensor(sums, target_index, col, tensor, sign, 0, prod)
-    return SparseMatrix.from_sums(len(target_index), len(source_labels),
-                                  algebra.ring, sums)
+    letters = range(1, r)
+    L = s ** (q - 1)  # face 0: (a, b, suffix) -> (k, suffix), k = 0 kept
+    for a in range(r):
+        for b in letters:
+            col = (a * s + b - 1) * L
+            for k, v in mult[(a, b)].items():
+                _add_run(sums, ids, k * L, 1, col, 1, L, v)
+    for i in range(1, q):
+        L, Pn = s ** (q - i - 1), r * s ** (i - 1)
+        for a in letters:
+            for b in letters:
+                col = ((a - 1) * s + b - 1) * L
+                for k, v in mult[(a, b)].items():
+                    if not k:
+                        continue  # normalized: unit in an interior slot dies
+                    row, w = (k - 1) * L, -v if i % 2 else v
+                    if L >= Pn:
+                        for P in range(Pn):
+                            _add_run(sums, ids, row + P * s * L, 1,
+                                     col + P * s * s * L, 1, L, w)
+                    else:
+                        for S in range(L):
+                            _add_run(sums, ids, row + S, s * L,
+                                     col + S, s * s * L, Pn, w)
+    M = s ** (q - 1)  # last face: (a0, middle, z) -> (k, middle)
+    for a0 in range(r):
+        for z in letters:
+            for k, v in mult[(z, a0)].items():
+                _add_run(sums, ids, k * M, 1, a0 * M * s + z - 1, s, M,
+                         -v if q % 2 else v)
+    # faces in turn, each column's keys in stable order: one run per column
+    ordered = {key: sums[key] for key in sorted(sums, key=itemgetter(1))}
+    return SparseMatrix.from_sums(rows, cols, algebra.ring, ordered)
 
 
-def _connes_boundary(algebra, q, source_labels, target_index):
+def _connes_boundary(algebra, q):
+    """B from slice (q, 0) to (q + 1, 0) over label codes, column by
+    column.
+
+    A label with a0 = 0 rotates a unit into an interior slot and dies.
+    Otherwise its letters less one are the base-s digits of D, at column
+    D + s^q, and rotation i is D's digits rotated, 0 prepended.
+    """
+    r = algebra.rank
+    s = r - 1
+    rows, cols = r * s ** (q + 1), r * s ** q
+    if r <= 1:
+        return SparseMatrix(rows, cols, algebra.ring)
+    ids = list(range(rows))
     sums = {}
-    for col, lab in enumerate(source_labels):
-        for i in range(q + 1):
-            sign = 1 if (q * i) % 2 == 0 else -1
-            rotated = lab[i:] + lab[:i]
-            if any(x == 0 for x in rotated):
-                continue  # some unit lands in an interior slot
-            key = (target_index[(0,) + rotated], col)
-            sums[key] = sums.get(key, 0) + sign
-    return SparseMatrix.from_sums(len(target_index), len(source_labels),
-                                  algebra.ring, sums)
+    get = sums.get
+    rotations = [(s ** (q + 1 - i), s ** i, -1 if q * i % 2 else 1)
+                 for i in range(q + 1)]
+    base = s ** q
+    for D in range(s ** (q + 1)):
+        col = ids[D + base]
+        for high, low, sign in rotations:
+            key = (ids[D % high * low + D // high], col)
+            sums[key] = get(key, 0) + sign
+    return SparseMatrix.from_sums(rows, cols, algebra.ring, sums)

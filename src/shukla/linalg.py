@@ -167,6 +167,8 @@ class SparseMatrix:
         Each value is normalized once and only nonzero ones are kept, in
         the order of sums.  The caller builds every key in range, so the
         entries are written without the per-entry check of __setitem__.
+        A producer writes each column's keys together, so a column's
+        entries come as one run, the order __mul__ is fast on.
         """
         m = SparseMatrix(rows, cols, ring)
         entries = m.entries
@@ -205,7 +207,8 @@ class SparseMatrix:
         other in one column k, other[j, k] times column j of self is
         summed under plain row keys, and only the nonzero sums become
         (row, k) entries.  A column whose entries come in several runs
-        adds each run to what the earlier ones left."""
+        adds each run to what the earlier ones left, which is slower, so
+        a producer writes each column's entries together."""
         if not isinstance(other, SparseMatrix):
             return NotImplemented
         if self.cols != other.rows:

@@ -89,9 +89,20 @@ class Presentation:
 
     @property
     def is_zero_algebra(self):
-        """Some relation is a constant unit of k, so 1 = 0 in A."""
-        return any(len(rel) == 1 and not any(e) and self.ring.is_unit(c)
-                   for rel in self.relations for e, c in rel.items())
+        """Some relation is a unit of k[x], so 1 = 0 in A: its constant
+        term is a unit of k and every other coefficient is nilpotent.
+
+        Over Z and Q only 0 is nilpotent, so only constants are units.
+        Over Z/m, c is nilpotent when c^e = 0 for e = m.bit_length(),
+        which exceeds every exponent of a prime in m.
+        """
+        ring = self.ring
+        m = ring.modulus
+        const = (0,) * len(self.variables)
+        return any(ring.is_unit(rel.get(const, 0))
+                   and all(e == const or (m and pow(c, m.bit_length(), m) == 0)
+                           for e, c in rel.items())
+                   for rel in self.relations)
 
     def integral(self):
         """The same relations over Z, with the stored coefficients in

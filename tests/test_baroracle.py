@@ -1,7 +1,10 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from shukla.baroracle import FiniteAlgebra, cyclic_mixed, from_presentation
-from shukla.errors import NotQuasiMonic
+from shukla.errors import CompositionNonzero, NotQuasiMonic
 from shukla.linalg import GroundRing, HomologyGroup, SparseMatrix
 from shukla.mixed import cyclic_total, hochschild_total, validate
 from shukla.models import Presentation
@@ -13,15 +16,15 @@ Q = GroundRing.Q()
 def test_from_presentation_bases():
     A = from_presentation(Presentation.make(Z, ["x"], [{(2,): 1}]))
     assert A.basis == ((0,), (1,))
-    assert A.product(1, 1) == {}
+    assert A.mult[(1, 1)] == {}
     B = from_presentation(Presentation.make(Z, ["x"], [{(3,): 1}]))
     assert B.basis == ((0,), (1,), (2,))
-    assert B.product(1, 2) == {}
-    assert B.product(1, 1) == {2: 1}
+    assert B.mult[(1, 2)] == {}
+    assert B.mult[(1, 1)] == {2: 1}
     Zm4 = GroundRing.Zmod(4)
     C = from_presentation(Presentation.make(Zm4, ["x"], [{(2,): 1, (0,): -2}]))
     assert C.basis == ((0,), (1,))
-    assert C.product(1, 1) == {0: 2}
+    assert C.mult[(1, 1)] == {0: 2}
 
 
 def test_from_presentation_refuses_constant_relations():
@@ -74,7 +77,8 @@ def test_oracle_self_validation():
 ])
 def test_validate_detects_corrupted_bar_complex(table, key, identity, where):
     # one Hochschild or Connes entry of the bar complex of Z[x]/(x^3)
-    # with its sign flipped breaks the named identity
+    # with its sign flipped breaks the named identity, and the homology
+    # sweeps refuse the complex as well
     A = from_presentation(Presentation.make(Z, ["x"], [{(3,): 1}]))
     C = cyclic_mixed(A, 3)
     assert validate(C)
@@ -84,6 +88,10 @@ def test_validate_detects_corrupted_bar_complex(table, key, identity, where):
     result = validate(C)
     assert not result
     assert (result.identity, result.slice) == (identity, where)
+    sweeps = (hochschild_total, cyclic_total) if table == "b" else (cyclic_total,)
+    for sweep in sweeps:
+        with pytest.raises(CompositionNonzero):
+            sweep(C, 3)
 
 
 def test_oracle_dual_numbers_over_z():
@@ -117,7 +125,7 @@ def test_basis_independence():
     mult = {}
     for i in range(3):
         for j in range(3):
-            old = A.product(inv[i], inv[j])
+            old = A.mult[(inv[i], inv[j])]
             mult[(i, j)] = {perm[k]: c for k, c in old.items()}
     B = FiniteAlgebra(Z, basis, mult)
     cA, cB = cyclic_mixed(A, 3), cyclic_mixed(B, 3)
@@ -139,39 +147,51 @@ def test_hh0_hc0_are_the_algebra():
 
 
 def _reference_b(A, labels, index, q):
-    """Hochschild b of the bar complex, term by term through the entry setter."""
-    ring = A.ring
-    mat = SparseMatrix(len(index), len(labels), ring)
+    """Hochschild b of the bar complex, term by term on label tuples."""
+    sums = {}
     for col, lab in enumerate(labels):
-        faces = [(i, lab[:i] + (0,) + lab[i + 2:], A.product(lab[i], lab[i + 1]),
+        faces = [(i, lab[:i] + (0,) + lab[i + 2:], A.mult[(lab[i], lab[i + 1])],
                   (-1) ** i) for i in range(q)]
-        faces.append((0, (0,) + lab[1:q], A.product(lab[q], lab[0]), (-1) ** q))
+        faces.append((0, (0,) + lab[1:q], A.mult[(lab[q], lab[0])], (-1) ** q))
         for slot, tensor, prod, sign in faces:
             for k, v in prod.items():
                 if slot == 0 or k != 0:
-                    row = index[tensor[:slot] + (k,) + tensor[slot + 1:]]
-                    mat[row, col] = ring.add(mat[row, col], ring.mul(sign, v))
-    return mat
+                    key = (index[tensor[:slot] + (k,) + tensor[slot + 1:]], col)
+                    sums[key] = sums.get(key, 0) + sign * v
+    return _through_setter(A.ring, len(index), len(labels), sums)
 
 
 def _reference_B(A, labels, index, q):
-    """Connes' B of the bar complex, term by term through the entry setter."""
-    ring = A.ring
-    mat = SparseMatrix(len(index), len(labels), ring)
+    """Connes' B of the bar complex, term by term on label tuples."""
+    sums = {}
     for col, lab in enumerate(labels):
         for i in range(q + 1):
             rotated = lab[i:] + lab[:i]
             if 0 not in rotated:
-                row = index[(0,) + rotated]
-                mat[row, col] = ring.add(mat[row, col], (-1) ** (q * i))
+                key = (index[(0,) + rotated], col)
+                sums[key] = sums.get(key, 0) + (-1) ** (q * i)
+    return _through_setter(A.ring, len(index), len(labels), sums)
+
+
+def _through_setter(ring, rows, cols, sums):
+    """The matrix of sums, written through the entry setter in the order
+    the keys first appeared, columns ascending."""
+    mat = SparseMatrix(rows, cols, ring)
+    for key, v in sums.items():
+        mat[key] = v
     return mat
 
 
 def _bar_blocks(ring, variables, rels):
     from shukla.cli import parse
     text = f"ring {ring}\nvars {variables}\n" + "".join(f"rel {r}\n" for r in rels)
-    A = from_presentation(parse(text + "nmax 2\n").presentation)
-    M = cyclic_mixed(A, 2)
+    return _paired_blocks(from_presentation(parse(text + "nmax 2\n").presentation), 2)
+
+
+def _paired_blocks(A, n_max):
+    """(q, t) -> (block of cyclic_mixed, term-by-term reference) for every
+    b and B block of the bar complex of A."""
+    M = cyclic_mixed(A, n_max)
     blocks = {}
     for table, reference in ((M.b, _reference_b), (M.B, _reference_B)):
         for ((q, _), (t, _)), mat in table.items():
@@ -202,3 +222,57 @@ def test_bar_entries_that_cancel_mod_m_are_absent():
                 cancelled += 1
                 assert entry not in mod4.entries
     assert cancelled
+
+
+def _random_quasi_monic(rng, ring):
+    """A quasi-monic presentation with a rule x_i^m = lower on every
+    variable, lower of total degree < m; the pure-power leading terms are
+    coprime, so the reduced monomials are a free basis."""
+    nvars = rng.choice((1, 2))
+    relations = []
+    for i in range(nvars):
+        m = rng.randint(2 if i == 0 else 1, 3)
+        rel = {tuple(m if j == i else 0 for j in range(nvars)): 1}
+        for _ in range(rng.randint(0, 3)):
+            exps = [0] * nvars
+            for _ in range(rng.randrange(m)):
+                exps[rng.randrange(nvars)] += 1
+            c = rng.randint(-3, 3)
+            if ring.kind == "Q":
+                c = Fraction(c, rng.randint(1, 3))
+            rel[tuple(exps)] = c
+        relations.append(rel)
+    return Presentation.make(ring, [f"x{i}" for i in range(nvars)], relations)
+
+
+def _largest_window(rank, labels=2000):
+    """The largest n_max <= 4 whose top slice has at most `labels` labels."""
+    return max([0] + [n for n in range(1, 5) if rank * (rank - 1) ** (n + 1) <= labels])
+
+
+@pytest.mark.parametrize("ring", [Z, Q, GroundRing.Zmod(4), GroundRing.Zmod(9)],
+                         ids=repr)
+def test_digit_blocks_match_the_label_reference_on_random_algebras(ring):
+    # the digit builders against the label-tuple builders, block for block
+    # and entry for entry in order, on seeded random algebras of rank
+    # 0 (rel 1), 1 (rel x) and up to 9
+    rng = random.Random(f"bar digits {ring!r}")
+    algebras = [from_presentation(Presentation.make(ring, [], [{(): 1}])),
+                from_presentation(Presentation.make(ring, ["x"], [{(1,): 1}]))]
+    algebras += [from_presentation(_random_quasi_monic(rng, ring)) for _ in range(8)]
+    assert [A.rank for A in algebras[:2]] == [0, 1]
+    for A in algebras:
+        for (q, t), (mat, expected) in _paired_blocks(A, _largest_window(A.rank)).items():
+            assert (mat.rows, mat.cols) == (expected.rows, expected.cols), (A.basis, q, t)
+            assert list(mat.entries.items()) == list(expected.entries.items()), (A.basis, q, t)
+
+
+@pytest.mark.parametrize("ring", ["Z", "Z/9", "Q"])
+@pytest.mark.parametrize("variables, rels", [("x", ["x^4-2*x"]),
+                                             ("x y", ["x^2-y", "y^3+x"])])
+def test_bar_block_entries_come_one_run_per_column(ring, variables, rels):
+    # SparseMatrix.__mul__ sums one run of entries per column; a column
+    # split into runs is summed again for each
+    for mat, _ in _bar_blocks(ring, variables, rels).values():
+        cols = [j for (_, j) in mat.entries]
+        assert cols == sorted(cols)

@@ -15,6 +15,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -289,6 +290,51 @@ def test_unit_constant_relation_gives_zero_groups(name, command):
     if command == "compare":
         assert sorted(report["hh"]) == ["crystalline", "gamma_forms", "oracle"]
         assert report["all_agree"] is True
+
+
+# A relation that is a unit of k[x] makes A = 0 as well: 2x + 1 over Z/4,
+# since (2x + 1)(1 - 2x) = 1, and 4x^2 + 2x + 3 over Z/8, whose constant
+# is a unit and whose other coefficients are nilpotent.  Before, `hh`
+# exited 0 with HH_0 = C4 and C8^2, and `oracle` exited 1 with
+# NotQuasiMonic.
+POLYNOMIAL_UNIT = {
+    "Z4_2xp1_n2": "ring Z/4\nvars x\nrel 2*x+1\nnmax 2\n",
+    "Z8_4x2p2xp3_n2": "ring Z/8\nvars x\nrel 4*x^2+2*x+3\nnmax 2\n",
+}
+
+
+@pytest.mark.parametrize("command", ["hh", "hc", "layers", "oracle", "compare"])
+@pytest.mark.parametrize("name", sorted(POLYNOMIAL_UNIT))
+def test_polynomial_unit_relation_gives_zero_groups(name, command):
+    code, report = _cli(POLYNOMIAL_UNIT[name], command)
+    assert code == 0
+    groups = _groups(report.get("hh", {})) + _groups(report.get("hc", {}))
+    assert groups and all(g == {"free_rank": 0, "torsion": []} for g in groups)
+    if command == "oracle":
+        assert report["validated"] is True
+    if command == "compare":
+        assert sorted(report["hh"]) == ["crystalline", "gamma_forms", "oracle"]
+        assert report["all_agree"] is True
+
+
+@pytest.mark.parametrize("ring, relation, zero", [
+    (GroundRing.Zmod(4), {(1,): 2, (0,): 1}, True),
+    (GroundRing.Zmod(8), {(2,): 4, (1,): 2, (0,): 3}, True),
+    (GroundRing.Zmod(12), {(1,): 6, (0,): 5}, True),
+    (GroundRing.Zmod(9), {(3,): 3, (0,): -1}, True),
+    (GroundRing.Z(), {(0,): -1}, True),
+    (GroundRing.Q(), {(0,): Fraction(1, 2)}, True),
+    # 2 is not nilpotent mod 6 or mod 12: 2x + 1 is no unit there
+    (GroundRing.Zmod(6), {(1,): 2, (0,): 1}, False),
+    (GroundRing.Zmod(12), {(1,): 2, (0,): 1}, False),
+    (GroundRing.Zmod(4), {(1,): 1, (0,): 1}, False),
+    (GroundRing.Zmod(4), {(1,): 2}, False),
+    (GroundRing.Z(), {(1,): 2, (0,): 1}, False),
+    (GroundRing.Q(), {(1,): 1, (0,): 1}, False),
+])
+def test_zero_algebra_is_a_unit_relation_of_the_polynomial_ring(ring, relation, zero):
+    pres = Presentation.make(ring, ["x"], [{(2,): 1}, relation])
+    assert pres.is_zero_algebra is zero
 
 
 # A = 0 is free of rank 0 on every ring, so the oracle runs on it and
