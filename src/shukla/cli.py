@@ -206,7 +206,8 @@ def parse(text):
     if poly_bound is not None and poly_bound < top:
         raise ParseError(f"polybound {poly_bound} is below the relation "
                          f"degree {top}", bound_line)
-    if not pres.is_quasi_monic:
+    # A = 0 runs every pipeline (run builds it from _zero_if_unit)
+    if not pres.is_quasi_monic and not pres.is_zero_algebra:
         job.warnings.append(
             "NonQuasiMonicWarning: some relation lacks a unit pure-power "
             "leading term; oracle and crystalline pipelines are unavailable")

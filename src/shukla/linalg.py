@@ -1000,11 +1000,14 @@ def homology_from_presentation(d_in_cols, d_out_cols, mid_dim, out_dim, ring,
                        want_generators=want_generators)
 
 
-def homology_at(d_in, d_out, ring, r_out=None, cancelled=None):
+def homology_at(d_in, d_out, ring, r_out=None, cancelled=None, checked=False):
     """Isomorphism class of ker(d_out)/im(d_in) over the ground ring.
 
     d_in: C_{n+1} -> C_n and d_out: C_n -> C_{n-1} as SparseMatrix.
     Raises CompositionNonzero unless d_out * d_in = 0 over the ring.
+    checked=True skips forming that product: the caller has already
+    shown d_out * d_in = 0 (the mixed sweeps, from the identities of
+    their complex), and the result is meaningless if it is not.
     r_out, when given, is the rank of d_out over Z or Q, already known
     to the caller; it is not used over Z/m, where the group comes from
     the presented module.  chain_homology reads the rank of d_in back
@@ -1019,7 +1022,7 @@ def homology_at(d_in, d_out, ring, r_out=None, cancelled=None):
     """
     if d_in.rows != d_out.cols:
         raise ValueError("middle dimensions disagree")
-    if not (d_out * d_in).is_zero():
+    if not checked and not (d_out * d_in).is_zero():
         raise CompositionNonzero(
             f"d_out . d_in != 0 on a {d_in.rows}-dimensional slice")
     n = d_in.rows
@@ -1042,9 +1045,13 @@ def homology_at(d_in, d_out, ring, r_out=None, cancelled=None):
     return _tensor(n - r_in - r_out, factors, ring)
 
 
-def chain_homology(ds, ring):
+def chain_homology(ds, ring, checked=False):
     """H_0, ..., H_N of the chain whose boundaries are ds[0..N + 1], ds[n]
     from degree n to degree n - 1.
+
+    checked is passed to every homology_at: with True the caller has
+    already shown ds[n] * ds[n + 1] = 0 for n <= N, and no product is
+    formed.
 
     Over Z and Q each boundary is ranked once.  The rank of the first
     d_out comes from integer_rank; after that the rank of ds[n + 1] is
@@ -1086,7 +1093,7 @@ def chain_homology(ds, ring):
             continue
         if ranked and r_out is None:
             r_out = integer_rank(_int_columns(d_out), d_out.rows)
-        h = homology_at(d_in, d_out, ring, r_out, cancelled)
+        h = homology_at(d_in, d_out, ring, r_out, cancelled, checked)
         groups.append(h)
         if ranked:
             r_out = d_in.rows - r_out - h.free_rank

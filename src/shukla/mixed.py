@@ -16,12 +16,25 @@ When b keeps the weight and B raises it by one, copy i of slice (m, w)
 has shifted weight w + i, and b and B both keep it.  The totalization is
 then a direct sum of blocks, one per shifted weight, and the Hodge layer
 (n, p) of HC_n is the homology of block p at degree n.
+
+The three identities b^2 = 0, B^2 = 0 and bB + Bb = 0 are checked once
+per source slice, and MixedComplex.verified records, per identity, the
+highest degree checked so far, so the homology sweeps re-form no
+product that validate or an earlier sweep has checked.  The slices they
+need are exactly those the boundary products of the sweep would cover.
+HH_n for n <= N multiplies the b blocks through degree N + 1.  On the
+cyclic totalization, D = b + B applied twice to copy i of slice s gives
+three pieces: b^2 x in copy i, (bB + Bb) x in copy i - 1 (present only
+when i >= 1) and B^2 x in copy i - 2 (only when i >= 2).  They land in
+different summands, so D^2 = 0 out of total degree n + 1 <= N + 1 is
+b^2 = 0 through degree N + 1, bB + Bb = 0 through N - 1 and B^2 = 0
+through N - 3, each slice once rather than once per copy.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import HypothesisViolated, WindowTooSmall
+from .errors import CompositionNonzero, HypothesisViolated, WindowTooSmall
 # homology_at stays bound here because perfbench's tracer test reads
 # mixed.homology_at; chain_homology calls it in linalg
 from .linalg import (
@@ -44,6 +57,11 @@ class MixedComplex:
     Hochschild homology reads only b, so B is built on first read:
     build_B is the producer's zero-argument builder of the B table, and
     its result is kept for every later read.
+
+    verified maps each identity ("b^2", "B^2", "bB + Bb") to the highest
+    source degree on which it has been checked; the sweeps check only the
+    slices above it.  A caller who changes a block afterwards calls
+    validate again, which clears the record.
     """
 
     ring: object
@@ -51,6 +69,7 @@ class MixedComplex:
     b: dict = field(default_factory=dict)
     build_B: object = dict
     window_total: int = 0
+    verified: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
     def B(self):
@@ -96,26 +115,56 @@ def _composite(s, paths):
     return out
 
 
+# the (first, second) block tables whose composites sum to each identity
+_IDENTITIES = {
+    "b^2": (("b", "b"),),
+    "B^2": (("B", "B"),),
+    "bB + Bb": (("B", "b"), ("b", "B")),
+}
+
+
+def _first_failure(M, name, top):
+    """Check identity name on the nonzero slices of degree at most top
+    that M.verified does not cover yet, one source slice at a time.
+
+    Returns the first failing slice, or None once the identity holds
+    through degree top, which M.verified then records.  Only the tables
+    the identity reads are touched, so b^2 never builds B.
+    """
+    done = M.verified.get(name)
+    if done is not None and top <= done:
+        return None
+    pairs = _IDENTITIES[name]
+    tables = {t: _leaving(getattr(M, t)) for t in {t for pair in pairs for t in pair}}
+    paths = [(tables[first], tables[second]) for first, second in pairs]
+    for s in sorted(k for k in M.slices if M.dim(*k)):
+        if (done is None or s[0] > done) and s[0] <= top:
+            if not all(m.is_zero() for m in _composite(s, paths).values()):
+                return s
+    M.verified[name] = top
+    return None
+
+
+def _require(M, name, top):
+    """Raise CompositionNonzero unless identity name holds through degree top."""
+    s = _first_failure(M, name, top)
+    if s is not None:
+        raise CompositionNonzero(f"{name} != 0 on slice {s}")
+
+
 def validate(M):
     """Check b^2 = 0, B^2 = 0 and bB + Bb = 0 on the window interior.
 
-    Each composite is formed from one source slice and dropped after its
-    check.  A failed result names the first failing identity and slice.
+    The record of what was checked is cleared first, so a complex whose
+    blocks changed is checked again in full.  Each composite is formed
+    from one source slice and dropped after its check.  A failed result
+    names the first failing identity and slice.
     """
-    W = M.window_total
-    b, B = _leaving(M.b), _leaving(M.B)
-    keys = sorted(k for k in M.slices if M.dim(*k))
-    checks = (
-        ("b^2", ((b, b),), 0),
-        ("B^2", ((B, B),), 2),
-        ("bB + Bb", ((B, b), (b, B)), 1),
-    )
-    for name, paths, slack in checks:
-        for s in keys:
-            if s[0] > W - slack:
-                continue
-            if not all(m.is_zero() for m in _composite(s, paths).values()):
-                return ValidationResult(False, name, s)
+    M.verified.clear()
+    for name, slack in (("b^2", 0), ("B^2", 2), ("bB + Bb", 1)):
+        s = _first_failure(M, name, M.window_total - slack)
+        if s is not None:
+            return ValidationResult(False, name, s)
     return ValidationResult(True)
 
 
@@ -155,10 +204,11 @@ def hochschild_layers(M, n_max):
     weight, so H_n is the direct sum of the homology of each weight block,
     and each weight is one chain swept once."""
     M.require_window(n_max)
+    _require(M, "b^2", n_max + 1)
     by_weight = {}
     for w in {w for (n, w) in M.slices if n <= n_max and M.dim(n, w)}:
         ds = [_total_matrix(M, n, w) for n in range(n_max + 2)]
-        by_weight[w] = chain_homology(ds, M.ring)
+        by_weight[w] = chain_homology(ds, M.ring, checked=True)
     totals = {}
     layers = {}
     for n in range(n_max + 1):
@@ -238,7 +288,9 @@ def cyclic_total(M, n_max, boundaries=None):
     d = boundaries
     if d is None:
         d = [_cyclic_matrix(M, n) for n in range(n_max + 2)]
-    return chain_homology(d, M.ring)
+    for name, top in (("b^2", n_max + 1), ("B^2", n_max - 3), ("bB + Bb", n_max - 1)):
+        _require(M, name, top)
+    return chain_homology(d, M.ring, checked=True)
 
 
 def cyclic_layers(M, n_max):

@@ -80,6 +80,18 @@ def test_non_quasi_monic_warning():
     assert any("NonQuasiMonic" in w for w in job.warnings)
 
 
+def test_zero_algebra_runs_every_pipeline_without_warning():
+    # 2x + 1 is a unit of Z/4[x], so A = 0 and the oracle and crystalline
+    # pipelines run; the same relation over Z/6 leaves a nonzero A
+    job = parse("ring Z/4\nvars x\nrel 2*x+1\nnmax 2\n")
+    assert not job.warnings
+    report, ok = run(job, "compare")
+    assert ok and "warnings" not in report
+    assert sorted(report["hh"]) == ["crystalline", "gamma_forms", "oracle"]
+    job = parse("ring Z/6\nvars x\nrel 2*x+1\nnmax 2\n")
+    assert any("NonQuasiMonic" in w for w in job.warnings)
+
+
 def test_run_hh_example():
     job = parse("ring Z\nvars x\nrel x^2\nnmax 2\n")
     report, ok = run(job, "hh")
@@ -329,3 +341,79 @@ def test_cli_selftest_passes_for_two_seeds(monkeypatch, capsys):
         assert results["validate_fixture"] == {"bar": True, "gamma_forms": True}
         contraction_cases.add(results["contraction"]["cases"])
     assert len(contraction_cases) == 2
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The (left, right) operands of every SparseMatrix product, in call
+    order; the list keeps them alive, so their ids stay distinct."""
+    from shukla.linalg import SparseMatrix
+    seen = []
+    mul = SparseMatrix.__mul__
+
+    def spy(self, other):
+        seen.append((self, other))
+        return mul(self, other)
+    monkeypatch.setattr(SparseMatrix, "__mul__", spy)
+    return seen
+
+
+def test_oracle_multiplies_only_inside_validate(products):
+    from shukla.baroracle import cyclic_mixed, from_presentation
+    from shukla.mixed import validate
+    job = parse("ring Z\nvars x\nrel x^3\nnmax 3\n")
+    assert validate(cyclic_mixed(from_presentation(job.presentation), job.n_max))
+    in_validate = len(products)
+    assert in_validate
+    report, ok = run(job, "oracle")
+    assert ok and report["validated"] is True
+    assert len(products) == 2 * in_validate
+
+
+def test_compare_forms_column_forms_each_b_pair_once(products, monkeypatch):
+    from collections import Counter
+    import shukla.cli as cli
+    import shukla.mixed as mixed
+    built, totalized = [], []
+
+    def spy(module, name, out):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            out.append(original(*args))
+            return out[-1]
+        monkeypatch.setattr(module, name, wrapper)
+    spy(cli, "_forms_complex", built)
+    spy(mixed, "_cyclic_matrix", totalized)
+    job = parse("ring Z\nvars x\nrel x^3\nnmax 3\n")
+    report, ok = run(job, "compare")
+    assert ok and report["all_agree"] is True
+    # no product of totalized boundaries, in the forms or the oracle column
+    assert totalized
+    totalized = {id(m) for m in totalized}
+    assert not any(id(m) in totalized for pair in products for m in pair)
+    (G,) = built
+    b = G.complex.b
+    blocks = {id(m) for m in b.values()}
+    formed = Counter((id(left), id(right)) for left, right in products
+                     if id(left) in blocks and id(right) in blocks)
+    # b^2 through degree nmax + 1, which HH and HC both need
+    assert formed == Counter({(id(b[t, u]), id(b[s, t])): 1
+                              for (s, t) in b for (t2, u) in b
+                              if t2 == t and s[0] <= job.n_max + 1})
+
+
+def test_forms_sweeps_multiply_blocks_only(products):
+    """hh_assemble and cyclic_total form each block product at most once
+    and never a product of totalized boundaries."""
+    from shukla.gammaforms import build_gamma_forms, hh_assemble
+    from shukla.mixed import cyclic_total
+    from shukla.models import koszul_model
+    job = parse("ring Z\nvars x y\nrel x^2\nrel y^2\nnmax 3\n")
+    G = build_gamma_forms(koszul_model(job.presentation), job.n_max)
+    hh_assemble(G, job.n_max)
+    cyclic_total(G.complex, job.n_max)
+    blocks = {id(m) for table in (G.complex.b, G.complex.B) for m in table.values()}
+    pairs = [(id(left), id(right)) for left, right in products]
+    assert pairs and all(left in blocks and right in blocks for left, right in pairs)
+    assert len(set(pairs)) == len(pairs)

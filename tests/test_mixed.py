@@ -613,3 +613,84 @@ def test_block_of_wrong_shape_is_refused(table):
     M = MixedComplex(Z, slices, b=b, build_B=lambda: B, window_total=2)
     with pytest.raises(ValueError, match="block"):
         cyclic_total(M, 1)
+
+
+# -- each identity checked once ----------------------------------------------
+
+CORRUPTED_COMPLEXES = {
+    "oracle_Z_x3_n3": (_oracle_complex, _text("Z", "x", ["x^3"], 3)),
+    "forms_Z_x2_n4": (_forms_complex, _text("Z", "x", ["x^2"], 4)),
+}
+
+
+def _single_entry_corruptions(M):
+    """(table, block key, entry, value): each entry of every b and B block
+    plus one, and a 1 at the first zero position of each block."""
+    for table in ("b", "B"):
+        for key, mat in sorted(getattr(M, table).items()):
+            for pos, v in sorted(mat.entries.items()):
+                yield table, key, pos, v + 1
+            free = (pos for pos in ((i, j) for i in range(mat.rows)
+                                    for j in range(mat.cols))
+                    if pos not in mat.entries)
+            pos = next(free, None)
+            if pos is not None:
+                yield table, key, pos, 1
+
+
+def _products_vanish(ds):
+    return all((ds[n] * ds[n + 1]).is_zero() for n in range(len(ds) - 1))
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTED_COMPLEXES))
+def test_slice_checks_raise_exactly_when_totalized_products_do(name):
+    """The per-slice identities refuse a corrupted complex exactly when a
+    product of consecutive totalized boundaries is nonzero."""
+    from shukla.errors import CompositionNonzero
+    from shukla.mixed import _cyclic_matrix, _total_matrix
+    build, text = CORRUPTED_COMPLEXES[name]
+
+    def corrupted(table, key, pos, value):
+        M, n_max = build(text)  # a fresh complex, with nothing verified
+        getattr(M, table)[key][pos] = value
+        return M, n_max
+
+    def raises(sweep, M, n_max):
+        try:
+            sweep(M, n_max)
+        except CompositionNonzero:
+            return True
+        return False
+
+    outcomes = set()
+    for corruption in _single_entry_corruptions(build(text)[0]):
+        M, n_max = corrupted(*corruption)
+        weights = {w for (_, w) in M.slices}
+        expected = not all(_products_vanish([_total_matrix(M, n, w)
+                                             for n in range(n_max + 2)])
+                           for w in weights)
+        assert raises(hochschild_total, M, n_max) == expected, corruption
+        outcomes.add(("hh", expected))
+        M, n_max = corrupted(*corruption)
+        expected = not _products_vanish([_cyclic_matrix(M, n) for n in range(n_max + 2)])
+        assert raises(cyclic_total, M, n_max) == expected, corruption
+        outcomes.add(("hc", expected))
+    # both sweeps met corruptions that break them and ones that do not
+    assert outcomes == {("hh", True), ("hh", False), ("hc", True), ("hc", False)}
+
+
+def test_revalidating_a_changed_block_makes_both_sweeps_raise():
+    from shukla.errors import CompositionNonzero
+    M, n_max = _oracle_complex(_text("Z", "x", ["x^3"], 3))
+    assert validate(M)
+    hochschild_total(M, n_max)
+    cyclic_total(M, n_max)
+    # a unit more in a row of b_3 whose column of b_2 is nonzero
+    i = min(j for (_, j) in M.b[((2, 0), (1, 0))].entries)
+    block = M.b[((3, 0), (2, 0))]
+    block[i, 0] = block.entries.get((i, 0), 0) + 1
+    result = validate(M)
+    assert not result and result.identity == "b^2"
+    for sweep in (hochschild_total, cyclic_total):
+        with pytest.raises(CompositionNonzero, match=r"b\^2 != 0 on slice"):
+            sweep(M, n_max)
