@@ -374,12 +374,16 @@ def _run_compare(job, report):
 
 
 def _run_witness(job, command, report):
-    p = 2
+    p = None
     for part in command.split()[1:]:
         m = re.fullmatch(r"p=([0-9]+)", part)
         if m is None:
             raise ParseError(f"bad witness parameter {part!r}")
+        if p is not None:
+            raise ParseError(f"witness24 takes one p=, got a second {part!r}")
         p = int(m.group(1))
+    if p is None:
+        p = 2
     if p < 2:
         raise ParseError(f"witness24 needs p >= 2, got {p}")
     ring = job.presentation.ring

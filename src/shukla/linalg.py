@@ -1,7 +1,7 @@
 """Exact scalar arithmetic and integer matrix kernels.
 
 Everything here is exact: integers, integers mod m, or rationals.  The
-work is integer elimination, and the ground ring k is decided in four
+work is integer elimination, and the ground ring k is decided in these
 places only:
 
 - `_int_columns` is the lift of a matrix over k to integer columns.  Q
@@ -16,6 +16,14 @@ places only:
   built over Z (`models.Presentation.integral`).
 - `preimage` asks `is_unit` and `inv` of the ring about one integer g,
   the gcd of the last coordinates of the kernel of [M | b].
+- `homology_at` sends a Z/m pair to `homology_from_presentation`, and
+  `chain_homology` ranks boundaries and cancels unit pivots (`ranked`)
+  over Z and Q only.
+- Two callers outside this module lean on the relation columns that
+  `_int_columns` appends over Z/m: `mixed._column_graded_pieces` takes
+  those past the matrix's own columns as the target relations, and
+  `crystalline.FilteredComplex.homology` adds its own relation vectors
+  after them.
 
 Every other module hands integer columns and the ring to these.
 """
@@ -744,13 +752,14 @@ def invariant_factors_sparse(columns, nrows, cancelled=None):
     fill 0) is the least key; the pass only takes them without the
     heap's keys.  The heap then runs on what is left.
 
-    Each pivot is the entry of least (|v|, Markowitz fill
-    (len(row) - 1) * (len(col) - 1), row), so units go first.  It comes
-    from a lazily refreshed heap with one live key per row.  Each step
-    rescores the rows it touches and lowers the key of any other row
-    whose entry lost column mates, so no key exceeds its row's best; a
-    popped row whose best has grown since is pushed back, and otherwise
-    it holds the pivot.
+    Each pivot is chosen by (|v|, Markowitz fill (len(row) - 1) *
+    (len(col) - 1), row), so units go first.  It comes from a lazily
+    refreshed heap with one live key per row.  Each step rescores the
+    rows it changed; a popped row whose best has grown since is pushed
+    back, and otherwise it holds the pivot.  A row whose best fell
+    without being changed (its columns lost other rows) keeps its older
+    key, so a pivot can be near least rather than least; the order sets
+    the cost, never the factors.
 
     A pivot v clears its column by row ops with the nearest-integer
     quotient; if remainders survive, the smallest becomes the pivot and
@@ -818,7 +827,6 @@ def invariant_factors_sparse(columns, nrows, cancelled=None):
             heapq.heappush(heap, queued[pi])
             continue
         touched = set()  # rows changed by this step, old pivot rows too
-        shrunk = set()   # columns that lost an entry
         while True:
             prow = rows[pi]
             piv = prow[pj]
@@ -833,10 +841,9 @@ def invariant_factors_sparse(columns, nrows, cancelled=None):
                         nv = row.get(j, 0) - q * v
                         if nv:
                             row[j] = nv
-                            cols.setdefault(j, set()).add(i)
+                            cols[j].add(i)
                         elif row.pop(j, None) is not None:
                             cols[j].discard(i)
-                            shrunk.add(j)
                 if not row:
                     del rows[i]
                 elif pj in row:
@@ -860,7 +867,6 @@ def invariant_factors_sparse(columns, nrows, cancelled=None):
                         else:
                             del prow[j]
                             cols[j].discard(pi)
-                            shrunk.add(j)
             if move is None:
                 break
             pj = move[1]
@@ -872,31 +878,12 @@ def invariant_factors_sparse(columns, nrows, cancelled=None):
         touched.discard(pi)
         for j in prow:
             cols[j].discard(pi)
-            shrunk.add(j)
-        for j in shrunk:
-            if j in cols and not cols[j]:
-                del cols[j]
         for i in touched:
             if i in rows:
                 queued[i] = best_entry(i)[0] * span + i
                 heapq.heappush(heap, queued[i])
             else:
                 queued.pop(i, None)
-        # Untouched rows kept their entries, but shrunk columns got
-        # shorter: lower the key of a row whose entry there got cheaper.
-        # A key left too low is caught when it is popped.
-        for j in shrunk:
-            col = cols.get(j, ())
-            mates = len(col) - 1
-            for i in col:
-                if i not in touched:
-                    row = rows[i]
-                    key = abs(row[j]) * cap * span
-                    if key < queued[i]:
-                        key += (len(row) - 1) * mates * span + i
-                        if key < queued[i]:
-                            queued[i] = key
-                            heapq.heappush(heap, key)
     return list(_normalize_torsion(isolated)), len(isolated)
 
 

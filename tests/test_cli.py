@@ -259,6 +259,7 @@ def test_cli_rejects_negative_nmax_override(tmp_path):
     ("witness24 p=abc", "'p=abc'"),
     ("witness24 p=1", "p >= 2"),
     ("witness24 q=7", "'q=7'"),
+    ("witness24 p=3 p=5", "second 'p=5'"),
 ])
 def test_cli_witness_rejects_bad_p(tmp_path, cmd, detail):
     src = tmp_path / "job.txt"

@@ -163,16 +163,28 @@ def _dense_invariants(columns, nrows):
     return [d for d in diag if d not in (0, 1)], sum(1 for d in diag if d)
 
 
-def test_invariant_factors_sparse_unit_heavy_matches_dense():
-    rng = random.Random(4141)
-    for trial in range(60):
-        nrows = rng.randint(1, 40)
-        ncols = rng.randint(1, 60)
-        # some trailing rows stay zero; columns with no draw are zero
-        columns = _sparse_unit_heavy(rng, rng.randint(1, nrows), ncols,
-                                     rng.choice((2, 3, 6)))
-        factors, rank = invariant_factors_sparse(columns, nrows)
-        assert (list(factors), rank) == _dense_invariants(columns, nrows), trial
+def _no_peel(rows, cols, cancelled):
+    """A singleton pass that isolates nothing: the heap takes every pivot."""
+    return []
+
+
+def test_invariant_factors_sparse_unit_heavy_matches_dense(monkeypatch):
+    # the same matrices with the singleton pass and without it: behind
+    # the pass the heap sees few units, so its unit pivots are checked
+    # on their own too
+    import shukla.linalg
+    for peel in (shukla.linalg._peel_unit_singletons, _no_peel):
+        monkeypatch.setattr(shukla.linalg, "_peel_unit_singletons", peel)
+        rng = random.Random(4141)
+        for trial in range(60):
+            nrows = rng.randint(1, 40)
+            ncols = rng.randint(1, 60)
+            # some trailing rows stay zero; columns with no draw are zero
+            columns = _sparse_unit_heavy(rng, rng.randint(1, nrows), ncols,
+                                         rng.choice((2, 3, 6)))
+            factors, rank = invariant_factors_sparse(columns, nrows)
+            assert ((list(factors), rank)
+                    == _dense_invariants(columns, nrows)), (peel.__name__, trial)
 
 
 def _no_dense_residue(monkeypatch):

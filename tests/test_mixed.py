@@ -410,24 +410,41 @@ def test_invariant_factors_sparse_unit_heavy_conjugated_matches_sympy():
 
 
 def test_chain_homology_with_unit_heavy_boundaries_matches_reference(monkeypatch):
+    """The reference sweep cancels nothing, so the sets of cancelled
+    columns are checked against it: those of the singleton pass and the
+    heap, and those of the heap alone (a pass that isolates nothing)."""
+    from shukla import linalg
+    peel = linalg._peel_unit_singletons
+    eliminate = linalg.invariant_factors_sparse
+    for peel_on in (True, False):
+        peeled, cancels = [], []
+
+        def spy(rows, cols, cancelled):
+            out = peel(rows, cols, cancelled) if peel_on else []
+            peeled.append(len(out))
+            return out
+
+        def count(columns, nrows, cancelled=None):
+            out = eliminate(columns, nrows, cancelled)
+            cancels.append(len(cancelled or ()))
+            return out
+
+        monkeypatch.setattr(linalg, "_peel_unit_singletons", spy)
+        monkeypatch.setattr(linalg, "invariant_factors_sparse", count)
+        _check_unit_heavy_chains(random.Random(21))
+        if peel_on:
+            assert sum(peeled) > 200  # the peel did take part
+        else:
+            assert sum(peeled) == 0 and sum(cancels) > 200
+
+
+def _check_unit_heavy_chains(rng):
     """C_n is split as B_n + F_n + E_n and D_n maps E_n to B_{n-1} by a
     unit-heavy block, so D_{n-1} D_n = 0; d_n = P_{n-1} D_n P_n^-1 with
     P_n a signed permutation (which keeps the units alone in their rows
-    and columns) or a random unimodular matrix.  The reference sweep
-    cancels nothing, so the peeled sets of cancelled columns are checked
-    against it."""
-    from shukla import linalg
+    and columns) or a random unimodular matrix.  chain_homology must
+    match the reference sweep on each."""
     from shukla.linalg import SparseMatrix, chain_homology
-    peeled = []
-    peel = linalg._peel_unit_singletons
-
-    def spy(rows, cols, cancelled):
-        out = peel(rows, cols, cancelled)
-        peeled.append(len(out))
-        return out
-
-    monkeypatch.setattr(linalg, "_peel_unit_singletons", spy)
-    rng = random.Random(21)
     for _ in range(300):
         top = rng.randint(1, 4)
         ranks = [0] + [rng.randint(0, 4) for _ in range(top)] + [0]
@@ -453,7 +470,6 @@ def test_chain_homology_with_unit_heavy_boundaries_matches_reference(monkeypatch
                                                      ps[n][1]), Z))
         ds.append(SparseMatrix(dims[top], 0, Z))
         assert chain_homology(ds, Z) == _homology_per_degree(ds, Z)
-    assert sum(peeled) > 200  # the peel did take part
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_COMPLEXES))
