@@ -176,7 +176,8 @@ class SparseMatrix:
         the order of sums.  The caller builds every key in range, so the
         entries are written without the per-entry check of __setitem__.
         A producer writes each column's keys together, so a column's
-        entries come as one run, the order __mul__ is fast on.
+        entries come as one run, the order _stream_product, the one-leg
+        stream of products and square-zero checks, is fast on.
         """
         m = SparseMatrix(rows, cols, ring)
         entries = m.entries
@@ -211,42 +212,15 @@ class SparseMatrix:
         return out
 
     def __mul__(self, other):
-        """The product, one column at a time: for each run of entries of
-        other in one column k, other[j, k] times column j of self is
-        summed under plain row keys, and only the nonzero sums become
-        (row, k) entries.  A column whose entries come in several runs
-        adds each run to what the earlier ones left, which is slower, so
-        a producer writes each column's entries together."""
+        """The product, streamed one column of other at a time
+        (_stream_product)."""
         if not isinstance(other, SparseMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        ring = self.ring
-        self_cols = {}
-        for (i, j), v in self.entries.items():
-            self_cols.setdefault(j, []).append((i, v))
-        m = SparseMatrix(self.rows, other.cols, ring)
-        acc = {}
-        run = None
-        for (j, k), w in other.entries.items():
-            if k != run:
-                if acc:
-                    _add_column(m.entries, run, acc, ring.normalize)
-                    acc.clear()
-                run = k
-            for i, v in self_cols.get(j, ()):
-                acc[i] = acc.get(i, 0) + v * w
-        if acc:
-            _add_column(m.entries, run, acc, ring.normalize)
+        m = SparseMatrix(self.rows, other.cols, self.ring)
+        _stream_product(m.entries, self, other, self.ring.normalize)
         return m
-
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        sums = dict(self.entries)
-        for key, v in other.entries.items():
-            sums[key] = sums.get(key, 0) + v
-        return SparseMatrix.from_sums(self.rows, self.cols, self.ring, sums)
 
     def is_zero(self):
         return not self.entries
@@ -268,8 +242,9 @@ class SparseMatrix:
 
 
 def _add_column(entries, k, sums, normalize):
-    """Add the row sums of column k into a product's entries, keeping
-    only the nonzero results; a zero sum leaves its entry as it is."""
+    """Add the row sums of column k into entries under (row, k) keys,
+    keeping only the nonzero results; a zero sum leaves its entry as it
+    is."""
     for i, v in sums.items():
         if not v:
             continue
@@ -279,6 +254,72 @@ def _add_column(entries, k, sums, normalize):
         v = normalize(v)
         if v:
             entries[key] = v
+
+
+def _column_index(matrix):
+    """column -> [(row, value)] of a matrix's entries."""
+    cols = {}
+    for (i, j), v in matrix.entries.items():
+        cols.setdefault(j, []).append((i, v))
+    return cols
+
+
+def _stream_product(entries, left, right, normalize):
+    """Add left * right into entries under (row, col) keys, one column at
+    a time: for each run of entries of right in one column k, right[j, k]
+    times column j of left is summed under plain row keys, and only the
+    nonzero sums are added (_add_column).  A column whose entries come in
+    several runs adds each run to what the earlier ones left, which is
+    slower, so a producer writes each column's entries together."""
+    left_cols = _column_index(left)
+    acc = {}
+    run = None
+    for (j, k), w in right.entries.items():
+        if k != run:
+            if any(acc.values()):
+                _add_column(entries, run, acc, normalize)
+            acc.clear()
+            run = k
+        for i, v in left_cols.get(j, ()):
+            acc[i] = acc.get(i, 0) + v * w
+    if any(acc.values()):
+        _add_column(entries, run, acc, normalize)
+
+
+def composite_is_zero(legs, ring):
+    """Whether the sum of second * first over the (first, second) pairs in
+    legs is zero over the ring.  Every leg maps one source to one target.
+
+    No product matrix is formed.  One leg streams first in column runs,
+    as a product does (_stream_product), into a pending dict that only a
+    nonzero row sum enters; a later run of its column can cancel it, so
+    the answer holds for any entry order (indexing both operands of one
+    leg, as below, made the b^2 checks slower).  Several legs are summed
+    column by column: every operand is read into a column index, column
+    k of each leg is added into one row -> value dict, and each finished
+    column is tested, the first nonzero entry ending the check.
+    """
+    rows, cols = legs[0][1].rows, legs[0][0].cols
+    for first, second in legs:
+        if second.cols != first.rows or (second.rows, first.cols) != (rows, cols):
+            raise ValueError("shape mismatch")
+    normalize = ring.normalize
+    if len(legs) == 1:
+        ((first, second),) = legs
+        pending = {}
+        _stream_product(pending, second, first, normalize)
+        return not pending
+    indexed = [(_column_index(first), _column_index(second)) for first, second in legs]
+    acc = {}
+    for k in set().union(*(first_cols for first_cols, _ in indexed)):
+        for first_cols, second_cols in indexed:
+            for j, w in first_cols.get(k, ()):
+                for i, v in second_cols.get(j, ()):
+                    acc[i] = acc.get(i, 0) + v * w
+        if any(acc.values()) and any(map(normalize, acc.values())):
+            return False
+        acc.clear()
+    return True
 
 
 def _normalize_torsion(factors):
@@ -1009,7 +1050,7 @@ def homology_at(d_in, d_out, ring, r_out=None, cancelled=None, checked=False):
     """
     if d_in.rows != d_out.cols:
         raise ValueError("middle dimensions disagree")
-    if not checked and not (d_out * d_in).is_zero():
+    if not checked and not composite_is_zero([(d_in, d_out)], ring):
         raise CompositionNonzero(
             f"d_out . d_in != 0 on a {d_in.rows}-dimensional slice")
     n = d_in.rows

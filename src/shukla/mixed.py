@@ -18,15 +18,18 @@ then a direct sum of blocks, one per shifted weight, and the Hodge layer
 (n, p) of HC_n is the homology of block p at degree n.
 
 The three identities b^2 = 0, B^2 = 0 and bB + Bb = 0 are checked once
-per source slice, and MixedComplex.verified records, per identity, the
-highest degree checked so far, so the homology sweeps re-form no
-product that validate or an earlier sweep has checked.  The slices they
-need are exactly those the boundary products of the sweep would cover.
-HH_n for n <= N multiplies the b blocks through degree N + 1.  On the
-cyclic totalization, D = b + B applied twice to copy i of slice s gives
-three pieces: b^2 x in copy i, (bB + Bb) x in copy i - 1 (present only
-when i >= 1) and B^2 x in copy i - 2 (only when i >= 2).  They land in
-different summands, so D^2 = 0 out of total degree n + 1 <= N + 1 is
+per source slice: its paths of two blocks are grouped by target slice,
+and linalg.composite_is_zero sums each group's products column by
+column without forming a product matrix (bB and Bb land in one
+accumulator).  MixedComplex.verified records, per identity, the highest
+degree checked so far, so the homology sweeps re-check no slice that
+validate or an earlier sweep has checked.  The slices they need are
+exactly those the boundary products of the sweep would cover.  HH_n for
+n <= N checks b^2 through degree N + 1.  On the cyclic totalization,
+D = b + B applied twice to copy i of slice s gives three pieces: b^2 x
+in copy i, (bB + Bb) x in copy i - 1 (present only when i >= 1) and
+B^2 x in copy i - 2 (only when i >= 2).  They land in different
+summands, so D^2 = 0 out of total degree n + 1 <= N + 1 is
 b^2 = 0 through degree N + 1, bB + Bb = 0 through N - 1 and B^2 = 0
 through N - 3, each slice once rather than once per copy.
 """
@@ -38,8 +41,8 @@ from .errors import CompositionNonzero, HypothesisViolated, WindowTooSmall
 # homology_at stays bound here because perfbench's tracer test reads
 # mixed.homology_at; chain_homology calls it in linalg
 from .linalg import (
-    HomologyGroup, SparseMatrix, _int_columns, chain_homology, homology_at,
-    kernel_basis, subquotient,
+    HomologyGroup, SparseMatrix, _int_columns, chain_homology,
+    composite_is_zero, homology_at, kernel_basis, subquotient,
 )
 
 
@@ -103,18 +106,6 @@ def _leaving(table):
     return out
 
 
-def _composite(s, paths):
-    """The sum over (first, second) in paths of second . first on slice s,
-    one block per target slice."""
-    out = {}
-    for first, second in paths:
-        for t, m1 in first.get(s, ()):
-            for u, m2 in second.get(t, ()):
-                prod = m2 * m1
-                out[u] = out[u] + prod if u in out else prod
-    return out
-
-
 # the (first, second) block tables whose composites sum to each identity
 _IDENTITIES = {
     "b^2": (("b", "b"),),
@@ -125,7 +116,9 @@ _IDENTITIES = {
 
 def _first_failure(M, name, top):
     """Check identity name on the nonzero slices of degree at most top
-    that M.verified does not cover yet, one source slice at a time.
+    that M.verified does not cover yet, one source slice at a time: the
+    (first, second) blocks of its paths are grouped by target slice, and
+    each group's sum of products goes to composite_is_zero.
 
     Returns the first failing slice, or None once the identity holds
     through degree top, which M.verified then records.  Only the tables
@@ -139,7 +132,12 @@ def _first_failure(M, name, top):
     paths = [(tables[first], tables[second]) for first, second in pairs]
     for s in sorted(k for k in M.slices if M.dim(*k)):
         if (done is None or s[0] > done) and s[0] <= top:
-            if not all(m.is_zero() for m in _composite(s, paths).values()):
+            legs = {}
+            for first, second in paths:
+                for t, m1 in first.get(s, ()):
+                    for u, m2 in second.get(t, ()):
+                        legs.setdefault(u, []).append((m1, m2))
+            if not all(composite_is_zero(group, M.ring) for group in legs.values()):
                 return s
     M.verified[name] = top
     return None
@@ -156,8 +154,8 @@ def validate(M):
     """Check b^2 = 0, B^2 = 0 and bB + Bb = 0 on the window interior.
 
     The record of what was checked is cleared first, so a complex whose
-    blocks changed is checked again in full.  Each composite is formed
-    from one source slice and dropped after its check.  A failed result
+    blocks changed is checked again in full.  Each source slice is
+    checked on its own, and no product matrix is formed.  A failed result
     names the first failing identity and slice.
     """
     M.verified.clear()

@@ -271,8 +271,9 @@ def test_digit_blocks_match_the_label_reference_on_random_algebras(ring):
 @pytest.mark.parametrize("variables, rels", [("x", ["x^4-2*x"]),
                                              ("x y", ["x^2-y", "y^3+x"])])
 def test_bar_block_entries_come_one_run_per_column(ring, variables, rels):
-    # SparseMatrix.__mul__ sums one run of entries per column; a column
-    # split into runs is summed again for each
+    # linalg._stream_product (products and one-leg square-zero checks)
+    # sums one run of entries per column; a column split into runs is
+    # summed again for each
     for mat, _ in _bar_blocks(ring, variables, rels).values():
         cols = [j for (_, j) in mat.entries]
         assert cols == sorted(cols)

@@ -136,6 +136,29 @@ def test_cli_deterministic_output(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_readme_hh_example_runs_from_stdin(monkeypatch, capsys):
+    """The README's `printf ... | shukla --cmd hh` example, run as written:
+    HH_0 = Z^2, HH_1 = Z + C2 and HH_2 = Z of Z[x]/(x^2), each group
+    shown in the README's output."""
+    import re
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "README.md"
+    readme = path.read_text(encoding="utf-8")
+    example = re.search(r"^\$ printf '([^']*)' \| shukla (--cmd hh)\n(.*?)^```",
+                        readme, re.M | re.S)
+    assert example, "README.md has no printf ... | shukla --cmd hh example"
+    text, shown = example.group(1).replace("\\n", "\n"), example.group(3)
+    assert text == "ring Z\nvars x\nrel x^2\nnmax 2\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(example.group(2).split()) == 0
+    hh = json.loads(capsys.readouterr().out)["hh"]
+    assert hh == {"0": {"free_rank": 2, "torsion": []},
+                  "1": {"free_rank": 1, "torsion": [2]},
+                  "2": {"free_rank": 1, "torsion": []}}
+    for n, group in hh.items():
+        assert f'"{n}": {json.dumps(group)}' in shown
+
+
 def test_cli_layers_and_oracle(tmp_path):
     src = tmp_path / "job.txt"
     src.write_text("ring Z\nvars x\nrel x^2\nnmax 2\n", encoding="utf-8")
@@ -345,33 +368,36 @@ def test_cli_selftest_passes_for_two_seeds(monkeypatch, capsys):
 
 
 @pytest.fixture
-def products(monkeypatch):
-    """The (left, right) operands of every SparseMatrix product, in call
-    order; the list keeps them alive, so their ids stay distinct."""
-    from shukla.linalg import SparseMatrix
+def checks(monkeypatch):
+    """The legs [(first, second), ...] of every composite_is_zero call, in
+    call order; the list keeps the blocks alive, so their ids stay
+    distinct."""
+    import shukla.linalg as linalg
+    import shukla.mixed as mixed
     seen = []
-    mul = SparseMatrix.__mul__
+    check = linalg.composite_is_zero
 
-    def spy(self, other):
-        seen.append((self, other))
-        return mul(self, other)
-    monkeypatch.setattr(SparseMatrix, "__mul__", spy)
+    def spy(legs, ring):
+        seen.append(list(legs))
+        return check(legs, ring)
+    monkeypatch.setattr(linalg, "composite_is_zero", spy)
+    monkeypatch.setattr(mixed, "composite_is_zero", spy)
     return seen
 
 
-def test_oracle_multiplies_only_inside_validate(products):
+def test_oracle_multiplies_only_inside_validate(checks):
     from shukla.baroracle import cyclic_mixed, from_presentation
     from shukla.mixed import validate
     job = parse("ring Z\nvars x\nrel x^3\nnmax 3\n")
     assert validate(cyclic_mixed(from_presentation(job.presentation), job.n_max))
-    in_validate = len(products)
+    in_validate = len(checks)
     assert in_validate
     report, ok = run(job, "oracle")
     assert ok and report["validated"] is True
-    assert len(products) == 2 * in_validate
+    assert len(checks) == 2 * in_validate
 
 
-def test_compare_forms_column_forms_each_b_pair_once(products, monkeypatch):
+def test_compare_forms_column_forms_each_b_pair_once(checks, monkeypatch):
     from collections import Counter
     import shukla.cli as cli
     import shukla.mixed as mixed
@@ -389,24 +415,24 @@ def test_compare_forms_column_forms_each_b_pair_once(products, monkeypatch):
     job = parse("ring Z\nvars x\nrel x^3\nnmax 3\n")
     report, ok = run(job, "compare")
     assert ok and report["all_agree"] is True
-    # no product of totalized boundaries, in the forms or the oracle column
+    # no check reads a totalized boundary, in the forms or the oracle column
     assert totalized
     totalized = {id(m) for m in totalized}
-    assert not any(id(m) in totalized for pair in products for m in pair)
+    assert not any(id(m) in totalized for legs in checks for leg in legs for m in leg)
     (G,) = built
     b = G.complex.b
     blocks = {id(m) for m in b.values()}
-    formed = Counter((id(left), id(right)) for left, right in products
-                     if id(left) in blocks and id(right) in blocks)
+    formed = Counter((id(second), id(first)) for legs in checks for first, second in legs
+                     if id(first) in blocks and id(second) in blocks)
     # b^2 through degree nmax + 1, which HH and HC both need
     assert formed == Counter({(id(b[t, u]), id(b[s, t])): 1
                               for (s, t) in b for (t2, u) in b
                               if t2 == t and s[0] <= job.n_max + 1})
 
 
-def test_forms_sweeps_multiply_blocks_only(products):
-    """hh_assemble and cyclic_total form each block product at most once
-    and never a product of totalized boundaries."""
+def test_forms_sweeps_multiply_blocks_only(checks):
+    """hh_assemble and cyclic_total check each pair of blocks at most
+    once and never read a totalized boundary."""
     from shukla.gammaforms import build_gamma_forms, hh_assemble
     from shukla.mixed import cyclic_total
     from shukla.models import koszul_model
@@ -415,6 +441,6 @@ def test_forms_sweeps_multiply_blocks_only(products):
     hh_assemble(G, job.n_max)
     cyclic_total(G.complex, job.n_max)
     blocks = {id(m) for table in (G.complex.b, G.complex.B) for m in table.values()}
-    pairs = [(id(left), id(right)) for left, right in products]
-    assert pairs and all(left in blocks and right in blocks for left, right in pairs)
+    pairs = [(id(first), id(second)) for legs in checks for first, second in legs]
+    assert pairs and all(first in blocks and second in blocks for first, second in pairs)
     assert len(set(pairs)) == len(pairs)

@@ -8,9 +8,9 @@ import pytest
 from shukla.errors import CompositionNonzero
 from shukla.linalg import (
     ColumnEchelon, GroundRing, HomologyGroup, SparseMatrix, chain_homology,
-    dense_snf, det, homology_at, invariant_factors_sparse, kernel_basis,
-    preimage, snf, subquotient, universal_coefficients, _int_columns,
-    integer_rank,
+    composite_is_zero, dense_snf, det, homology_at, invariant_factors_sparse,
+    kernel_basis, preimage, snf, subquotient, universal_coefficients,
+    _int_columns, integer_rank,
 )
 
 Z = GroundRing.Z()
@@ -774,7 +774,15 @@ def test_sparse_product_and_sum_match_dense_reference(ring):
         # of its entries; the same entries column by column come in one
         by_col = SparseMatrix(b.rows, b.cols, ring)
         by_col.entries = dict(sorted(b.entries.items(), key=lambda e: e[0][::-1]))
-        for got, expected in ((a * b, prod), (a * by_col, prod), (a * b + c, total)):
+        for got, expected in ((a * b, prod), (a * by_col, prod)):
             assert got == mat(expected, ring)
             assert all(v and v == ring.normalize(v) for v in got.entries.values())
+        # a * b + c and a * b - a * b as sums of two products, never formed
+        one = SparseMatrix.identity(n, ring)
+        minus = mat([[ring.neg(x) for x in row] for row in prod], ring)
+        for right in (b, by_col):
+            assert composite_is_zero([(right, a)], ring) == (not any(map(any, prod)))
+            assert composite_is_zero([(right, a), (one, c)], ring) == (
+                not any(map(any, total)))
+            assert composite_is_zero([(right, a), (one, minus)], ring)
     assert cancelled

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction as F
 
 import pytest
 
@@ -710,3 +711,156 @@ def test_revalidating_a_changed_block_makes_both_sweeps_raise():
     for sweep in (hochschild_total, cyclic_total):
         with pytest.raises(CompositionNonzero, match=r"b\^2 != 0 on slice"):
             sweep(M, n_max)
+
+
+# -- the checks against explicit products --------------------------------------
+
+_IDENTITY_PATHS = {
+    "b^2": (("b", "b"),),
+    "B^2": (("B", "B"),),
+    "bB + Bb": (("B", "b"), ("b", "B")),
+}
+
+
+def _reference_sums(M, name, s):
+    """(target slice, row, col) -> entry of identity name on slice s, from
+    SparseMatrix products added entrywise."""
+    sums = {}
+    for first, second in _IDENTITY_PATHS[name]:
+        for (s1, t), m1 in getattr(M, first).items():
+            for (t2, u), m2 in getattr(M, second).items():
+                if s1 == s and t2 == t:
+                    for (i, j), v in (m2 * m1).entries.items():
+                        sums[u, i, j] = sums.get((u, i, j), 0) + v
+    return {key: v for key, v in sums.items() if M.ring.normalize(v)}
+
+
+def _reference_failure(M, name, top):
+    """The first nonzero slice of degree at most top on which identity
+    name fails, by explicit products, or None."""
+    return next((s for s in sorted(k for k in M.slices if M.dim(*k))
+                 if s[0] <= top and _reference_sums(M, name, s)), None)
+
+
+def _reference_validate(M):
+    """(identity, slice) of the first failure validate must report."""
+    for name, slack in (("b^2", 0), ("B^2", 2), ("bB + Bb", 1)):
+        s = _reference_failure(M, name, M.window_total - slack)
+        if s is not None:
+            return name, s
+    return None, None
+
+
+def _row_major(ring, b, B, window=3):
+    """A complex whose blocks are written row by row (from_rows), so a
+    column of a block with two or more rows comes in several runs."""
+    from shukla.linalg import SparseMatrix
+    slices = {}
+    for table in (b, B):
+        for (s, t), rows in table.items():
+            slices[t] = tuple(range(len(rows)))
+            slices[s] = tuple(range(len(rows[0])))
+    b = {key: SparseMatrix.from_rows(rows, ring) for key, rows in b.items()}
+    B = {key: SparseMatrix.from_rows(rows, ring) for key, rows in B.items()}
+    return MixedComplex(ring, slices, b=b, build_B=lambda: B, window_total=window)
+
+
+def _chain(ring, b1, b2):
+    """b1 from (1, 0) to (0, 0) after b2 from (2, 0) to (1, 0); no B."""
+    return _row_major(ring, {((1, 0), (0, 0)): b1, ((2, 0), (1, 0)): b2}, {})
+
+
+def _square(ring, u, v, x, y):
+    """Forms-shaped: bB + Bb on slice (1, 0) is u v + x y, b from (2, 1)
+    is the column u, B from (1, 0) the row v, B from (0, 0) the column x
+    and b from (1, 0) the row y; no other composite has a path."""
+    return _row_major(ring, {((1, 0), (0, 0)): [y], ((2, 1), (1, 1)): [[e] for e in u]},
+                      {((1, 0), (2, 1)): [v], ((0, 0), (1, 1)): [[e] for e in x]})
+
+
+Z4 = GroundRing.Zmod(4)
+Q = GroundRing.Q()
+
+# name -> (complex, (identity, slice) of the first failure, or (None, None))
+CHECK_FIXTURES = {
+    # column 0 of b2 comes as two runs whose products cancel only together
+    "runs_cancel_Z": (lambda: _chain(Z, [[1, 1]], [[1, 1], [-1, -1]]), (None, None)),
+    "runs_leave_one_Z": (lambda: _chain(Z, [[1, 1]], [[1, 1], [-1, 0]]),
+                         ("b^2", (2, 0))),
+    # the two runs of column 0 add to 4: zero mod 4, not over Z
+    "runs_sum_4_Z": (lambda: _chain(Z, [[1, 1]], [[2, 1], [2, -1]]), ("b^2", (2, 0))),
+    "runs_sum_4_Z4": (lambda: _chain(Z4, [[1, 1]], [[2, 1], [2, -1]]), (None, None)),
+    "runs_cancel_Q": (lambda: _chain(Q, [[F(1, 2), F(1, 3)]],
+                                     [[F(2, 3), 1], [-1, F(-3, 2)]]), (None, None)),
+    # bB = [[1, 1], [0, 0]] and Bb = [[-1, 0], [0, 0]]: the sum is one entry
+    "one_entry_Z": (lambda: _square(Z, (1, 0), (1, 1), (1, 0), (-1, 0)),
+                    ("bB + Bb", (1, 0))),
+    # bB + Bb = [[0, 4], [0, 0]]
+    "sum_4_Z": (lambda: _square(Z, (1, 0), (1, 1), (1, 0), (-1, 3)), ("bB + Bb", (1, 0))),
+    "sum_4_Z4": (lambda: _square(Z4, (1, 0), (1, 1), (1, 0), (-1, 3)), (None, None)),
+    # bB = [[1/3, 1/2], [0, 0]] = -Bb, and with y = (-1, -1) a 1/6 is left
+    "cancel_Q": (lambda: _square(Q, (F(1, 2), 0), (F(2, 3), 1), (F(1, 3), 0),
+                                 (-1, F(-3, 2))), (None, None)),
+    "leave_sixth_Q": (lambda: _square(Q, (F(1, 2), 0), (F(2, 3), 1), (F(1, 3), 0),
+                                      (-1, -1)), ("bB + Bb", (1, 0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_FIXTURES))
+def test_checks_agree_with_explicit_products(name):
+    """validate, both sweeps and homology_at refuse a complex exactly when
+    sums of SparseMatrix products say so, whatever the order of the
+    blocks' entries and over Z, Z/4 and Q."""
+    from shukla.errors import CompositionNonzero
+    from shukla.linalg import homology_at
+    build, expected = CHECK_FIXTURES[name]
+    M = build()
+    assert _reference_validate(M) == expected
+    result = validate(M)
+    assert (result.identity, result.slice) == expected
+    assert bool(result) == (expected == (None, None))
+    n_max = M.window_total - 1
+    for sweep, tops in ((hochschild_total, {"b^2": n_max + 1}),
+                        (cyclic_total, {"b^2": n_max + 1, "B^2": n_max - 3,
+                                        "bB + Bb": n_max - 1})):
+        fails = any(_reference_failure(M, n, top) for n, top in tops.items())
+        M = build()
+        try:
+            sweep(M, n_max)
+        except CompositionNonzero:
+            assert fails
+        else:
+            assert not fails
+    for (s, t), d_in in M.b.items():
+        for (t2, _), d_out in M.b.items():
+            if t2 == t:
+                fails = any(M.ring.normalize(v) for v in (d_out * d_in).entries.values())
+                if fails:
+                    with pytest.raises(CompositionNonzero):
+                        homology_at(d_in, d_out, M.ring)
+                else:
+                    homology_at(d_in, d_out, M.ring)
+
+
+def test_one_entry_defect_has_two_nonzero_products():
+    M = CHECK_FIXTURES["one_entry_Z"][0]()
+    s, t1, t2, u = (1, 0), (2, 1), (0, 0), (1, 1)
+    assert not (M.b[t1, u] * M.B[s, t1]).is_zero()
+    assert not (M.B[t2, u] * M.b[s, t2]).is_zero()
+    assert _reference_sums(M, "bB + Bb", s) == {(u, 0, 1): 1}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTED_COMPLEXES))
+def test_validate_names_the_slice_explicit_products_do(name):
+    """On every single-entry corruption, validate reports the identity and
+    slice that the first nonzero sum of block products names."""
+    build, text = CORRUPTED_COMPLEXES[name]
+    failures = set()
+    for table, key, pos, value in _single_entry_corruptions(build(text)[0]):
+        M, _ = build(text)
+        getattr(M, table)[key][pos] = value
+        result = validate(M)
+        expected = _reference_validate(M)
+        assert (result.identity, result.slice) == expected, (table, key, pos)
+        failures.add(expected[0])
+    assert failures == {None, "b^2", "B^2", "bB + Bb"}

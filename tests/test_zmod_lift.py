@@ -137,8 +137,9 @@ def test_commands_report_the_presented_groups(k):
         assert report[field] == {str(i): g.to_json() for i, g in enumerate(groups)}
 
 
-# ROADMAP item 8's regular Z/m inputs: before the lift the forms `hh` of
-# the first two ran for more than 60 s
+# Regular Z/m inputs brought in reach by the lift of a quasi-monic Z/m
+# presentation to Z (`Presentation.integral`): before it, the forms `hh`
+# of the first two ran for more than 60 s
 ITEM8 = {
     "Z6_x3mxy_y2m3_n2": "ring Z/6\nvars x y\nrel x^3-x*y\nrel y^2-3\nnmax 2\n",
     "Z4_x3p3_y2p3xm2_n2": "ring Z/4\nvars x y\nrel x^3+3\nrel y^2+3*x-2\nnmax 2\n",
