@@ -254,9 +254,9 @@ def _zero_if_unit(pres):
     relation 1) when a constant relation of pres is a unit of k.
 
     Then 1 = 0 in A and every group is 0, which the forms complex of the
-    small presentation shows at once; the presented-module path on the
-    original variables can run for minutes (Z/8 or Z/9 with a unit
-    constant) before it finds the same.
+    small presentation shows at once; on the original variables the
+    Hodge layers of `layers`, still presented modules, can run for
+    minutes (Z/8 or Z/9 with a unit constant) before they find the same.
     """
     if pres.is_zero_algebra:
         return Presentation.make(pres.ring, (), ({(): 1},))

@@ -16,14 +16,14 @@ places only:
   built over Z (`models.Presentation.integral`).
 - `preimage` asks `is_unit` and `inv` of the ring about one integer g,
   the gcd of the last coordinates of the kernel of [M | b].
-- `homology_at` sends a Z/m pair to `homology_from_presentation`, and
-  `chain_homology` ranks boundaries and cancels unit pivots (`ranked`)
-  over Z and Q only.
-- Two callers outside this module lean on the relation columns that
+- `chain_homology` sweeps every free complex over Z, a Z/m chain as its
+  lifted mod-m cone (`_mod_cone`); `homology_at` sweeps a Z/m pair as a
+  three-term chain.  Presented modules and generators stay presented.
+- Three callers outside this module lean on the relation columns that
   `_int_columns` appends over Z/m: `mixed._column_graded_pieces` takes
-  those past the matrix's own columns as the target relations, and
+  those past the matrix's own columns as the target relations,
   `crystalline.FilteredComplex.homology` adds its own relation vectors
-  after them.
+  after them, and `models.tate_extend` reads cycle generators off them.
 
 Every other module hands integer columns and the ring to these.
 """
@@ -1037,11 +1037,11 @@ def homology_at(d_in, d_out, ring, r_out=None, cancelled=None, checked=False):
     shown d_out * d_in = 0 (the mixed sweeps, from the identities of
     their complex), and the result is meaningless if it is not.
     r_out, when given, is the rank of d_out over Z or Q, already known
-    to the caller; it is not used over Z/m, where the group comes from
-    the presented module.  chain_homology reads the rank of d_in back
-    from the result.  A Z/m complex that lifts to Z is built over Z by
-    its caller and never reaches the Z/m branch.  Q takes the integer
-    elimination of Z, and _tensor keeps its free part.
+    to the caller.  chain_homology reads the rank of d_in back from the
+    result.  A Z/m pair is swept as the chain [0, d_out, d_in], whose
+    lifted mod-m cone checks it, so checked, r_out and cancelled go
+    unused there.  Q takes the integer elimination of Z, and _tensor
+    keeps its free part.
 
     cancelled, over Z and Q, is a set of rows of d_in that the
     elimination of d_out cancelled (invariant_factors_sparse): d_in is
@@ -1050,14 +1050,12 @@ def homology_at(d_in, d_out, ring, r_out=None, cancelled=None, checked=False):
     """
     if d_in.rows != d_out.cols:
         raise ValueError("middle dimensions disagree")
+    if ring.kind == "Zmod":
+        return chain_homology([SparseMatrix(0, d_out.rows, ring), d_out, d_in], ring)[1]
     if not checked and not composite_is_zero([(d_in, d_out)], ring):
         raise CompositionNonzero(
             f"d_out . d_in != 0 on a {d_in.rows}-dimensional slice")
     n = d_in.rows
-    if ring.kind == "Zmod":
-        group, _ = homology_from_presentation(
-            _int_columns(d_in), _int_columns(d_out), n, d_out.rows, ring)
-        return group
     # Each integer copy is built when it is needed and dropped after, so
     # the two are never alive together.
     if r_out is None:
@@ -1088,12 +1086,12 @@ def chain_homology(ds, ring, checked=False):
     factors it adds are all at least 2, so no rank moves into the free
     part.  (Every caller's ds[0] is the boundary into degree -1, with no
     rows, so that first rank is 0.)  A zero middle gives 0, with no
-    homology_at call, and passes rank 0 on.  Over Z/m every degree takes
-    the presented-module path; a complex that is the reduction of a free
-    complex over Z is swept over Z instead, and universal_coefficients
-    gives its Z/m groups.
+    homology_at call, and passes rank 0 on.  A Z/m chain is swept as its
+    lifted mod-m cone (_mod_cone), which checks d^2 = 0 as it is built,
+    whatever checked says; a reduction of a free complex over Z is swept
+    over Z by its caller, and universal_coefficients gives its groups.
 
-    Over Z and Q, unit pivots are cancelled along the sweep (Kaczynski,
+    Unit pivots are cancelled along the sweep (Kaczynski,
     Mrozek and Slusarek, *Homology computation by reduction of chain
     complexes*, 1998).  The elimination of ds[n + 1] returns the set P
     of columns where it isolated a unit pivot before its first column
@@ -1109,8 +1107,9 @@ def chain_homology(ds, ring, checked=False):
     its rational kernel, so the projection is injective there too and
     the ranks stay.
     """
-    ranked = ring.kind != "Zmod"
-    cancelled = set() if ranked else None
+    if ring.kind == "Zmod":
+        ds, ring, checked = _mod_cone(ds, ring.modulus), GroundRing.Z(), True
+    cancelled = set()
     groups = []
     r_out = None
     for n in range(len(ds) - 1):
@@ -1119,13 +1118,39 @@ def chain_homology(ds, ring, checked=False):
             groups.append(HomologyGroup(0, ()))
             r_out = 0
             continue
-        if ranked and r_out is None:
+        if r_out is None:
             r_out = integer_rank(_int_columns(d_out), d_out.rows)
         h = homology_at(d_in, d_out, ring, r_out, cancelled, checked)
         groups.append(h)
-        if ranked:
-            r_out = d_in.rows - r_out - h.free_rank
+        r_out = d_in.rows - r_out - h.free_rank
     return groups
+
+
+def _mod_cone(ds, m):
+    """Boundaries over Z of T_n = C~_n + C~_{n-1}, D(x, y) = (d~x + m*y,
+    -d~y - h*x), for the Z/m chain C with boundaries ds.  d~ lifts d to
+    [0, m), and a remainder of d~d~ = m*h is d^2 != 0 mod m, which raises
+    CompositionNonzero.  D^2 = 0 as m*d~h = d~^3 = m*h d~, and (x, y) ->
+    x mod m has an acyclic kernel, so H(T) = H(C) (Eisenbud, *Homological
+    algebra on a complete intersection*, Trans. AMS 260, 1980, section 1)."""
+    Z = GroundRing.Z()
+    out = []
+    for prev, d in zip([SparseMatrix(0, ds[0].rows, Z)] + ds, ds):  # d~_{n-1}, d~_n
+        c, top = d.cols, d.rows
+        cone = SparseMatrix(top + prev.rows, c + top, Z)
+        entries = cone.entries
+        entries.update(d.entries)
+        entries.update(((i, c + i), m) for i in range(top))
+        entries.update(((top + i, c + j), -v) for (i, j), v in prev.entries.items())
+        h = {}
+        _stream_product(h, prev, d, int)
+        for (i, j), v in h.items():
+            q, r = divmod(v, m)
+            if r:
+                raise CompositionNonzero(f"d . d != 0 mod {m} into {prev.rows} rows")
+            entries[top + i, j] = -q
+        out.append(cone)
+    return out
 
 
 def preimage(matrix, b, ring):

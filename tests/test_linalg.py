@@ -8,9 +8,9 @@ import pytest
 from shukla.errors import CompositionNonzero
 from shukla.linalg import (
     ColumnEchelon, GroundRing, HomologyGroup, SparseMatrix, chain_homology,
-    composite_is_zero, dense_snf, det, homology_at, invariant_factors_sparse,
-    kernel_basis, preimage, snf, subquotient, universal_coefficients,
-    _int_columns, integer_rank,
+    composite_is_zero, dense_snf, det, homology_at, homology_from_presentation,
+    invariant_factors_sparse, kernel_basis, preimage, snf, subquotient,
+    universal_coefficients, _int_columns, integer_rank,
 )
 
 Z = GroundRing.Z()
@@ -572,7 +572,7 @@ def test_universal_coefficients_free_rank_becomes_m_torsion():
 @pytest.mark.parametrize("m", [4, 6, 9])
 def test_universal_coefficients_matches_the_presented_path(m):
     # random free chains over Z: C_2 -> C_1 -> C_0, d_2 built from integer
-    # kernel vectors of d_1; their reductions mod m go the presented way
+    # kernel vectors of d_1; their reductions mod m go through the cone
     rng = random.Random(m)
     Zm = GroundRing.Zmod(m)
     for _ in range(30):
@@ -591,6 +591,89 @@ def test_universal_coefficients_matches_the_presented_path(m):
                     SparseMatrix(c2, 0, ring)]
         assert (universal_coefficients(chain_homology(chain(Z), Z), Zm)
                 == chain_homology(chain(Zm), Zm))
+
+
+def _random_zmod_chain(rng, m):
+    """Boundaries ds[0..N + 1] of a chain over Z/m, as chain_homology
+    takes them.  The columns of each d_n are combinations of the kernel
+    of d_{n-1} mod m (integer kernel vectors of d_{n-1} and its relations,
+    cut to C_n); then a random unimodular change of basis acts on every
+    C_n, so the entries, reduced mod m, mostly lift to a chain whose
+    boundaries do not compose to 0 over Z."""
+    Zm = GroundRing.Zmod(m)
+    dims = [rng.randint(1, 4) for _ in range(rng.randint(3, 5))]
+    ds = [[]]  # into degree -1, no rows
+    for n in range(1, len(dims)):
+        lo, hi = dims[n - 1], dims[n]
+        d = SparseMatrix(len(ds[-1]), lo, Zm, {
+            (i, j): v for i, row in enumerate(ds[-1]) for j, v in enumerate(row)})
+        ker = [[vec.get(i, 0) for i in range(lo)]
+               for vec in kernel_basis(_int_columns(d), d.rows)]
+        cols = []
+        for _ in range(hi):
+            coeffs = [rng.randint(-3, 3) for _ in ker]
+            cols.append([sum(c * v[i] for c, v in zip(coeffs, ker)) % m
+                         for i in range(lo)])
+        ds.append([[cols[j][i] for j in range(hi)] for i in range(lo)])
+    for n, c in enumerate(dims):
+        for _ in range(3 * c if c > 1 else 0):
+            i, j = rng.sample(range(c), 2)
+            t = rng.randint(1, m - 1)
+            # e_j' = e_j + t*e_i: d_n column j += t * column i, and
+            # d_{n+1} row i -= t * row j, so d_n d_{n+1} stays 0 mod m
+            for row in ds[n]:
+                row[j] = (row[j] + t * row[i]) % m
+            if n + 1 < len(ds):
+                ds[n + 1][i] = [(a - t * b) % m for a, b in zip(ds[n + 1][i], ds[n + 1][j])]
+    chain = [SparseMatrix(0, dims[0], Zm)]
+    chain += [SparseMatrix(dims[n - 1], dims[n], Zm, {
+        (i, j): v for i, row in enumerate(ds[n]) for j, v in enumerate(row)})
+        for n in range(1, len(dims))]
+    return chain + [SparseMatrix(dims[-1], 0, Zm)]
+
+
+def _lift_squares_to_zero(ds):
+    lifts = [SparseMatrix(d.rows, d.cols, Z, d.entries) for d in ds]
+    return all((a * b).is_zero() for a, b in zip(lifts, lifts[1:]))
+
+
+def test_chain_homology_mod_m_matches_the_presented_path():
+    rng = random.Random(2027)
+    unsquared = 0
+    for k in range(280):
+        m = (4, 6, 8, 9, 12, 27, 30)[k % 7]
+        ds = _random_zmod_chain(rng, m)
+        want = [homology_from_presentation(
+            _int_columns(ds[n + 1]), _int_columns(ds[n]), ds[n].cols, ds[n].rows,
+            ds[n].ring)[0] for n in range(len(ds) - 1)]
+        assert chain_homology(ds, ds[0].ring) == want
+        assert all(homology_at(ds[n + 1], ds[n], ds[n].ring) == want[n]
+                   for n in range(len(ds) - 1))
+        unsquared += not _lift_squares_to_zero(ds)
+    # most lifts need the cone's h: d~ d~ = m*h with h != 0
+    assert unsquared > 140
+
+
+def test_chain_homology_mod_m_by_hand():
+    # Z/8 -4-> Z/8 -2-> Z/8: the lifts compose to 8 = 8*1, not 0 over Z
+    Z8 = GroundRing.Zmod(8)
+    ds = [SparseMatrix(0, 1, Z8), mat([[4]], Z8), mat([[2]], Z8),
+          SparseMatrix(1, 0, Z8)]
+    assert chain_homology(ds, Z8) == [HomologyGroup(0, (4,)), HomologyGroup(0, ()),
+                                      HomologyGroup(0, (2,))]
+
+
+def test_chain_homology_mod_m_checks_the_square_in_the_cone():
+    # 2 * 2 = 4 != 0 mod 8: the division by m in the cone fails even
+    # when the caller says the chain is checked
+    Z8 = GroundRing.Zmod(8)
+    ds = [SparseMatrix(0, 1, Z8), mat([[2]], Z8), mat([[2]], Z8),
+          SparseMatrix(1, 0, Z8)]
+    with pytest.raises(CompositionNonzero) as err:
+        chain_homology(ds, Z8, checked=True)
+    assert err.traceback[-1].name == "_mod_cone"
+    with pytest.raises(CompositionNonzero):
+        homology_at(ds[2], ds[1], Z8)
 
 
 def test_preimage_identity_and_parity():

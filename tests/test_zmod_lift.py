@@ -6,8 +6,10 @@ then free complexes over Z that reduce mod m to the complexes built over
 Z/m, so the universal coefficient theorem gives the Z/m groups from the
 Z ones.  `hh`, `hc`, `layers`, `oracle` and the forms and oracle
 columns of `compare` take that path (each Hodge layer is the homology of
-one block of the forms complex); the crystalline pipeline stays on the
-presented-module path.
+one block of the forms complex).  A presentation with no lift is built
+over Z/m, and the integer sweep runs on the lifted mod-m cone of its
+complexes (`linalg._mod_cone`); the crystalline pipeline, whose modules
+are presented, stays on the presented-module path.
 """
 
 import json
@@ -54,9 +56,9 @@ def _draw(rng, k):
     return Presentation.make(GroundRing.Zmod(m), "xy"[:nv], rels)
 
 
-# nmax 2 with one variable and 1 with two keeps the presented path, the
-# reference here, within the test budget: larger windows of these draws
-# can run for minutes there (ROADMAP item 9)
+# nmax 2 with one variable and 1 with two keeps the direct builds over
+# Z/m, the reference here, within the test budget: their forms and bar
+# complexes grow fast with the window
 DRAWS = [_draw(random.Random(0), k) for k in range(20)]
 
 
@@ -195,16 +197,20 @@ def test_lifted_layers_match_the_crystalline_layers(name):
 
 
 def _count_presented(monkeypatch):
+    """The names of the presented-module and mod-m cone calls, in order."""
     calls = []
-    real = linalg.homology_from_presentation
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
 
+    presented = counted("homology_from_presentation", linalg.homology_from_presentation)
     # crystalline binds the name at import, so it is counted there too
-    monkeypatch.setattr(linalg, "homology_from_presentation", counted)
-    monkeypatch.setattr(crystalline, "homology_from_presentation", counted)
+    monkeypatch.setattr(linalg, "homology_from_presentation", presented)
+    monkeypatch.setattr(crystalline, "homology_from_presentation", presented)
+    monkeypatch.setattr(linalg, "_mod_cone", counted("_mod_cone", linalg._mod_cone))
     return calls
 
 
@@ -225,15 +231,35 @@ def test_lifted_commands_take_no_presented_path(monkeypatch, text, command):
 @pytest.mark.parametrize("text, command", [
     # liftable, but the crystalline column of `compare` is built over Z/4
     ("ring Z/4\nvars x y\nrel x^2\nrel y^2\nnmax 2\n", "compare"),
-    # not quasi-monic: x^2 is the leading term of both relations
-    ("ring Z/8\nvars x\nrel x^2-x\nrel x^2+2*x\nnmax 2\n", "hh"),
-    # 1 is a constant over Z/6 but a unit relation over Z
-    ("ring Z/6\nvars x\nrel 1\nrel x^2\nnmax 2\n", "hh"),
 ])
 def test_unliftable_jobs_stay_presented(monkeypatch, text, command):
     calls = _count_presented(monkeypatch)
     run(parse(text), command)
-    assert calls
+    assert "homology_from_presentation" in calls
+
+
+@pytest.mark.parametrize("text", [
+    # not quasi-monic: x^2 is the leading term of both relations
+    "ring Z/8\nvars x\nrel x^2-x\nrel x^2+2*x\nnmax 2\n",
+    # 1 is a constant over Z/6 but a unit relation over Z
+    "ring Z/6\nvars x\nrel 1\nrel x^2\nnmax 2\n",
+], ids=["Z8_x2mx_x2p2x_n2", "Z6_1_x2_n2"])
+def test_unliftable_jobs_take_the_cone(monkeypatch, text):
+    calls = _count_presented(monkeypatch)
+    _, ok = run(parse(text), "hh")
+    assert ok
+    assert calls and set(calls) == {"_mod_cone"}
+
+
+# `hh` and `hc` on this non-regular input were killed at 30 s on the
+# presented-module path, whose lattice coefficients grew without bound.
+# Its groups are not pinned: the input is not regular, so the forms
+# complex does not compute its Shukla homology (ROADMAP item 4).
+@pytest.mark.parametrize("command", ["hh", "hc"])
+def test_unliftable_z8_window_finishes(command):
+    code, report = _cli("ring Z/8\nvars x\nrel x^2-x\nrel x^2+2*x\nnmax 3\n", command)
+    assert code == 0
+    assert sorted(report[command]) == ["0", "1", "2", "3"]
 
 
 def test_integral_lift_scope():
