@@ -226,14 +226,18 @@ def _lifted(pres):
     """The presentation to build from, and the map taking its groups
     H_0..H_N to the groups over pres.ring.
 
-    A quasi-monic Z/m presentation is built over Z, whose elimination
-    keeps its coefficients small, and its forms and bar complexes are
-    read mod m by the universal coefficient theorem.  Every other
-    presentation is built as it is.
+    Every Z/m presentation is built over Z from its stored relations,
+    whose coefficients lie in [0, m): none lacks a lift.  Its Koszul
+    forms complex and its bar complex are free over Z and reduce mod m to
+    those built over Z/m, quasi-monic or not, so the universal
+    coefficient theorem reads the Z/m groups off the Z ones.  A stored
+    Z/m relation with a unit leading coefficient is scaled to 1, so the
+    lift is quasi-monic exactly when pres is.  Z and Q presentations are
+    built as they are.
     """
-    lift = pres.integral()
-    if lift is None:
+    if pres.ring.kind != "Zmod":
         return pres, lambda groups: groups
+    lift = Presentation.make(GroundRing.Z(), pres.variables, pres.relations)
     return lift, lambda groups: universal_coefficients(groups, pres.ring)
 
 
@@ -251,12 +255,12 @@ def _layers_in_ring(groups, n_max, in_ring):
 
 def _zero_if_unit(pres):
     """pres, or the presentation of A = 0 (no variables and the one
-    relation 1) when a constant relation of pres is a unit of k.
+    relation 1) when some relation of pres is a unit of k[x].
 
     Then 1 = 0 in A and every group is 0, which the forms complex of the
-    small presentation shows at once; on the original variables the
-    Hodge layers of `layers`, still presented modules, can run for
-    minutes (Z/8 or Z/9 with a unit constant) before they find the same.
+    small presentation shows at once.  Over Z/m it is replaced before
+    the lift: the lift of a unit such as 2x + 1 over Z/4 is no unit over
+    Z, while the lift of the relation 1 is a zero algebra there too.
     """
     if pres.is_zero_algebra:
         return Presentation.make(pres.ring, (), ({(): 1},))

@@ -12,13 +12,14 @@ places only:
   Z/m (over Z/m the lattices already hold every m*e_i), its free part
   over Q.  `subquotient` and `homology_at` report through it.
 - `universal_coefficients` turns the groups of a free complex over Z
-  into those of its reduction mod m, for the Z/m complexes that are
-  built over Z (`models.Presentation.integral`).
+  into those of its reduction mod m: the CLI builds every Z/m
+  presentation over Z (`cli._lifted`), so no Z/m input is unliftable.
 - `preimage` asks `is_unit` and `inv` of the ring about one integer g,
   the gcd of the last coordinates of the kernel of [M | b].
-- `chain_homology` sweeps every free complex over Z, a Z/m chain as its
-  lifted mod-m cone (`_mod_cone`); `homology_at` sweeps a Z/m pair as a
-  three-term chain.  Presented modules and generators stay presented.
+- `chain_homology` sweeps every free complex over Z, a Z/m chain
+  handed to it directly as its lifted mod-m cone (`_mod_cone`);
+  `homology_at` sweeps a Z/m pair as a three-term chain.  Presented
+  modules and generators stay presented.
 - Three callers outside this module lean on the relation columns that
   `_int_columns` appends over Z/m: `mixed._column_graded_pieces` takes
   those past the matrix's own columns as the target relations,

@@ -104,22 +104,6 @@ class Presentation:
                            for e, c in rel.items())
                    for rel in self.relations)
 
-    def integral(self):
-        """The same relations over Z, with the stored coefficients in
-        [0, m), or None unless this is a quasi-monic presentation over
-        Z/m whose lift keeps the same rules and constants.
-
-        The Koszul forms complex and the bar complex of the lift are free
-        over Z and reduce mod m to those of this presentation.  A unit
-        constant (rel 1 over Z/6) is a constant over Z/m but not over Z.
-        """
-        if self.ring.kind != "Zmod" or not self.is_quasi_monic:
-            return None
-        lift = Presentation.make(GroundRing.Z(), self.variables, self.relations)
-        if lift.rules.keys() != self.rules.keys() or lift.consts != self.consts:
-            return None
-        return lift
-
     def require_quasi_monic(self):
         if not self.is_quasi_monic:
             raise NotQuasiMonic("presentation has a relation without a "

@@ -240,7 +240,7 @@ def _forms_complex(text):
 
 def _command_forms_complex(text):
     """The forms complex that `layers` sweeps for the job: over Z for a
-    quasi-monic Z/m presentation.  Over Z/m chain_homology is one
+    Z/m presentation.  Over Z/m chain_homology is one
     homology_at per degree, so the sweep check has content over Z and Q,
     and the oracle entries below keep Z/m complexes in it; the presented
     Z/6 complex of Z6_x3mxy_y2m3_n2 ran for minutes in this check."""

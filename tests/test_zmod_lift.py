@@ -1,18 +1,20 @@
 """Z/m homology by the lift to Z.
 
-A quasi-monic Z/m presentation lifts to Z with its coefficients in
-[0, m).  Its Koszul forms complex and its normalized bar complex are
-then free complexes over Z that reduce mod m to the complexes built over
-Z/m, so the universal coefficient theorem gives the Z/m groups from the
-Z ones.  `hh`, `hc`, `layers`, `oracle` and the forms and oracle
-columns of `compare` take that path (each Hodge layer is the homology of
-one block of the forms complex).  A presentation with no lift is built
-over Z/m, and the integer sweep runs on the lifted mod-m cone of its
-complexes (`linalg._mod_cone`); the crystalline pipeline, whose modules
-are presented, stays on the presented-module path.
+Every Z/m presentation is built over Z from the same relations, with
+their coefficients in [0, m) (`cli._lifted`); there is no unliftable
+input.  Its Koszul forms complex, quasi-monic or not, and the normalized
+bar complex of a quasi-monic one are free complexes over Z that reduce
+mod m to the complexes built over Z/m, so the universal coefficient
+theorem gives the Z/m groups from the Z ones.  `hh`, `hc`, `layers`,
+`oracle` and the forms and oracle columns of `compare` take that path
+(each Hodge layer is the homology of one block of the forms complex).
+The lifted mod-m cone (`linalg._mod_cone`) serves Z/m chains handed to
+`linalg` directly; the crystalline pipeline, whose modules are
+presented, stays on the presented-module path.
 """
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -22,9 +24,9 @@ from pathlib import Path
 
 import pytest
 
-from shukla import crystalline, linalg
+from shukla import crystalline, linalg, mixed
 from shukla.baroracle import cyclic_mixed, from_presentation
-from shukla.cli import JobSpec, parse, run
+from shukla.cli import JobSpec, _lifted, parse, run
 from shukla.crystalline import hc_layers_small, hodge_hh
 from shukla.gammaforms import build_gamma_forms, hh_assemble
 from shukla.linalg import GroundRing, universal_coefficients
@@ -56,10 +58,38 @@ def _draw(rng, k):
     return Presentation.make(GroundRing.Zmod(m), "xy"[:nv], rels)
 
 
+def _draw_not_quasi_monic(rng, k):
+    """A presentation over Z/m, m = MODULI[k % 5], that is not
+    quasi-monic, by k % 3: a pure power c*x^e whose coefficient c is no
+    unit of Z/m, the mixed leading term x*y, or two relations with pure
+    powers of x.  Lower terms have total degree below the leading one."""
+    m = MODULI[k % len(MODULI)]
+    if k % 3 == 0:
+        c = rng.choice([c for c in range(2, m) if math.gcd(c, m) > 1])
+        leads = [((rng.choice([2, 3]),), c)]
+    elif k % 3 == 1:
+        leads = [((1, 1), 1)]
+    else:
+        leads = [((2,), 1), ((rng.choice([2, 3]),), 1)]
+    nv = len(leads[0][0])
+    rels = []
+    for lead, c in leads:
+        rel = {lead: c}
+        for _ in range(rng.randint(1, 2)):
+            mono = tuple(rng.randint(0, sum(lead) - 1) for _ in range(nv))
+            if sum(mono) < sum(lead):
+                rel[mono] = rng.randrange(m)
+        rels.append(rel)
+    return Presentation.make(GroundRing.Zmod(m), "xy"[:nv], rels)
+
+
 # nmax 2 with one variable and 1 with two keeps the direct builds over
 # Z/m, the reference here, within the test budget: their forms and bar
-# complexes grow fast with the window
+# complexes grow fast with the window.  The quasi-monic draws come
+# first, so they keep their indices.
 DRAWS = [_draw(random.Random(0), k) for k in range(20)]
+_RNG = random.Random(1)
+NOT_QUASI_MONIC = [_draw_not_quasi_monic(_RNG, k) for k in range(15)]
 
 
 def _nmax(pres):
@@ -89,34 +119,41 @@ def test_draws_cover_every_modulus_with_and_without_constants():
         mine = [p for p in DRAWS if p.ring.modulus == m]
         assert any(p.consts for p in mine) and any(not p.consts for p in mine)
     assert any(len(p.variables) == 2 for p in DRAWS)
-    assert all(p.integral() is not None for p in DRAWS)
+    # the lift keeps the rules and constants of a quasi-monic draw
+    for pres in DRAWS:
+        lift = _lifted(pres)[0]
+        assert lift.rules.keys() == pres.rules.keys() and lift.consts == pres.consts
+    for m in MODULI:
+        assert {k % 3 for k, p in enumerate(NOT_QUASI_MONIC) if p.ring.modulus == m} == {0, 1, 2}
+    for pres in NOT_QUASI_MONIC:
+        assert not pres.is_quasi_monic and not _lifted(pres)[0].is_quasi_monic
 
 
-@pytest.mark.parametrize("k", range(len(DRAWS)))
+@pytest.mark.parametrize("k", range(len(DRAWS) + len(NOT_QUASI_MONIC)))
 def test_lifted_blocks_reduce_to_the_zmod_blocks(k):
-    pres = DRAWS[k]
-    lift, n = pres.integral(), _nmax(pres)
+    pres = (DRAWS + NOT_QUASI_MONIC)[k]
+    lift, n = _lifted(pres)[0], _nmax(pres)
     assert lift.ring == GroundRing.Z()
     assert lift.relations == pres.relations
     _assert_same_blocks(build_gamma_forms(koszul_model(lift), n).complex,
                         build_gamma_forms(koszul_model(pres), n).complex, pres.ring)
-    if not pres.consts:
+    if pres.is_quasi_monic and not pres.consts:
         _assert_same_blocks(cyclic_mixed(from_presentation(lift), n),
                             cyclic_mixed(from_presentation(pres), n), pres.ring)
 
 
-@pytest.mark.parametrize("k", range(len(DRAWS)))
+@pytest.mark.parametrize("k", range(len(DRAWS) + len(NOT_QUASI_MONIC)))
 def test_lifted_groups_equal_the_presented_groups(k):
-    pres = DRAWS[k]
+    pres = (DRAWS + NOT_QUASI_MONIC)[k]
     ring, n = pres.ring, _nmax(pres)
-    lifted = build_gamma_forms(koszul_model(pres.integral()), n)
+    lifted = build_gamma_forms(koszul_model(_lifted(pres)[0]), n)
     direct = build_gamma_forms(koszul_model(pres), n)
     assert (universal_coefficients(hh_assemble(lifted, n), ring)
             == hh_assemble(direct, n))
     assert (universal_coefficients(cyclic_total(lifted.complex, n), ring)
             == cyclic_total(direct.complex, n))
-    if not pres.consts:
-        lifted = cyclic_mixed(from_presentation(pres.integral()), n)
+    if pres.is_quasi_monic and not pres.consts:
+        lifted = cyclic_mixed(from_presentation(_lifted(pres)[0]), n)
         direct = cyclic_mixed(from_presentation(pres), n)
         for total in (hochschild_total, cyclic_total):
             assert (universal_coefficients(total(lifted, n), ring)
@@ -139,10 +176,10 @@ def test_commands_report_the_presented_groups(k):
         assert report[field] == {str(i): g.to_json() for i, g in enumerate(groups)}
 
 
-# Regular Z/m inputs brought in reach by the lift of a quasi-monic Z/m
-# presentation to Z (`Presentation.integral`): before it, the forms `hh`
-# of the first two ran for more than 60 s
-ITEM8 = {
+# Regular Z/m inputs brought in reach by building them over Z: on the
+# presented Z/m path the forms `hh` of the first two ran for more than
+# 60 s
+REGULAR_LIFTED = {
     "Z6_x3mxy_y2m3_n2": "ring Z/6\nvars x y\nrel x^3-x*y\nrel y^2-3\nnmax 2\n",
     "Z4_x3p3_y2p3xm2_n2": "ring Z/4\nvars x y\nrel x^3+3\nrel y^2+3*x-2\nnmax 2\n",
     "Z9_x3_y2m3y_n2": "ring Z/9\nvars x y\nrel x^3\nrel y^2-3*y\nnmax 2\n",
@@ -160,9 +197,9 @@ def _cli(text, command):
     return proc.returncode, json.loads(proc.stdout)
 
 
-@pytest.mark.parametrize("name", sorted(ITEM8))
-def test_item8_inputs_compare_three_pipelines(name):
-    code, report = _cli(ITEM8[name], "compare")
+@pytest.mark.parametrize("name", sorted(REGULAR_LIFTED))
+def test_regular_lifted_inputs_compare_three_pipelines(name):
+    code, report = _cli(REGULAR_LIFTED[name], "compare")
     assert code == 0
     assert sorted(report["hh"]) == ["crystalline", "gamma_forms", "oracle"]
     assert report["all_agree"] is True
@@ -171,7 +208,7 @@ def test_item8_inputs_compare_three_pipelines(name):
 def test_z6_hh_by_universal_coefficients():
     # over Z, H_1 = C6^2 + C12^4 and H_2 = C3, so over Z/6
     # H_1 = C6^6 and H_2 = C3 + Tor(H_1, Z/6) = C3 + C6^6
-    code, report = _cli(ITEM8["Z6_x3mxy_y2m3_n2"], "hh")
+    code, report = _cli(REGULAR_LIFTED["Z6_x3mxy_y2m3_n2"], "hh")
     assert code == 0
     assert report["hh"]["1"] == {"free_rank": 0, "torsion": [6] * 6}
     assert report["hh"]["2"] == {"free_rank": 0, "torsion": [3] + [6] * 6}
@@ -180,9 +217,9 @@ def test_z6_hh_by_universal_coefficients():
 # regular Z/m inputs whose `layers` ran past 30 s on the presented path,
 # where each Hodge layer was a graded piece of a filtration over Z/m
 LIFTED_LAYERS = {
-    "Z6_x3mxy_y2m3_n2": ITEM8["Z6_x3mxy_y2m3_n2"],
+    "Z6_x3mxy_y2m3_n2": REGULAR_LIFTED["Z6_x3mxy_y2m3_n2"],
     "Z9_x3_y2m3y_n3": "ring Z/9\nvars x y\nrel x^3\nrel y^2-3*y\nnmax 3\n",
-    "Z8_x3m2x_n4": ITEM8["Z8_x3m2x_n4"],
+    "Z8_x3m2x_n4": REGULAR_LIFTED["Z8_x3m2x_n4"],
 }
 
 
@@ -197,7 +234,8 @@ def test_lifted_layers_match_the_crystalline_layers(name):
 
 
 def _count_presented(monkeypatch):
-    """The names of the presented-module and mod-m cone calls, in order."""
+    """The names of the presented-module, mod-m cone and Z/m graded-piece
+    calls, in order."""
     calls = []
 
     def counted(name, real):
@@ -211,7 +249,22 @@ def _count_presented(monkeypatch):
     monkeypatch.setattr(linalg, "homology_from_presentation", presented)
     monkeypatch.setattr(crystalline, "homology_from_presentation", presented)
     monkeypatch.setattr(linalg, "_mod_cone", counted("_mod_cone", linalg._mod_cone))
+    # over Z/m each Hodge block carries the relations of its target rows
+    pieces = mixed._column_graded_pieces
+
+    def graded_pieces(d_in, d_out, cols_mid, ring):
+        if ring.kind == "Zmod":
+            calls.append("_column_graded_pieces")
+        return pieces(d_in, d_out, cols_mid, ring)
+
+    monkeypatch.setattr(mixed, "_column_graded_pieces", graded_pieces)
     return calls
+
+
+# not quasi-monic: x^2 is the leading term of both relations
+Z8_TWO_SQUARES = "ring Z/8\nvars x\nrel x^2-x\nrel x^2+2*x\nnmax 2\n"
+# A = 0: 1 is a constant over Z/6 and a unit relation over Z
+Z6_UNIT = "ring Z/6\nvars x\nrel 1\nrel x^2\nnmax 2\n"
 
 
 @pytest.mark.parametrize("text, command", [
@@ -220,6 +273,8 @@ def _count_presented(monkeypatch):
     ("ring Z/4\nvars x y\nrel x^2\nrel y^2\nnmax 4\n", "oracle"),
     # each Hodge layer is the homology of one block of the forms complex
     ("ring Z/4\nvars x y\nrel x^2\nrel y^2\nnmax 2\n", "layers"),
+    (Z8_TWO_SQUARES, "hh"), (Z8_TWO_SQUARES, "layers"),
+    (Z6_UNIT, "hh"), (Z6_UNIT, "layers"),
 ])
 def test_lifted_commands_take_no_presented_path(monkeypatch, text, command):
     calls = _count_presented(monkeypatch)
@@ -228,57 +283,71 @@ def test_lifted_commands_take_no_presented_path(monkeypatch, text, command):
     assert calls == []
 
 
-@pytest.mark.parametrize("text, command", [
-    # liftable, but the crystalline column of `compare` is built over Z/4
-    ("ring Z/4\nvars x y\nrel x^2\nrel y^2\nnmax 2\n", "compare"),
-])
-def test_unliftable_jobs_stay_presented(monkeypatch, text, command):
+def test_compare_crystalline_column_stays_presented(monkeypatch):
+    # the forms and oracle columns are built over Z, the crystalline
+    # column of `compare` over Z/4
     calls = _count_presented(monkeypatch)
-    run(parse(text), command)
+    run(parse("ring Z/4\nvars x y\nrel x^2\nrel y^2\nnmax 2\n"), "compare")
     assert "homology_from_presentation" in calls
 
 
-@pytest.mark.parametrize("text", [
-    # not quasi-monic: x^2 is the leading term of both relations
-    "ring Z/8\nvars x\nrel x^2-x\nrel x^2+2*x\nnmax 2\n",
-    # 1 is a constant over Z/6 but a unit relation over Z
-    "ring Z/6\nvars x\nrel 1\nrel x^2\nnmax 2\n",
-], ids=["Z8_x2mx_x2p2x_n2", "Z6_1_x2_n2"])
-def test_unliftable_jobs_take_the_cone(monkeypatch, text):
-    calls = _count_presented(monkeypatch)
-    _, ok = run(parse(text), "hh")
-    assert ok
-    assert calls and set(calls) == {"_mod_cone"}
+# `hh` and `hc` on the Z/8 input were killed at 30 s on the presented-module
+# path, whose lattice coefficients grew without bound.  In the presented
+# Hodge blocks over Z/m, `layers` was killed at 30 s on the Z/8 input and
+# at 60 s on the Z/4 one, and took 12.6 s on the Z/12 one.  The groups are not pinned: the
+# inputs are not regular, so the forms complex does not compute their
+# Shukla homology (ROADMAP item 4).
+NON_REGULAR = {
+    "Z8_x2mx_x2p2x_n3": "ring Z/8\nvars x\nrel x^2-x\nrel x^2+2*x\nnmax 3\n",
+    "Z4_x2ym1_xm1_n3": "ring Z/4\nvars x y\nrel x^2*y-1\nrel x-1\nnmax 3\n",
+    "Z12_x2ym1_xm1_n2": "ring Z/12\nvars x y\nrel x^2*y-1\nrel x-1\nnmax 2\n",
+}
 
 
-# `hh` and `hc` on this non-regular input were killed at 30 s on the
-# presented-module path, whose lattice coefficients grew without bound.
-# Its groups are not pinned: the input is not regular, so the forms
-# complex does not compute its Shukla homology (ROADMAP item 4).
-@pytest.mark.parametrize("command", ["hh", "hc"])
-def test_unliftable_z8_window_finishes(command):
-    code, report = _cli("ring Z/8\nvars x\nrel x^2-x\nrel x^2+2*x\nnmax 3\n", command)
+@pytest.mark.parametrize("command", ["hh", "hc", "layers"])
+@pytest.mark.parametrize("name", sorted(NON_REGULAR))
+def test_non_regular_zmod_window_finishes(name, command):
+    text = NON_REGULAR[name]
+    code, report = _cli(text, command)
     assert code == 0
-    assert sorted(report[command]) == ["0", "1", "2", "3"]
+    degrees = [str(n) for n in range(parse(text).n_max + 1)]
+    if command == "layers":
+        assert all(sorted(report[key]["total"]) == degrees for key in ("hh", "hc"))
+    else:
+        assert sorted(report[command]) == degrees
 
 
-def test_integral_lift_scope():
-    Z4, Z6 = GroundRing.Zmod(4), GroundRing.Zmod(6)
-    lift = Presentation.make(Z4, ["x"], [{(2,): 1, (0,): -2}]).integral()
-    assert lift.ring == GroundRing.Z()
+def test_lifted_scope():
+    Z, Z4, Z6 = GroundRing.Z(), GroundRing.Zmod(4), GroundRing.Zmod(6)
+    # Z and Q presentations are built as they are
+    for ring in (Z, GroundRing.Q()):
+        pres = Presentation.make(ring, ["x"], [{(2,): 1}])
+        built, in_ring = _lifted(pres)
+        assert built is pres
+        groups = hh_assemble(build_gamma_forms(koszul_model(pres), 1), 1)
+        assert in_ring(groups) is groups
+    lift = _lifted(Presentation.make(Z4, ["x"], [{(2,): 1, (0,): -2}]))[0]
+    assert lift.ring == Z
     assert lift.relations == ({(2,): 1, (0,): 2},)
     assert lift.rules == {0: (0, 2, {(0,): -2})}
-    # a constant in [2, m) stays a constant
-    assert Presentation.make(Z6, ["x"], [{(): 4}, {(2,): 1}]).integral().consts == ((0, 4),)
+    # quasi-monic, not quasi-monic, and A = 0: the same relations over Z,
+    # quasi-monic exactly when the Z/m presentation is
     for pres in (
-        Presentation.make(GroundRing.Z(), ["x"], [{(2,): 1}]),
-        Presentation.make(GroundRing.Q(), ["x"], [{(2,): 1}]),
-        Presentation.make(Z6, ["x"], [{(): 1}, {(2,): 1}]),
-        Presentation.make(Z6, ["x"], [{(2,): 2}]),
-        Presentation.make(Z6, ["x", "y"], [{(1, 1): 1}]),
+        Presentation.make(Z6, ["x"], [{(2,): 5, (1,): -1}]),
+        Presentation.make(Z6, ["x"], [{(2,): 2, (0,): -1}]),
+        Presentation.make(Z6, ["x", "y"], [{(1, 1): -1, (0, 1): 1}]),
+        Presentation.make(Z6, ["x"], [{(2,): 1, (1,): -1}, {(2,): 1, (1,): 2}]),
+        Presentation.make(Z6, ["x"], [{(0,): 1}, {(2,): 1}]),
     ):
-        assert pres.integral() is None
-
+        lift = _lifted(pres)[0]
+        assert lift.ring == Z and lift.relations == pres.relations
+        assert all(0 <= c < 6 for rel in lift.relations for c in rel.values())
+        if pres.is_zero_algebra:
+            assert lift.is_zero_algebra
+        else:
+            assert lift.is_quasi_monic == pres.is_quasi_monic
+    # a constant in [2, m) stays a constant
+    assert _lifted(Presentation.make(Z6, ["x"], [{(0,): 4}, {(2,): 1}]))[0].consts == ((0, 4),)
 
 
 # A constant relation that is a unit of k makes A = 0.  Before the CLI
