@@ -16,7 +16,6 @@ up while they are assembled.
 
 from dataclasses import dataclass
 from itertools import product
-from operator import itemgetter
 
 from .errors import NotQuasiMonic
 from .mixed import MixedComplex
@@ -181,10 +180,7 @@ def _hochschild_boundary(algebra, q):
             for k, v in mult[(z, a0)].items():
                 _add_run(sums, ids, k * M, 1, a0 * M * s + z - 1, s, M,
                          -v if q % 2 else v)
-    # faces in turn, each column's keys in stable order: one run per column,
-    # the order linalg._stream_product (products and b^2 checks) is fast on
-    ordered = {key: sums[key] for key in sorted(sums, key=itemgetter(1))}
-    return SparseMatrix.from_sums(rows, cols, algebra.ring, ordered)
+    return SparseMatrix.from_sums(rows, cols, algebra.ring, sums)
 
 
 def _connes_boundary(algebra, q):

@@ -531,8 +531,7 @@ def derivation_matrix(deriv, source, target):
     m = SparseMatrix(target.dim, source.dim, ring)
     # every row comes from rows and every column from the source, so the
     # entries are in range and need no check
-    entries = m.entries
-    for j, mono in enumerate(source.monomials):
+    for column, mono in zip(m.columns, source.monomials):
         a, r = mono[:p], mono[p:]
         for i in undefined:
             if a[i]:
@@ -573,7 +572,7 @@ def derivation_matrix(deriv, source, target):
                 raise AssertionError(
                     f"image {alg.mono_str(im)} missing from slice "
                     f"({target.hdeg},{target.weight})")
-            entries[row, j] = c
+            column[row] = c
     return m
 
 

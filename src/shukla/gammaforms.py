@@ -98,7 +98,7 @@ def _blocks(deriv, slices, step):
         tgt = slices.get(key)
         if s.dim and tgt is not None:
             mat = derivation_matrix(deriv, s, tgt)
-            if mat.entries:
+            if not mat.is_zero():
                 table[((h, q), key)] = mat
     return table
 

@@ -1,12 +1,16 @@
 """Exact scalar arithmetic and integer matrix kernels.
 
-Everything here is exact: integers, integers mod m, or rationals.  The
-work is integer elimination, and the ground ring k is decided in these
-places only:
+Everything here is exact: integers, integers mod m, or rationals.  A
+`SparseMatrix` stores one {row: value} dict per column, the layout that
+every consumer reads: products, square-zero checks and the integer lift
+all work column by column.  The work is integer elimination, and the
+ground ring k is decided in these places only:
 
 - `_int_columns` is the lift of a matrix over k to integer columns.  Q
-  entries are scaled to integers; over Z/m one relation column m*e_i
-  per row follows the matrix's own columns, so a lifted d_in carries the
+  entries are scaled to integers; over Z and Z/m a column that loses no
+  row is the matrix's own dict, shared, so every consumer reads the
+  columns or copies one first.  Over Z/m one relation column m*e_i per
+  row follows the matrix's own columns, so a lifted d_in carries the
   middle relations and a lifted d_out the target relations.
 - `_tensor` returns an integer group (x) k: the group itself over Z and
   Z/m (over Z/m the lattices already hold every m*e_i), its free part
@@ -143,21 +147,32 @@ class GroundRing:
 
 
 class SparseMatrix:
-    """Sparse exact matrix: entries maps (row, col) -> nonzero scalar."""
+    """Sparse exact matrix stored by column: columns[j] maps row -> nonzero
+    scalar, the compressed-column layout of sparse direct solvers (Davis,
+    *Direct Methods for Sparse Linear Systems*, 2006, ch. 2).  Products,
+    square-zero checks and the integer lift all read it column by column.
+    """
 
-    __slots__ = ("rows", "cols", "ring", "entries")
+    __slots__ = ("rows", "cols", "ring", "columns")
 
     def __init__(self, rows, cols, ring, entries=None):
         self.rows = rows
         self.cols = cols
         self.ring = ring
-        self.entries = {}
+        self.columns = [{} for _ in range(cols)]
         if entries:
             for (i, j), v in entries.items():
                 self[i, j] = v
 
+    @property
+    def entries(self):
+        """(row, col) -> value, column by column; built on each read, in
+        O(nnz), so no hot path reads it."""
+        return {(i, j): v for j, col in enumerate(self.columns) for i, v in col.items()}
+
     def __getitem__(self, key):
-        return self.entries.get(key, 0)
+        i, j = key
+        return self.columns[j].get(i, 0)
 
     def __setitem__(self, key, value):
         i, j = key
@@ -165,28 +180,25 @@ class SparseMatrix:
             raise IndexError(f"entry {key} outside {self.rows}x{self.cols}")
         value = self.ring.normalize(value)
         if value == 0:
-            self.entries.pop(key, None)
+            self.columns[j].pop(i, None)
         else:
-            self.entries[key] = value
+            self.columns[j][i] = value
 
     @staticmethod
     def from_sums(rows, cols, ring, sums):
         """The matrix whose (i, j) entry is sums[i, j] over the ring.
 
-        Each value is normalized once and only nonzero ones are kept, in
-        the order of sums.  The caller builds every key in range, so the
-        entries are written without the per-entry check of __setitem__.
-        A producer writes each column's keys together, so a column's
-        entries come as one run, the order _stream_product, the one-leg
-        stream of products and square-zero checks, is fast on.
+        Each value is normalized once and only nonzero ones are kept.  The
+        caller builds every key in range, so the entries are written
+        without the per-entry check of __setitem__.
         """
         m = SparseMatrix(rows, cols, ring)
-        entries = m.entries
+        columns = m.columns
         normalize = ring.normalize
-        for key, v in sums.items():
+        for (i, j), v in sums.items():
             v = normalize(v)
             if v:
-                entries[key] = v
+                columns[j][i] = v
         return m
 
     @staticmethod
@@ -208,114 +220,72 @@ class SparseMatrix:
 
     def to_rows(self):
         out = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
+        for j, col in enumerate(self.columns):
+            for i, v in col.items():
+                out[i][j] = v
         return out
 
     def __mul__(self, other):
-        """The product, streamed one column of other at a time
-        (_stream_product)."""
+        """The product, one column of other at a time: column k sums
+        other[j, k] times column j of self."""
         if not isinstance(other, SparseMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         m = SparseMatrix(self.rows, other.cols, self.ring)
-        _stream_product(m.entries, self, other, self.ring.normalize)
+        normalize = self.ring.normalize
+        left = self.columns
+        for k, col in enumerate(other.columns):
+            acc = {}
+            for j, w in col.items():
+                for i, v in left[j].items():
+                    acc[i] = acc.get(i, 0) + v * w
+            out = m.columns[k]
+            for i, v in acc.items():
+                v = normalize(v)
+                if v:
+                    out[i] = v
         return m
 
     def is_zero(self):
-        return not self.entries
+        return not any(self.columns)
 
     def apply(self, vec):
         """Matrix times a dense coordinate list."""
         out = [0] * self.rows
-        for (i, j), v in self.entries.items():
+        for j, col in enumerate(self.columns):
             if vec[j]:
-                out[i] = self.ring.add(out[i], v * vec[j])
+                for i, v in col.items():
+                    out[i] = self.ring.add(out[i], v * vec[j])
         return out
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self.cols == other.cols and self.columns == other.columns)
 
     def __repr__(self):
-        return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
-
-
-def _add_column(entries, k, sums, normalize):
-    """Add the row sums of column k into entries under (row, k) keys,
-    keeping only the nonzero results; a zero sum leaves its entry as it
-    is."""
-    for i, v in sums.items():
-        if not v:
-            continue
-        key = (i, k)
-        if key in entries:
-            v += entries.pop(key)
-        v = normalize(v)
-        if v:
-            entries[key] = v
-
-
-def _column_index(matrix):
-    """column -> [(row, value)] of a matrix's entries."""
-    cols = {}
-    for (i, j), v in matrix.entries.items():
-        cols.setdefault(j, []).append((i, v))
-    return cols
-
-
-def _stream_product(entries, left, right, normalize):
-    """Add left * right into entries under (row, col) keys, one column at
-    a time: for each run of entries of right in one column k, right[j, k]
-    times column j of left is summed under plain row keys, and only the
-    nonzero sums are added (_add_column).  A column whose entries come in
-    several runs adds each run to what the earlier ones left, which is
-    slower, so a producer writes each column's entries together."""
-    left_cols = _column_index(left)
-    acc = {}
-    run = None
-    for (j, k), w in right.entries.items():
-        if k != run:
-            if any(acc.values()):
-                _add_column(entries, run, acc, normalize)
-            acc.clear()
-            run = k
-        for i, v in left_cols.get(j, ()):
-            acc[i] = acc.get(i, 0) + v * w
-    if any(acc.values()):
-        _add_column(entries, run, acc, normalize)
+        return f"SparseMatrix({self.rows}x{self.cols}, nnz={sum(map(len, self.columns))})"
 
 
 def composite_is_zero(legs, ring):
     """Whether the sum of second * first over the (first, second) pairs in
     legs is zero over the ring.  Every leg maps one source to one target.
 
-    No product matrix is formed.  One leg streams first in column runs,
-    as a product does (_stream_product), into a pending dict that only a
-    nonzero row sum enters; a later run of its column can cancel it, so
-    the answer holds for any entry order (indexing both operands of one
-    leg, as below, made the b^2 checks slower).  Several legs are summed
-    column by column: every operand is read into a column index, column
-    k of each leg is added into one row -> value dict, and each finished
-    column is tested, the first nonzero entry ending the check.
+    No product matrix is formed: column k of every leg, second[:, j]
+    times first[j, k], is added into one row -> value dict, and each
+    finished column is tested, the first nonzero entry ending the check.
     """
     rows, cols = legs[0][1].rows, legs[0][0].cols
     for first, second in legs:
         if second.cols != first.rows or (second.rows, first.cols) != (rows, cols):
             raise ValueError("shape mismatch")
     normalize = ring.normalize
-    if len(legs) == 1:
-        ((first, second),) = legs
-        pending = {}
-        _stream_product(pending, second, first, normalize)
-        return not pending
-    indexed = [(_column_index(first), _column_index(second)) for first, second in legs]
     acc = {}
-    for k in set().union(*(first_cols for first_cols, _ in indexed)):
-        for first_cols, second_cols in indexed:
-            for j, w in first_cols.get(k, ()):
-                for i, v in second_cols.get(j, ()):
+    for k in range(cols):
+        for first, second in legs:
+            left = second.columns
+            for j, w in first.columns[k].items():
+                for i, v in left[j].items():
                     acc[i] = acc.get(i, 0) + v * w
         if any(acc.values()) and any(map(normalize, acc.values())):
             return False
@@ -665,16 +635,22 @@ def _int_columns(matrix, drop=()):
 
     Q entries are scaled by their common denominator.  Over Z/m one
     relation column m*e_i per row follows the matrix's own columns.
-    Entries in the rows of `drop` are left out.
+    Entries in the rows of the set `drop` are left out.  A column that
+    needs no scaling and holds no row of drop is the matrix's own dict,
+    not a copy: every consumer reads the columns, or copies one before
+    it changes it.
     """
     ring = matrix.ring
     scale = 1
     if ring.kind == "Q":
-        scale = math.lcm(*{v.denominator for v in matrix.entries.values()})
-    cols = [dict() for _ in range(matrix.cols)]
-    for (i, j), v in matrix.entries.items():
-        if i not in drop:
-            cols[j][i] = int(v * scale) if scale != 1 else int(v)
+        scale = math.lcm(*{v.denominator for col in matrix.columns for v in col.values()})
+    cols = []
+    for col in matrix.columns:
+        if scale != 1:
+            col = {i: int(v * scale) for i, v in col.items() if i not in drop}
+        elif drop and not drop.isdisjoint(col):
+            col = {i: v for i, v in col.items() if i not in drop}
+        cols.append(col)
     if ring.kind == "Zmod":
         cols += [{i: ring.modulus} for i in range(matrix.rows)]
     return cols
@@ -1139,17 +1115,22 @@ def _mod_cone(ds, m):
     for prev, d in zip([SparseMatrix(0, ds[0].rows, Z)] + ds, ds):  # d~_{n-1}, d~_n
         c, top = d.cols, d.rows
         cone = SparseMatrix(top + prev.rows, c + top, Z)
-        entries = cone.entries
-        entries.update(d.entries)
-        entries.update(((i, c + i), m) for i in range(top))
-        entries.update(((top + i, c + j), -v) for (i, j), v in prev.entries.items())
-        h = {}
-        _stream_product(h, prev, d, int)
-        for (i, j), v in h.items():
-            q, r = divmod(v, m)
-            if r:
-                raise CompositionNonzero(f"d . d != 0 mod {m} into {prev.rows} rows")
-            entries[top + i, j] = -q
+        below = prev.columns
+        for k, col in enumerate(d.columns):
+            h = {}
+            for j, w in col.items():
+                for i, v in below[j].items():
+                    h[i] = h.get(i, 0) + v * w
+            out_col = cone.columns[k] = dict(col)
+            for i, v in h.items():
+                q, r = divmod(v, m)
+                if r:
+                    raise CompositionNonzero(f"d . d != 0 mod {m} into {prev.rows} rows")
+                if q:
+                    out_col[top + i] = -q
+        for i in range(top):
+            out_col = cone.columns[c + i] = {i: m}
+            out_col.update((top + r, -v) for r, v in below[i].items())
         out.append(cone)
     return out
 
@@ -1163,7 +1144,8 @@ def preimage(matrix, b, ring):
     when g is a unit of k; then x = -y / g for the vector with t = g.
     """
     n = matrix.cols
-    aug = SparseMatrix(matrix.rows, n + 1, ring, matrix.entries)
+    aug = SparseMatrix(matrix.rows, n + 1, ring)
+    aug.columns[:n] = matrix.columns  # read only, by _int_columns
     for i, v in enumerate(b):
         aug[i, n] = v
     g, y = 0, [0] * n

@@ -243,8 +243,8 @@ def _shifted_matrix(M, src, tgt):
     out = SparseMatrix(tdim, sdim, M.ring)
     # the blocks' entries are normalized and nonzero, and a block of the
     # shape of its two slices stays inside them, so once that shape is
-    # checked its entries are copied without the per-entry setter
-    entries = out.entries
+    # checked its columns are copied without the per-entry setter
+    columns = out.columns
     for (i, s) in src:
         below = (s[0] - 1, s[1])
         blocks = [((i, below), M.b.get((s, below)))]
@@ -257,8 +257,8 @@ def _shifted_matrix(M, src, tgt):
                         f"block {s} -> {key[1]} is {mat.rows}x{mat.cols}, "
                         f"not {M.dim(*key[1])}x{M.dim(*s)}")
                 r0 = toff[key]
-                for (r, c), v in mat.entries.items():
-                    entries[r0 + r, c0 + c] = v
+                for c, col in enumerate(mat.columns, c0):
+                    columns[c].update((r0 + r, v) for r, v in col.items())
     return out
 
 

@@ -60,10 +60,16 @@ class Presentation:
 
     @staticmethod
     def make(ring, variables, relations):
+        """Raises ValueError on a zero relation, or on an exponent tuple
+        whose length is not the number of variables."""
+        variables = tuple(variables)
         normalized = []
         rules = {}
         consts = []
         for t, rel in enumerate(relations):
+            if any(len(e) != len(variables) for e in rel):
+                raise ValueError(f"relation {t} has an exponent tuple whose length "
+                                 f"is not {len(variables)}, the number of variables")
             rel = {tuple(e): ring.normalize(c) for e, c in rel.items()
                    if not ring.is_zero(c)}
             if not rel:
@@ -80,7 +86,7 @@ class Presentation:
                     lower = {e: ring.neg(c) for e, c in rel.items() if e != lead_e}
                     rules[nz[0]] = (t, lead_e[nz[0]], lower)
             normalized.append(rel)
-        return Presentation(ring, tuple(variables), tuple(normalized),
+        return Presentation(ring, variables, tuple(normalized),
                             dict(sorted(rules.items())), tuple(consts))
 
     @property

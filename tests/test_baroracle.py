@@ -265,15 +265,3 @@ def test_digit_blocks_match_the_label_reference_on_random_algebras(ring):
         for (q, t), (mat, expected) in _paired_blocks(A, _largest_window(A.rank)).items():
             assert (mat.rows, mat.cols) == (expected.rows, expected.cols), (A.basis, q, t)
             assert list(mat.entries.items()) == list(expected.entries.items()), (A.basis, q, t)
-
-
-@pytest.mark.parametrize("ring", ["Z", "Z/9", "Q"])
-@pytest.mark.parametrize("variables, rels", [("x", ["x^4-2*x"]),
-                                             ("x y", ["x^2-y", "y^3+x"])])
-def test_bar_block_entries_come_one_run_per_column(ring, variables, rels):
-    # linalg._stream_product (products and one-leg square-zero checks)
-    # sums one run of entries per column; a column split into runs is
-    # summed again for each
-    for mat, _ in _bar_blocks(ring, variables, rels).values():
-        cols = [j for (_, j) in mat.entries]
-        assert cols == sorted(cols)

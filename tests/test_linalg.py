@@ -853,10 +853,10 @@ def test_sparse_product_and_sum_match_dense_reference(ring):
                          and any(ra[i][t] and rb[t][j] for t in range(k)))
         total = [[ring.add(x, y) for x, y in zip(row, col)]
                  for row, col in zip(prod, rc)]
-        # mat writes b row by row, so a column of b comes in several runs
-        # of its entries; the same entries column by column come in one
-        by_col = SparseMatrix(b.rows, b.cols, ring)
-        by_col.entries = dict(sorted(b.entries.items(), key=lambda e: e[0][::-1]))
+        # mat writes b row by row; the same entries written column by
+        # column give the same matrix and the same products
+        by_col = SparseMatrix(b.rows, b.cols, ring,
+                              dict(sorted(b.entries.items(), key=lambda e: e[0][::-1])))
         for got, expected in ((a * b, prod), (a * by_col, prod)):
             assert got == mat(expected, ring)
             assert all(v and v == ring.normalize(v) for v in got.entries.values())
@@ -869,3 +869,160 @@ def test_sparse_product_and_sum_match_dense_reference(ring):
                 not any(map(any, total)))
             assert composite_is_zero([(right, a), (one, minus)], ring)
     assert cancelled
+
+
+@pytest.mark.parametrize("ring", [Z, GroundRing.Zmod(4), Q], ids=repr)
+def test_entries_view_rebuilds_the_matrix(ring):
+    rng = random.Random(f"entries view {ring!r}")
+    for _ in range(20):
+        r, c = rng.randint(1, 4), rng.randint(0, 4)
+        m = mat([[rng.choice([0, 0, 1, -1, 3]) for _ in range(c)] for _ in range(r)], ring)
+        assert SparseMatrix(r, c, ring, m.entries) == m
+
+
+def test_equality_ignores_insertion_order():
+    cells = {(0, 0): 1, (2, 0): -3, (1, 0): 2, (1, 2): 5, (0, 2): 7}
+    forward = SparseMatrix(3, 3, Z, cells)
+    backward = SparseMatrix(3, 3, Z, dict(reversed(list(cells.items()))))
+    assert [list(col) for col in forward.columns] != [list(col) for col in backward.columns]
+    assert forward == backward
+    backward[2, 1] = 4
+    assert forward != backward
+
+
+@pytest.mark.parametrize("ring", [Z, GroundRing.Zmod(6), Q], ids=repr)
+def test_three_leg_composite_matches_dense_reference(ring):
+    # sum over three legs of second * first, against dense products; in
+    # every other draw the third leg cancels the first two
+    rng = random.Random(f"three legs {ring!r}")
+
+    def scalars(r, c):
+        return [[rng.choice([0, 0, 1, -1, 2, 3]) for _ in range(c)] for _ in range(r)]
+
+    for trial in range(60):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        dense = []
+        for _ in range(2 if trial % 2 else 3):
+            k = rng.randint(1, 4)
+            dense.append((scalars(k, n), scalars(m, k)))
+        partial = [[sum(second[i][t] * first[t][j] for first, second in dense
+                        for t in range(len(first)))
+                    for j in range(n)] for i in range(m)]
+        legs = [(mat(first, ring), mat(second, ring)) for first, second in dense]
+        if trial % 2:
+            legs.append((SparseMatrix.identity(n, ring),
+                         mat([[-v for v in row] for row in partial], ring)))
+            partial = [[0] * n for _ in range(m)]
+        want = not any(ring.normalize(v) for row in partial for v in row)
+        assert composite_is_zero(legs, ring) == want
+
+
+def _random_chain(rng, ring):
+    """Boundaries ds[0..N + 1] of a chain over the ring: a sum of pieces
+    Z -c-> Z (c in 1, -1, 2, 3) and lone Z in random unimodular bases, so
+    the sweep cancels the rows of unit pivots.  Over Q one basis vector
+    is also halved, which gives entries with denominators."""
+    top = rng.randint(2, 4)
+    dims = [0] * (top + 1)
+    cells = [dict() for _ in range(top + 2)]  # cells[n]: (row, col) -> v of d_n
+    for _ in range(rng.randint(4, 9)):
+        n = rng.randint(0, top)
+        if n and rng.random() < 0.7:
+            cells[n][dims[n - 1], dims[n]] = rng.choice([1, -1, 2, 3])
+            dims[n - 1] += 1
+        dims[n] += 1
+    ds = [[[cells[n].get((i, j), 0) for j in range(dims[n])] for i in range(dims[n - 1])]
+          if n else [] for n in range(top + 1)]
+    for n, c in enumerate(dims):
+        for _ in range(2 * c if c > 1 else 0):
+            i, j = rng.sample(range(c), 2)
+            t = rng.choice([1, -1, 2])
+            # e_j' = e_j + t*e_i: d_n column j += t * column i, and
+            # d_{n+1} row i -= t * row j
+            for row in ds[n]:
+                row[j] += t * row[i]
+            if n < top:
+                ds[n + 1][i] = [a - t * b for a, b in zip(ds[n + 1][i], ds[n + 1][j])]
+    if ring.kind == "Q" and dims[1]:
+        # e_0' = e_0 / 2 in degree 1
+        for row in ds[1]:
+            row[0] = Fraction(row[0], 2)
+        if top > 1:
+            ds[2][0] = [2 * v for v in ds[2][0]]
+    chain = [SparseMatrix(0, dims[0], ring)]
+    chain += [SparseMatrix(dims[n - 1], dims[n], ring, {
+        (i, j): v for i, row in enumerate(ds[n]) for j, v in enumerate(row)})
+        for n in range(1, top + 1)]
+    return chain + [SparseMatrix(dims[top], 0, ring)]
+
+
+@pytest.mark.parametrize("ring", [Z, GroundRing.Zmod(4), Q], ids=repr)
+def test_consumers_leave_the_stored_columns_unchanged(ring, monkeypatch):
+    # _int_columns hands out a matrix's own column dicts, so every
+    # consumer of the lift must read them or copy them first
+    import copy
+
+    from shukla import models
+    from shukla.crystalline import L_complex, Lprime_complex
+    from shukla.dpalgebra import EXTERIOR, POLYNOMIAL, Element, GammaDerivation, Generator, GradedAlgebra
+    from shukla.mixed import _column_graded_pieces
+
+    watched = []
+
+    def watch(*mats):
+        watched.extend((m, copy.deepcopy(m.columns)) for m in mats)
+        return mats
+
+    rng = random.Random(f"shared columns {ring!r}")
+    cancelled_rows = 0
+    for _ in range(30):
+        ds = watch(*_random_chain(rng, ring))
+        chain_homology(list(ds), ring)
+        for n in range(len(ds) - 1):
+            homology_at(ds[n + 1], ds[n], ring)
+            if ring.kind != "Zmod":
+                cancelled = set()
+                invariant_factors_sparse(_int_columns(ds[n]), ds[n].rows, cancelled)
+                cancelled_rows += len(cancelled)
+                homology_at(ds[n + 1], ds[n], ring, cancelled=cancelled)
+        # two chains side by side split by value
+        other = _random_chain(rng, ring)
+        if len(other) == len(ds):
+            blocks = [SparseMatrix(a.rows + b.rows, a.cols + b.cols, ring, {
+                **a.entries, **{(i + a.rows, j + a.cols): v for (i, j), v in b.entries.items()}})
+                for a, b in zip(ds, other)]
+            watch(*blocks)
+            for n in range(len(ds) - 1):
+                values = [0] * ds[n].cols + [1] * other[n].cols
+                _column_graded_pieces(blocks[n + 1], blocks[n], values, ring)
+        d = ds[1]
+        if d.rows:
+            x = [rng.randint(-2, 2) for _ in range(d.cols)]
+            preimage(d, d.apply(x), ring)
+            preimage(d, [1] + [0] * (d.rows - 1), ring)
+    if ring.kind != "Zmod":
+        assert cancelled_rows
+
+    P = models.Presentation.make(ring, ["x", "y"], [{(2, 0): 1}, {(0, 3): 1, (1, 0): 2}])
+    for build in (L_complex, Lprime_complex):
+        for p in range(3):
+            F = build(P, p)
+            watch(*F.mats.values())
+            for j in range(p + 1):
+                F.homology(j)
+
+    def boundaries(*args):
+        mid, d_in, d_out = weight0(*args)
+        watch(d_in, d_out)
+        return mid, d_in, d_out
+
+    weight0 = models._weight0_boundaries
+    monkeypatch.setattr(models, "_weight0_boundaries", boundaries)
+    alg = GradedAlgebra(ring, [Generator("y", 1, EXTERIOR), Generator("z", 2, POLYNOMIAL)])
+    start = models.FreeDGA(alg, GammaDerivation(alg, -1, {
+        "y": Element(alg), "z": alg.gen_element("y")}))
+    models.tate_extend(start, 5)
+
+    assert len(watched) > 100
+    for m, columns in watched:
+        assert m.columns == columns

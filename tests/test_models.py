@@ -81,6 +81,17 @@ def test_quasi_monic_detection():
         P4.reduced_monomials()
 
 
+def test_make_rejects_exponent_tuples_of_the_wrong_length():
+    # () over one variable would be stored as a constant that
+    # is_zero_algebra, which looks constants up under (0,), never sees
+    Z6 = GroundRing.Zmod(6)
+    for rels in ([{(): 1}, {(2,): 1}], [{(2,): 1, (0, 0): 3}], [{(1, 2): 1}]):
+        with pytest.raises(ValueError, match="number of variables"):
+            Presentation.make(Z6, ["x"], rels)
+    assert Presentation.make(Z6, ["x"], [{(0,): 1}, {(2,): 1}]).is_zero_algebra
+    assert Presentation.make(Z6, [], [{(): 1}]).is_zero_algebra
+
+
 def test_check_boundary_square_rejects_ill_formed():
     alg = GradedAlgebra(Z, [
         Generator("x", 0, POLYNOMIAL, poly_weight=1),
