@@ -242,15 +242,15 @@ def _lifted(pres):
 
 
 def _layers_in_ring(groups, n_max, in_ring):
-    """FilteredGroups with its totals and each weight's layers mapped by
-    in_ring: the layers of one weight are H_0..H_n_max of one block of
-    the forms complex, a complex of its own."""
-    total = in_ring([groups.total[n] for n in range(n_max + 1)])
+    """The groups computed over the lift, mapped to the ring: each
+    weight's layers are H_0..H_n_max of one block of the forms complex,
+    so in_ring maps them as a chain, and the totals stay the sums of the
+    layers, since H, (x) and Tor are additive."""
     layers = {}
     for p in {p for (_, p) in groups.layers}:
         chain = in_ring([groups.layer(n, p) for n in range(n_max + 1)])
-        layers.update(((n, p), h) for n, h in enumerate(chain) if not h.is_trivial())
-    return FilteredGroups(dict(enumerate(total)), layers)
+        layers.update(((n, p), h) for n, h in enumerate(chain))
+    return FilteredGroups.of_layers(layers, n_max)
 
 
 def _zero_if_unit(pres):
@@ -271,7 +271,7 @@ def run(job, command):
     """Execute one command; returns (report dict, ok flag).
 
     The report echoes the job as given; the pipelines are built from
-    _zero_if_unit of its presentation."""
+    _zero_if_unit of its presentation, lifted once by _lifted."""
     report = {
         "command": command,
         "ring": repr(job.presentation.ring),
@@ -282,33 +282,27 @@ def run(job, command):
         report["warnings"] = list(job.warnings)
     job = replace(job, presentation=_zero_if_unit(job.presentation))
     try:
-        if command == "hh":
-            pres, in_ring = _lifted(job.presentation)
-            G = _forms_complex(job, pres)
-            report["hh"] = _groups_json(in_ring(hh_assemble(G, job.n_max)))
-            return report, True
-        if command == "hc":
-            pres, in_ring = _lifted(job.presentation)
-            G = _forms_complex(job, pres)
-            report["hc"] = _groups_json(in_ring(cyclic_total(G.complex, job.n_max)))
-            return report, True
-        if command == "layers":
-            pres, in_ring = _lifted(job.presentation)
-            G = _forms_complex(job, pres)
-            for key, groups in (("hh", hh_layers(G, job.n_max)),
-                                ("hc", hc_assemble(G, job.n_max))):
-                report[key] = _layers_in_ring(groups, job.n_max, in_ring).to_json()
+        built, in_ring = _lifted(job.presentation)
+        n = job.n_max
+        if command in ("hh", "hc", "layers"):
+            G = _forms_complex(job, built)
+            if command == "hh":
+                report["hh"] = _groups_json(in_ring(hh_assemble(G, n)))
+            elif command == "hc":
+                report["hc"] = _groups_json(in_ring(cyclic_total(G.complex, n)))
+            else:
+                for key, groups in (("hh", hh_layers(G, n)), ("hc", hc_assemble(G, n))):
+                    report[key] = _layers_in_ring(groups, n, in_ring).to_json()
             return report, True
         if command == "oracle":
-            pres, in_ring = _lifted(job.presentation)
-            cplx = cyclic_mixed(from_presentation(pres), job.n_max)
+            cplx = cyclic_mixed(from_presentation(built), n)
             ok = bool(validate(cplx))
             report["validated"] = ok
-            report["hh"] = _groups_json(in_ring(hochschild_total(cplx, job.n_max)))
-            report["hc"] = _groups_json(in_ring(cyclic_total(cplx, job.n_max)))
+            report["hh"] = _groups_json(in_ring(hochschild_total(cplx, n)))
+            report["hc"] = _groups_json(in_ring(cyclic_total(cplx, n)))
             return report, ok
         if command == "compare":
-            return _run_compare(job, report)
+            return _run_compare(job, built, in_ring, report)
         if command.split()[:1] == ["witness24"]:
             return _run_witness(job, command, report)
         if command == "selftest":
@@ -333,11 +327,10 @@ def _agree_table(columns):
     return table, all_ok
 
 
-def _run_compare(job, report):
+def _run_compare(job, built, in_ring, report):
+    # built, in_ring = _lifted(pres) serve the forms and oracle columns;
+    # the crystalline column stays on pres, a check the lift does not share
     pres = job.presentation
-    # the forms and oracle columns are built from the lift; the
-    # crystalline column stays on pres, a check the lift does not share
-    built, in_ring = _lifted(pres)
     G = _forms_complex(job, built)
     n = job.n_max
     hh_cols = {"gamma_forms": dict(enumerate(in_ring(hh_assemble(G, n))))}

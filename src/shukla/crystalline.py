@@ -213,22 +213,12 @@ def _layer_table(pres, n_max, graded):
     built on one EnvelopeForms."""
     forms = envelope_forms(pres)
     layers = {}
-    totals = {}
-    complexes = {}
-    for n in range(n_max + 1):
-        parts = []
-        for p in range(n + 1):
-            j = n - p
-            if j > p:
-                continue  # positions run 0..p
-            if p not in complexes:
-                complexes[p] = _build_filtered(forms, p, graded)
-            g = complexes[p].homology(j)
-            if not g.is_trivial():
-                layers[(n, p)] = g
-            parts.append(g)
-        totals[n] = HomologyGroup(0, ()).direct_sum(*parts)
-    return FilteredGroups(totals, layers)
+    for p in range(n_max + 1):
+        cplx = _build_filtered(forms, p, graded)
+        # positions run 0..p
+        for n in range(p, min(2 * p, n_max) + 1):
+            layers[(n, p)] = cplx.homology(n - p)
+    return FilteredGroups.of_layers(layers, n_max)
 
 
 def hodge_hh(pres, n_max):

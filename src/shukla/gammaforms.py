@@ -168,9 +168,9 @@ class WitnessReport:
                 "delta_beta_is_minus_p_gamma": self.beta_identity}
 
 
-def witness_model(ring, top_degree):
-    """The model of k with an exterior y in degree 1, a polynomial z in
-    degree 2, boundary z -> y, Tate-extended through top_degree."""
+def _witness_start(ring):
+    """The start of the model of k: an exterior y in degree 1 and a
+    polynomial z in degree 2, boundary z -> y."""
     alg = GradedAlgebra(ring, [
         Generator("y", 1, EXTERIOR),
         Generator("z", 2, POLYNOMIAL),
@@ -179,7 +179,12 @@ def witness_model(ring, top_degree):
         "y": Element(alg),
         "z": alg.gen_element("y"),
     })
-    return tate_extend(FreeDGA(alg, boundary), top_degree)
+    return FreeDGA(alg, boundary)
+
+
+def witness_model(ring, top_degree):
+    """_witness_start Tate-extended through top_degree: a model of k."""
+    return tate_extend(_witness_start(ring), top_degree)
 
 
 def witness_nondegeneracy(ring, p):
@@ -190,11 +195,14 @@ def witness_nondegeneracy(ring, p):
     -p gamma^p(dy).  For a non-unit p the class is a cycle and not a
     boundary, exhibiting homology the ground ring's own trivial model
     does not have; for a unit p it bounds.  Only the one delta block
-    from slice (2p+1, p) to slice (2p, p) is built.
+    from slice (2p+1, p) to slice (2p, p) is built, on _witness_start:
+    its Tate generators have degree >= 4 (H_1 = H_2 = 0), so their
+    d-letters do not fit in those slices, and the block is that of
+    witness_model(ring, 2p + 2).
     """
     if not isinstance(p, int) or p < 2:
         raise ValueError("p must be an integer >= 2")
-    alg, _, delta = _forms_derivations(witness_model(ring, 2 * p + 2))
+    alg, _, delta = _forms_derivations(_witness_start(ring))
     gamma = alg.element({(("dy", p),): 1})
     cycle = derive(delta, gamma).is_zero()
     beta = alg.element({(("dy", p - 1),): 1}) * alg.gen_element("dz")

@@ -25,7 +25,8 @@ ground ring k is decided in these places only:
   `homology_at` sweeps a Z/m pair as a three-term chain.  Presented
   modules and generators stay presented.
 - Three callers outside this module lean on the relation columns that
-  `_int_columns` appends over Z/m: `mixed._column_graded_pieces` takes
+  `_int_columns` appends over Z/m, each through
+  `homology_from_presentation`: `mixed._column_graded_pieces` takes
   those past the matrix's own columns as the target relations,
   `crystalline.FilteredComplex.homology` adds its own relation vectors
   after them, and `models.tate_extend` reads cycle generators off them.

@@ -38,11 +38,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import CompositionNonzero, HypothesisViolated, WindowTooSmall
-# homology_at stays bound here because perfbench's tracer test reads
-# mixed.homology_at; chain_homology calls it in linalg
+# homology_at and subquotient stay bound here, unread: perfbench's tracer
+# test asserts that mixed.homology_at and mixed.subquotient are wrapped
 from .linalg import (
     HomologyGroup, SparseMatrix, _int_columns, chain_homology,
-    composite_is_zero, homology_at, kernel_basis, subquotient,
+    composite_is_zero, homology_at, homology_from_presentation, subquotient,
 )
 
 
@@ -186,6 +186,16 @@ class FilteredGroups:
     total: dict
     layers: dict
 
+    @classmethod
+    def of_layers(cls, groups, n_max):
+        """The FilteredGroups of the layers groups[(n, p)], n <= n_max:
+        the nonzero layers are kept, and each total H_n is the direct sum
+        of the layers of degree n (0 when it has none)."""
+        layers = {k: g for k, g in groups.items() if not g.is_trivial()}
+        return cls({n: HomologyGroup(0, ()).direct_sum(
+                        *(g for (m, _), g in layers.items() if m == n))
+                    for n in range(n_max + 1)}, layers)
+
     def layer(self, n, p):
         return self.layers.get((n, p), HomologyGroup(0, ()))
 
@@ -203,21 +213,12 @@ def hochschild_layers(M, n_max):
     and each weight is one chain swept once."""
     M.require_window(n_max)
     _require(M, "b^2", n_max + 1)
-    by_weight = {}
+    layers = {}
     for w in {w for (n, w) in M.slices if n <= n_max and M.dim(n, w)}:
         ds = [_total_matrix(M, n, w) for n in range(n_max + 2)]
-        by_weight[w] = chain_homology(ds, M.ring, checked=True)
-    totals = {}
-    layers = {}
-    for n in range(n_max + 1):
-        parts = []
-        for (_, w) in _degree_slices(M, n):
-            h = by_weight[w][n]
-            if not h.is_trivial():
-                layers[(n, w)] = h
-            parts.append(h)
-        totals[n] = HomologyGroup(0, ()).direct_sum(*parts)
-    return FilteredGroups(totals, layers)
+        chain = chain_homology(ds, M.ring, checked=True)
+        layers.update(((n, w), h) for n, h in enumerate(chain))
+    return FilteredGroups.of_layers(layers, n_max)
 
 
 def hochschild_total(M, n_max):
@@ -341,9 +342,9 @@ def _column_graded_pieces(d_in, d_out, cols_mid, ring):
     c, for a complex that splits by value: every column of d_out and of
     d_in reaches the rows of one block only.
 
-    Each value takes one kernel, of the d_out columns of its block (over
-    Z/m with the relations of the rows they reach), and one subquotient
-    by the d_in columns that land in it.
+    Each value takes one homology_from_presentation of its block: the
+    d_out columns of its block (over Z/m with the relations of the rows
+    they reach) and the d_in columns that land in it.
     """
     n = len(cols_mid)
     out_cols = _int_columns(d_out)
@@ -363,9 +364,8 @@ def _column_graded_pieces(d_in, d_out, cols_mid, ring):
         cols = [out_cols[j] for j in mid]
         if rels:
             cols += [rels[i] for i in sorted({i for col in cols for i in col})]
-        cycles = [{k: v for k, v in vec.items() if k < len(mid)}
-                  for vec in kernel_basis(cols, d_out.rows)]
-        group, _ = subquotient(cycles, bnd.get(c, []), len(mid), ring)
+        group, _ = homology_from_presentation(bnd.get(c, []), cols, len(mid),
+                                              d_out.rows, ring)
         if not group.is_trivial():
             pieces[c] = group
     return pieces

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +122,32 @@ def test_run_witness_exit_semantics():
     report, ok = run(job_q, "witness24 p=2")
     assert ok and report["p_is_unit"]
     assert report["witness"]["boundary"] is True
+
+
+# witness24 for p = 2..12 in one child process; p = 10 over Z once hung
+# in the Tate extension of the model, which the witness no longer builds
+WITNESS_SCAN = """\
+import json
+from shukla.cli import parse, run
+for ring in ("Z", "Z/4", "Z/6", "Q"):
+    for p in range(2, 13):
+        report, ok = run(parse(f"ring {ring}\\n"), f"witness24 p={p}")
+        print(json.dumps([ring, p, report["p_is_unit"], ok]), flush=True)
+"""
+
+
+def test_witness_p_scan_ends_with_the_unit_verdicts():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", WITNESS_SCAN],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(ring, p) for ring, p, _, _ in rows] == [
+        (ring, p) for ring in ("Z", "Z/4", "Z/6", "Q") for p in range(2, 13)]
+    for ring, p, unit, ok in rows:
+        assert unit == parse(f"ring {ring}\n").presentation.ring.is_unit(p), (ring, p)
+        assert ok, (ring, p)
 
 
 def test_run_unknown_command():

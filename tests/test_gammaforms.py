@@ -169,10 +169,11 @@ def test_witness_unit_p():
 
 
 @pytest.mark.parametrize("ring", [Z, GroundRing.Zmod(2), GroundRing.Zmod(4), Q], ids=repr)
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_witness_block_is_the_forms_complex_block(monkeypatch, ring, p):
     # the witness builds only the delta block (2p+1, p) -> (2p, p) it
-    # solves in; it must be that block of the whole forms complex
+    # solves in, on the start model without its Tate extension; it must
+    # be that block of the whole forms complex of the extended model
     solved = []
     real_preimage = gammaforms.preimage
 
@@ -183,9 +184,14 @@ def test_witness_block_is_the_forms_complex_block(monkeypatch, ring, p):
     def whole_complex(*args, **kwargs):
         raise AssertionError("the witness built the whole forms complex")
 
+    def extended(*args, **kwargs):
+        raise AssertionError("the witness Tate-extended its model")
+
     monkeypatch.setattr(gammaforms, "preimage", spy)
     monkeypatch.setattr(gammaforms, "build_gamma_forms", whole_complex)
+    monkeypatch.setattr(gammaforms, "tate_extend", extended)
     witness_nondegeneracy(ring, p)
+    monkeypatch.undo()
     (mat, b), = solved
     G = build_gamma_forms(witness_model(ring, 2 * p + 2), 2 * p + 1)
     assert mat == _total_matrix(G.complex, 2 * p + 1, p)

@@ -10,7 +10,7 @@ from shukla.dpalgebra import (
 from shukla.errors import HypothesisViolated, WindowTooSmall
 from shukla.linalg import GroundRing, HomologyGroup
 from shukla.mixed import (
-    MixedComplex, cyclic_layers, cyclic_total, hochschild_layers,
+    FilteredGroups, MixedComplex, cyclic_layers, cyclic_total, hochschild_layers,
     hochschild_total, validate,
 )
 
@@ -102,6 +102,20 @@ def test_hochschild_layers_single_row():
     assert fg.total[0] == HomologyGroup(1, ())
     assert fg.layer(0, 0) == HomologyGroup(1, ())
     assert fg.layer(0, 1).is_trivial()
+
+
+def test_of_layers_drops_trivial_layers_and_sums_each_degree():
+    zero = HomologyGroup(0, ())
+    fg = FilteredGroups.of_layers({
+        (0, 0): HomologyGroup(1, ()), (0, 1): zero,
+        (1, 0): HomologyGroup(0, (2,)), (1, 1): HomologyGroup(1, (4,)),
+        (2, 2): zero, (3, 1): HomologyGroup(0, (3,)),
+    }, 3)
+    assert fg.layers == {(0, 0): HomologyGroup(1, ()), (1, 0): HomologyGroup(0, (2,)),
+                         (1, 1): HomologyGroup(1, (4,)), (3, 1): HomologyGroup(0, (3,))}
+    # C2 + Z + C4 = Z + C2 + C4; degree 2 has no nonzero layer
+    assert fg.total == {0: HomologyGroup(1, ()), 1: HomologyGroup(1, (2, 4)),
+                        2: zero, 3: HomologyGroup(0, (3,))}
 
 
 def test_layer_consistency_hh_and_hc():

@@ -26,9 +26,9 @@ import pytest
 
 from shukla import crystalline, linalg, mixed
 from shukla.baroracle import cyclic_mixed, from_presentation
-from shukla.cli import JobSpec, _lifted, parse, run
+from shukla.cli import JobSpec, _layers_in_ring, _lifted, parse, run
 from shukla.crystalline import hc_layers_small, hodge_hh
-from shukla.gammaforms import build_gamma_forms, hh_assemble
+from shukla.gammaforms import build_gamma_forms, hc_assemble, hh_assemble, hh_layers
 from shukla.linalg import GroundRing, universal_coefficients
 from shukla.mixed import cyclic_total, hochschild_total
 from shukla.models import Presentation, koszul_model
@@ -233,6 +233,25 @@ def test_lifted_layers_match_the_crystalline_layers(name):
     assert report["hc"] == hc_layers_small(job.presentation, job.n_max).to_json()
 
 
+LAYER_GOLDENS = json.loads((Path(__file__).resolve().parent
+                           / "layer_goldens.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(n for n in LAYER_GOLDENS
+                                        if n.startswith(("Z4_", "Z6_", "Z9_"))))
+def test_layer_sums_over_the_ring_are_the_totals_over_the_ring(name):
+    # `layers` maps each weight's chain to Z/m and sums the layers; the
+    # forms complex and its cyclic totalization are the direct sums of
+    # their weight blocks, so that is the map of the totals over Z
+    job = parse(LAYER_GOLDENS[name]["text"])
+    built, in_ring = _lifted(job.presentation)
+    n = job.n_max
+    G = build_gamma_forms(koszul_model(built), n, job.poly_bound)
+    for groups in (hh_layers(G, n), hc_assemble(G, n)):
+        want = in_ring([groups.total[k] for k in range(n + 1)])
+        assert _layers_in_ring(groups, n, in_ring).total == dict(enumerate(want))
+
+
 def _count_presented(monkeypatch):
     """The names of the presented-module, mod-m cone and Z/m graded-piece
     calls, in order."""
@@ -245,7 +264,8 @@ def _count_presented(monkeypatch):
         return call
 
     presented = counted("homology_from_presentation", linalg.homology_from_presentation)
-    # crystalline binds the name at import, so it is counted there too
+    # crystalline binds the name at import, so it is counted there too;
+    # mixed binds it as well, and its Z/m calls are counted below
     monkeypatch.setattr(linalg, "homology_from_presentation", presented)
     monkeypatch.setattr(crystalline, "homology_from_presentation", presented)
     monkeypatch.setattr(linalg, "_mod_cone", counted("_mod_cone", linalg._mod_cone))
