@@ -16,6 +16,7 @@ check passed.
 
 import argparse
 import contextlib
+import functools
 import json
 import random
 import re
@@ -28,7 +29,7 @@ from .errors import EngineError, ParseError, TooManyVariables
 from .gammaforms import (
     build_gamma_forms, hc_assemble, hh_assemble, hh_layers, witness_nondegeneracy,
 )
-from .linalg import GroundRing, universal_coefficients
+from .linalg import GroundRing, kunneth, universal_coefficients
 from .mixed import FilteredGroups, cyclic_total, hochschild_total, validate
 from .models import Presentation, koszul_model
 
@@ -222,6 +223,25 @@ def _forms_complex(job, pres):
     return build_gamma_forms(koszul_model(pres), job.n_max, job.poly_bound)
 
 
+def _hh(job, built, in_ring, G=None):
+    """HH_0..HH_nmax over the ring, from built and in_ring = _lifted(pres).
+
+    When built is quasi-monic and every variable has a rule, A is the
+    tensor product of the finite factors of built, and so are its Koszul
+    model, forms algebra and delta: HH is the Kunneth combination over Z
+    of the factors' HH, each a complex of free modules, mapped to the
+    ring once.  An explicit polybound keeps one joint window, since the
+    factors' windows do not truncate as the joint one does.  G, when
+    given, is the forms complex of built, read when built is one factor.
+    """
+    finite = built.is_quasi_monic and len(built.rules) == len(built.variables)
+    parts = built.factors() if finite and job.poly_bound is None else (built,)
+    if G is not None and len(parts) == 1:
+        return in_ring(hh_assemble(G, job.n_max))
+    groups = [hh_assemble(_forms_complex(job, f), job.n_max) for f in parts]
+    return in_ring(functools.reduce(kunneth, groups))
+
+
 def _lifted(pres):
     """The presentation to build from, and the map taking its groups
     H_0..H_N to the groups over pres.ring.
@@ -284,11 +304,12 @@ def run(job, command):
     try:
         built, in_ring = _lifted(job.presentation)
         n = job.n_max
-        if command in ("hh", "hc", "layers"):
+        if command == "hh":
+            report["hh"] = _groups_json(_hh(job, built, in_ring))
+            return report, True
+        if command in ("hc", "layers"):
             G = _forms_complex(job, built)
-            if command == "hh":
-                report["hh"] = _groups_json(in_ring(hh_assemble(G, n)))
-            elif command == "hc":
+            if command == "hc":
                 report["hc"] = _groups_json(in_ring(cyclic_total(G.complex, n)))
             else:
                 for key, groups in (("hh", hh_layers(G, n)), ("hc", hc_assemble(G, n))):
@@ -333,7 +354,7 @@ def _run_compare(job, built, in_ring, report):
     pres = job.presentation
     G = _forms_complex(job, built)
     n = job.n_max
-    hh_cols = {"gamma_forms": dict(enumerate(in_ring(hh_assemble(G, n))))}
+    hh_cols = {"gamma_forms": dict(enumerate(_hh(job, built, in_ring, G)))}
     hc_cols = {"gamma_forms": dict(enumerate(in_ring(cyclic_total(G.complex, n))))}
     crys_hc = None
     if pres.is_quasi_monic:

@@ -18,6 +18,8 @@ ground ring k is decided in these places only:
 - `universal_coefficients` turns the groups of a free complex over Z
   into those of its reduction mod m: the CLI builds every Z/m
   presentation over Z (`cli._lifted`), so no Z/m input is unliftable.
+  `kunneth` combines the groups of two free complexes over Z into those
+  of their tensor product, before that map.
 - `preimage` asks `is_unit` and `inv` of the ring about one integer g,
   the gcd of the last coordinates of the kernel of [M | b].
 - `chain_homology` sweeps every free complex over Z, a Z/m chain
@@ -938,6 +940,38 @@ def universal_coefficients(groups, ring):
         out.append(HomologyGroup.from_factors(0, factors))
         below = h.invariant_factors
     return out
+
+
+def kunneth(G, H):
+    """H_0..H_N of C (x) D from the groups G = H_0..H_N of C and H =
+    H_0..H_N of D, complexes of free Z-modules: H_n is the sum of G_i (x)
+    H_j over i + j = n and of Tor(G_i, H_j) over i + j = n - 1 (the
+    Kunneth formula; Mac Lane, *Homology*, ch. V).
+
+    Z (x) Z/d = Z/d and Z/a (x) Z/b = Tor(Z/a, Z/b) = Z/gcd(a, b); a free
+    summand has no Tor, so no integer is factored.  Groups over Q are
+    free, and only their ranks multiply.
+    """
+    out = []
+    for n in range(len(G)):
+        rank = 0
+        factors = []
+        for i in range(n + 1):
+            g, h = G[i], H[n - i]
+            rank += g.free_rank * h.free_rank
+            factors += g.invariant_factors * h.free_rank
+            factors += h.invariant_factors * g.free_rank
+            factors += _torsion_gcds(g, h)
+            if i < n:
+                factors += _torsion_gcds(g, H[n - 1 - i])
+        out.append(HomologyGroup.from_factors(rank, factors))
+    return out
+
+
+def _torsion_gcds(g, h):
+    """Z/gcd(a, b) over the torsion orders a of g and b of h: the torsion
+    part of g (x) h, and all of Tor(g, h)."""
+    return [math.gcd(a, b) for a in g.invariant_factors for b in h.invariant_factors]
 
 
 def subquotient(gens_big, gens_small, nrows, ring, want_generators=False):

@@ -7,7 +7,9 @@ becomes the rule x_i^m = f_t + lower, and a nonzero constant relation is
 kept as a constant.  `rewrite` is the one loop that applies the rules;
 the crystalline pipeline reads it in the divided-power envelope, and
 `quasi_monic_reduce` gives normal forms on the finite free basis the
-bar oracle multiplies in.
+bar oracle multiplies in.  `Presentation.factors` splits the relations
+into components that share no variable, whose tensor product over k is
+A.
 
 Models: the Koszul model of a presentation adjoins one exterior
 degree-1 generator per relation.  `tate_extend` extends a model with no
@@ -122,6 +124,35 @@ class Presentation:
         if missing:
             raise NotQuasiMonic(f"variables {missing} carry no quasi-monic relation")
         return [m for _, m, _ in self.rules.values()]
+
+    def factors(self):
+        """Presentations whose tensor product over k is A, one per
+        component: two relations are linked when they share a variable in
+        any term, a constant relation is a factor by itself, and so is a
+        variable in no relation.  Each factor keeps its relations and
+        variables in input order; with one component, self is returned.
+        """
+        comps = []    # (variable indices, relation indices), by first relation
+        for t, rel in enumerate(self.relations):
+            vs = {i for e in rel for i, a in enumerate(e) if a}
+            ts = [t]
+            for c in [c for c in comps if c[0] & vs]:
+                comps.remove(c)
+                vs |= c[0]
+                ts += c[1]
+            comps.append((vs, sorted(ts)))
+        comps.sort(key=lambda c: c[1][0])
+        free = set(range(len(self.variables))).difference(*(vs for vs, _ in comps))
+        comps += [({i}, []) for i in sorted(free)]
+        if len(comps) <= 1:
+            return (self,)
+        out = []
+        for vs, ts in comps:
+            vs = sorted(vs)
+            rels = [{tuple(e[i] for i in vs): c for e, c in self.relations[t].items()}
+                    for t in ts]
+            out.append(Presentation.make(self.ring, [self.variables[i] for i in vs], rels))
+        return tuple(out)
 
     def reduced_monomials(self):
         """The monomial basis {x^a : a_i < m_i} of the quotient, sorted."""

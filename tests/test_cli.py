@@ -474,3 +474,77 @@ def test_forms_sweeps_multiply_blocks_only(checks):
     pairs = [(id(first), id(second)) for legs in checks for first, second in legs]
     assert pairs and all(first in blocks and second in blocks for first, second in pairs)
     assert len(set(pairs)) == len(pairs)
+
+
+# A presentation that is quasi-monic with a rule for every variable runs
+# hh, and the HH column of compare, on each factor and combines them by
+# the Kunneth formula; these pin that split to the joint forms complex.
+SPLIT_CASES = {
+    "Z_x2_y2": "ring Z\nvars x y\nrel x^2\nrel y^2\nnmax 4\n",
+    "Q_x3mx_y2": "ring Q\nvars x y\nrel x^3-x\nrel y^2\nnmax 3\n",
+    "Z4_x2_y2": "ring Z/4\nvars x y\nrel x^2\nrel y^2\nnmax 3\n",
+    "Z6_x2m2_y3m3y": "ring Z/6\nvars x y\nrel x^2-2\nrel y^3-3*y\nnmax 3\n",
+    "Z9_3_x3mx_y2": "ring Z/9\nvars x y\nrel 3\nrel x^3-x\nrel y^2\nnmax 3\n",
+    "Z_2_x2_y2": "ring Z\nvars x y\nrel 2\nrel x^2\nrel y^2\nnmax 3\n",
+    "Z6_2_x2_y2": "ring Z/6\nvars x y\nrel 2\nrel x^2\nrel y^2\nnmax 3\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_CASES))
+def test_hh_split_equals_the_joint_forms_complex(name):
+    # over Z, C2 in HH_1 of each of x^2 and y^2 (and of rel 2 in its even
+    # degrees) gives nonzero Tor terms one degree up
+    from shukla.cli import _forms_complex, _groups_json, _lifted
+    from shukla.gammaforms import hh_assemble
+    job = parse(SPLIT_CASES[name])
+    built, in_ring = _lifted(job.presentation)
+    assert len(built.factors()) > 1
+    joint = in_ring(hh_assemble(_forms_complex(job, built), job.n_max))
+    report, ok = run(job, "hh")
+    assert ok and report["hh"] == _groups_json(joint)
+    report, ok = run(job, "compare")
+    assert report["hh"]["gamma_forms"] == _groups_json(joint)
+
+
+@pytest.fixture
+def forms_builds(monkeypatch):
+    """The presentations' variables of every build_gamma_forms call made
+    through the CLI, in call order."""
+    import shukla.cli as cli
+    seen = []
+    build = cli.build_gamma_forms
+
+    def spy(model, n_max, poly_bound=None):
+        seen.append(tuple(g.name for g in model.algebra.generators if g.hdeg == 0))
+        return build(model, n_max, poly_bound)
+    monkeypatch.setattr(cli, "build_gamma_forms", spy)
+    return seen
+
+
+def test_hh_builds_one_forms_complex_per_factor(forms_builds):
+    report, ok = run(parse("ring Z\nvars x y\nrel 4\nrel x^2\nrel y^2\nnmax 2\n"), "hh")
+    assert ok and forms_builds == [(), ("x",), ("y",)]
+
+
+@pytest.mark.parametrize("text", [
+    "ring Z\nvars x y\nrel x^2-y\nrel y^2\nnmax 2\n",     # one factor
+    "ring Z\nvars x y z\nrel x^2\nrel y^2\nnmax 2\n",     # z has no rule
+    "ring Z\nvars x y\nrel x^2\nrel 2*y^2\nnmax 2\n",     # not quasi-monic
+])
+def test_hh_keeps_the_joint_path(forms_builds, text):
+    report, ok = run(parse(text), "hh")
+    assert ok and len(forms_builds) == 1
+
+
+def test_explicit_polybound_keeps_the_joint_window(forms_builds):
+    # both windows are artifacts here (the default bound gives HH_3 =
+    # Z^3 + C2^11), so a report pinned by its bound must not move
+    text = "ring Z\nvars x y\nrel x^3-x\nrel y^2\npolybound 6\nnmax 3\n"
+    report, ok = run(parse(text), "hh")
+    assert ok and len(forms_builds) == 1
+    assert report["hh"] == {
+        "0": {"free_rank": 6, "torsion": []},
+        "1": {"free_rank": 3, "torsion": [2] * 7},
+        "2": {"free_rank": 3, "torsion": [2] * 4},
+        "3": {"free_rank": 9, "torsion": [2] * 4},
+    }

@@ -9,7 +9,7 @@ from shukla.errors import CompositionNonzero
 from shukla.linalg import (
     ColumnEchelon, GroundRing, HomologyGroup, SparseMatrix, chain_homology,
     composite_is_zero, dense_snf, det, homology_at, homology_from_presentation,
-    invariant_factors_sparse, kernel_basis, preimage, snf, subquotient,
+    invariant_factors_sparse, kernel_basis, kunneth, preimage, snf, subquotient,
     universal_coefficients, _int_columns, integer_rank,
 )
 
@@ -591,6 +591,85 @@ def test_universal_coefficients_matches_the_presented_path(m):
                     SparseMatrix(c2, 0, ring)]
         assert (universal_coefficients(chain_homology(chain(Z), Z), Zm)
                 == chain_homology(chain(Zm), Zm))
+
+
+def test_kunneth_cyclic_tensor_is_the_gcd():
+    # C2 (x) C4 = C2 in degree 0, and Tor(C2, C4) = C2 one degree up
+    got = kunneth([HomologyGroup(0, (2,)), HomologyGroup(0, ())],
+                  [HomologyGroup(0, (4,)), HomologyGroup(0, ())])
+    assert got == [HomologyGroup(0, (2,)), HomologyGroup(0, (2,))]
+
+
+def test_kunneth_tor_lands_one_degree_up():
+    # H_1 = C3 and K_1 = C6: H_1 (x) K_1 = C3 in degree 2, their Tor = C3 in
+    # degree 3, and the free H_0 and K_0 carry each other's torsion to degree 1
+    free, zero = HomologyGroup(1, ()), HomologyGroup(0, ())
+    got = kunneth([free, HomologyGroup(0, (3,)), zero, zero],
+                  [free, HomologyGroup(0, (6,)), zero, zero])
+    assert got == [free, HomologyGroup.from_factors(0, [3, 6]),
+                   HomologyGroup(0, (3,)), HomologyGroup(0, (3,))]
+
+
+def test_kunneth_free_tensor_torsion():
+    # Z^2 (x) C3 = C3 + C3, with no Tor from the free side
+    got = kunneth([HomologyGroup(2, ()), HomologyGroup(0, ())],
+                  [HomologyGroup(0, (3,)), HomologyGroup(1, ())])
+    assert got == [HomologyGroup(0, (3, 3)), HomologyGroup(2, ())]
+
+
+def test_kunneth_ranks_multiply_over_q():
+    got = kunneth([HomologyGroup(1, ()), HomologyGroup(2, ()), HomologyGroup(0, ())],
+                  [HomologyGroup(3, ()), HomologyGroup(1, ()), HomologyGroup(2, ())])
+    assert got == [HomologyGroup(3, ()), HomologyGroup(7, ()), HomologyGroup(4, ())]
+
+
+def _elementary_chain(rng, top):
+    """Boundaries ds[0..top + 1] of a sum of copies of Z in one degree and
+    of Z -k-> Z from one degree to the next lower, with the summands'
+    generators as basis."""
+    dims = [0] * (top + 2)
+    cells = [{} for _ in range(top + 2)]      # cells[n][(i, j)] of d_n
+    for _ in range(rng.randint(1, 5)):
+        n = rng.randint(0, top)
+        if rng.random() < 0.6:
+            cells[n + 1][(dims[n], dims[n + 1])] = rng.choice([1, 2, 3, 4, 6, 9])
+            dims[n + 1] += 1
+        dims[n] += 1
+    return dims, cells
+
+
+def _tensor_chain(c, d, top, ring):
+    """Boundaries ds[0..top + 1] of C (x) D with the Koszul sign,
+    d(a (x) b) = da (x) b + (-1)^|a| a (x) db."""
+    (cdims, ccells), (ddims, dcells) = c, d
+    basis = [[(i, a, b) for i in range(n + 1)
+              for a in range(cdims[i]) for b in range(ddims[n - i])]
+             for n in range(top + 2)]
+    index = [{cell: k for k, cell in enumerate(cells)} for cells in basis]
+    ds = [SparseMatrix(0, len(basis[0]), ring)]
+    for n in range(1, top + 2):
+        m = SparseMatrix(len(basis[n - 1]), len(basis[n]), ring)
+        for k, (i, a, b) in enumerate(basis[n]):
+            for (r, col), v in ccells[i].items():
+                if col == a:
+                    m[index[n - 1][(i - 1, r, b)], k] += v
+            for (s, col), v in dcells[n - i].items():
+                if col == b:
+                    m[index[n - 1][(i, a, s)], k] += (-1) ** i * v
+        ds.append(m)
+    return ds
+
+
+@pytest.mark.parametrize("ring", [Z, Q], ids=repr)
+def test_kunneth_matches_the_tensor_complex(ring):
+    rng = random.Random(31)
+    top = 3
+    for _ in range(25):
+        c, d = _elementary_chain(rng, top), _elementary_chain(rng, top)
+        one = _tensor_chain(c, ([1] + [0] * (top + 1), [{}] * (top + 2)), top, ring)
+        other = _tensor_chain(([1] + [0] * (top + 1), [{}] * (top + 2)), d, top, ring)
+        got = kunneth(chain_homology(one, ring), chain_homology(other, ring))
+        assert got == chain_homology(_tensor_chain(c, d, top, ring), ring)
 
 
 def _random_zmod_chain(rng, m):

@@ -81,6 +81,39 @@ def test_quasi_monic_detection():
         P4.reduced_monomials()
 
 
+def test_factors_link_relations_through_any_term():
+    # y is a lower term of x^2 - y, and still links it to y^2
+    P = pres(Z, ["x", "y"], [{(2, 0): 1, (0, 1): -1}, {(0, 2): 1}])
+    assert P.factors() == (P,)
+
+
+def test_factors_keep_input_order():
+    # vars x y z, rels z^2 - x, y^2, x^3: {x, z} by relations 0 and 2, then {y}
+    P = pres(Z, ["x", "y", "z"], [{(0, 0, 2): 1, (1, 0, 0): -1}, {(0, 2, 0): 1},
+                                  {(3, 0, 0): 1}])
+    xz, y = P.factors()
+    assert xz.variables == ("x", "z")
+    assert xz.relations == ({(0, 2): 1, (1, 0): -1}, {(3, 0): 1})
+    assert xz.rules == {0: (1, 3, {}), 1: (0, 2, {(1, 0): 1})}
+    assert (y.variables, y.relations) == (("y",), ({(2,): 1},))
+
+
+def test_constant_relation_is_its_own_factor():
+    P = pres(Z, ["x", "y"], [{(2, 0): 1}, {(0, 0): 4}, {(0, 2): 1}])
+    x, four, y = P.factors()
+    assert (four.variables, four.relations, four.consts) == ((), ({(): 4},), ((0, 4),))
+    assert four.is_quasi_monic
+    assert (x.variables, y.variables) == (("x",), ("y",))
+
+
+def test_variable_in_no_relation_is_its_own_factor():
+    P = pres(Z, ["x", "y", "z"], [{(2, 0, 0): 1}, {(0, 2, 0): 1}])
+    factors = P.factors()
+    assert [f.variables for f in factors] == [("x",), ("y",), ("z",)]
+    assert factors[2].relations == ()
+    assert pres(Z, [], []).factors() == (pres(Z, [], []),)
+
+
 def test_make_rejects_exponent_tuples_of_the_wrong_length():
     # () over one variable would be stored as a constant that
     # is_zero_algebra, which looks constants up under (0,), never sees
