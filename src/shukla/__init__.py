@@ -15,7 +15,7 @@ from .dpalgebra import (
 )
 from .models import (
     FreeDGA, Presentation, check_boundary_square, koszul_model,
-    quasi_monic_reduce, rewrite, tate_extend,
+    quasi_monic_reduce, rewrite,
 )
 from .mixed import (
     FilteredGroups, MixedComplex, cyclic_e2, cyclic_layers, cyclic_total,
@@ -23,7 +23,7 @@ from .mixed import (
 )
 from .gammaforms import (
     GammaFormsComplex, WitnessReport, build_gamma_forms, hc_assemble, hh_assemble,
-    hh_layers, witness_model, witness_nondegeneracy,
+    hh_layers, witness_nondegeneracy,
 )
 from .baroracle import FiniteAlgebra, cyclic_mixed, from_presentation
 from .crystalline import (

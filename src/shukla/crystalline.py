@@ -158,10 +158,9 @@ class FilteredComplex:
         d_in = self.mats.get(j + 1, SparseMatrix(n, 0, ring))
         d_out = self.mats.get(j, SparseMatrix(0, n, ring))
         out_rels = self.positions[j - 1][2] if j >= 1 else []
-        group, _ = homology_from_presentation(
+        return homology_from_presentation(
             _int_columns(d_in) + rels, _int_columns(d_out) + out_rels,
             n, d_out.rows, ring)
-        return group
 
 
 def _build_filtered(forms, p, graded):

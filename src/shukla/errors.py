@@ -21,10 +21,6 @@ class NotQuasiMonic(EngineError):
     """The presentation lacks the quasi-monic data required here."""
 
 
-class UnsupportedV0(EngineError):
-    """Tate extension only applies to models with no degree-0 generators."""
-
-
 class WindowTooSmall(EngineError):
     """The built window does not cover the requested degrees."""
 

@@ -27,7 +27,7 @@ from .dpalgebra import (
 from .errors import CompositionNonzero, HypothesisViolated
 from .linalg import preimage
 from .mixed import MixedComplex, cyclic_layers, hochschild_layers, hochschild_total
-from .models import FreeDGA, check_boundary_square, tate_extend
+from .models import FreeDGA, check_boundary_square
 
 
 @dataclass
@@ -182,11 +182,6 @@ def _witness_start(ring):
     return FreeDGA(alg, boundary)
 
 
-def witness_model(ring, top_degree):
-    """_witness_start Tate-extended through top_degree: a model of k."""
-    return tate_extend(_witness_start(ring), top_degree)
-
-
 def witness_nondegeneracy(ring, p):
     """Check the non-degeneracy facts for gamma^p(dy) over the ring.
 
@@ -196,9 +191,9 @@ def witness_nondegeneracy(ring, p):
     boundary, exhibiting homology the ground ring's own trivial model
     does not have; for a unit p it bounds.  Only the one delta block
     from slice (2p+1, p) to slice (2p, p) is built, on _witness_start:
-    its Tate generators have degree >= 4 (H_1 = H_2 = 0), so their
-    d-letters do not fit in those slices, and the block is that of
-    witness_model(ring, 2p + 2).
+    it has H_1 = H_2 = 0, so every generator adjoined to make it a model
+    of k has degree >= 4, its d-letter does not fit in those slices, and
+    the block is that of every such model.
     """
     if not isinstance(p, int) or p < 2:
         raise ValueError("p must be an integer >= 2")

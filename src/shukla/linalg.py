@@ -26,12 +26,12 @@ ground ring k is decided in these places only:
   handed to it directly as its lifted mod-m cone (`_mod_cone`);
   `homology_at` sweeps a Z/m pair as a three-term chain.  Presented
   modules and generators stay presented.
-- Three callers outside this module lean on the relation columns that
+- Two callers outside this module lean on the relation columns that
   `_int_columns` appends over Z/m, each through
   `homology_from_presentation`: `mixed._column_graded_pieces` takes
-  those past the matrix's own columns as the target relations,
+  those past the matrix's own columns as the target relations, and
   `crystalline.FilteredComplex.homology` adds its own relation vectors
-  after them, and `models.tate_extend` reads cycle generators off them.
+  after them.
 
 Every other module hands integer columns and the ring to these.
 """
@@ -373,27 +373,23 @@ def _col_op(mat, j, k, q, start=0):
         row[j] -= q * row[k]
 
 
-def dense_snf(a, want_u=False, want_v=False, want_uinv=False):
+def dense_snf(a, want_u=False, want_v=False):
     """Smith normal form of an integer matrix given as list of lists.
 
-    Returns (U, S, V, Uinv) where S = U*A*V is diagonal with
-    d1 | d2 | ..., di >= 0, and U, V are unimodular.  Transform slots
-    not requested come back as None.
+    Returns (U, S, V) where S = U*A*V is diagonal with d1 | d2 | ...,
+    di >= 0, and U, V are unimodular.  A transform not requested comes
+    back as None.
     """
     a = [list(map(int, row)) for row in a]
     m = len(a)
     n = len(a[0]) if m else 0
     u = [[int(i == j) for j in range(m)] for i in range(m)] if want_u else None
-    uinv = [[int(i == j) for j in range(m)] for i in range(m)] if want_uinv else None
     v = [[int(i == j) for j in range(n)] for i in range(n)] if want_v else None
 
     def swap_rows(i, k):
         a[i], a[k] = a[k], a[i]
         if u is not None:
             u[i], u[k] = u[k], u[i]
-        if uinv is not None:
-            for row in uinv:
-                row[i], row[k] = row[k], row[i]
 
     def swap_cols(j, k):
         for row in a:
@@ -407,10 +403,6 @@ def dense_snf(a, want_u=False, want_v=False, want_uinv=False):
         _row_op(a, i, k, q)
         if u is not None:
             _row_op(u, i, k, q)
-        if uinv is not None:
-            # inverse op on the right: col_k += q * col_i
-            for row in uinv:
-                row[k] += q * row[i]
 
     def col_sub(j, k, q):
         # col_j -= q * col_k
@@ -422,9 +414,6 @@ def dense_snf(a, want_u=False, want_v=False, want_uinv=False):
         a[i] = [-x for x in a[i]]
         if u is not None:
             u[i] = [-x for x in u[i]]
-        if uinv is not None:
-            for row in uinv:
-                row[i] = -row[i]
 
     for k in range(min(m, n)):
         while True:
@@ -482,7 +471,7 @@ def dense_snf(a, want_u=False, want_v=False, want_uinv=False):
             negate_row(k)
         if a[k][k] == 0:
             break
-    return u, a, v, uinv
+    return u, a, v
 
 
 def snf(matrix):
@@ -494,7 +483,7 @@ def snf(matrix):
     ring = matrix.ring
     if ring.kind != "Z":
         raise ValueError("snf is defined over Z")
-    u, s, v, _ = dense_snf(matrix.to_rows(), want_u=True, want_v=True)
+    u, s, v = dense_snf(matrix.to_rows(), want_u=True, want_v=True)
     return (SparseMatrix.from_rows(u, ring),
             SparseMatrix.from_rows(s, ring),
             SparseMatrix.from_rows(v, ring))
@@ -589,10 +578,6 @@ class ColumnEchelon:
                 return
             npiv, col = _combine_columns(piv, col, r)
             self.pivots[r] = npiv
-
-    def basis(self):
-        """Echelon basis of the lattice spanned by the added columns."""
-        return [self.pivots[r] for r in sorted(self.pivots)]
 
     def reduce(self, col):
         """Reduce col against the pivots; returns (coords, remainder).
@@ -974,17 +959,12 @@ def _torsion_gcds(g, h):
     return [math.gcd(a, b) for a in g.invariant_factors for b in h.invariant_factors]
 
 
-def subquotient(gens_big, gens_small, nrows, ring, want_generators=False):
+def subquotient(gens_big, gens_small, nrows, ring):
     """(span gens_big) / (span gens_small) (x) k, gens_small inside.
 
-    Vectors are dicts row -> int in an ambient Z^nrows.  When
-    want_generators is set, also returns a list (d_i, vector) with one
-    representative per invariant factor d_i != 1 of the result (d_i = 0
-    means a free generator).
+    Vectors are dicts row -> int in an ambient Z^nrows.
     """
     ech = lattice_echelon(gens_big, nrows)
-    basis = ech.basis()
-    r = len(basis)
     idx = {row: k for k, row in enumerate(sorted(ech.pivots))}
     expr_cols = []
     for g in gens_small:
@@ -992,37 +972,11 @@ def subquotient(gens_big, gens_small, nrows, ring, want_generators=False):
         if rem:
             raise ValueError("subquotient: second lattice not inside the first")
         expr_cols.append({idx[row]: q for row, q in coords.items() if q})
-    if not want_generators:
-        factors, rank = invariant_factors_sparse(expr_cols, r)
-        return _tensor(r - rank, factors, ring), None
-    dense = [[0] * len(expr_cols) for _ in range(r)]
-    for j, col in enumerate(expr_cols):
-        for i, v in col.items():
-            dense[i][j] = v
-    _, s, _, uinv = dense_snf(dense, want_uinv=True)
-    diag = [s[i][i] for i in range(min(r, len(expr_cols)))]
-    diag += [0] * (r - len(diag))
-    group = _tensor(diag.count(0), [d for d in diag if d], ring)
-    gens = []
-    for i, d in enumerate(diag):
-        if d and d not in group.invariant_factors:
-            continue  # a unit, or torsion that dies in k
-        vec = {}
-        for k in range(r):
-            c = uinv[k][i]
-            if c:
-                for row, val in basis[k].items():
-                    nv = vec.get(row, 0) + c * val
-                    if nv:
-                        vec[row] = nv
-                    else:
-                        vec.pop(row, None)
-        gens.append((d, vec))
-    return group, gens
+    factors, rank = invariant_factors_sparse(expr_cols, len(idx))
+    return _tensor(len(idx) - rank, factors, ring)
 
 
-def homology_from_presentation(d_in_cols, d_out_cols, mid_dim, out_dim, ring,
-                               want_generators=False):
+def homology_from_presentation(d_in_cols, d_out_cols, mid_dim, out_dim, ring):
     """(ker d_out / im d_in) (x) k for integer columns of presented modules.
 
     Columns of d_out_cols past mid_dim are relations of the target: a
@@ -1036,8 +990,7 @@ def homology_from_presentation(d_in_cols, d_out_cols, mid_dim, out_dim, ring,
         g = {j: v for j, v in vec.items() if j < mid_dim}
         if g:
             cycles.append(g)
-    return subquotient(cycles, [c for c in d_in_cols if c], mid_dim, ring,
-                       want_generators=want_generators)
+    return subquotient(cycles, [c for c in d_in_cols if c], mid_dim, ring)
 
 
 def homology_at(d_in, d_out, ring, r_out=None, cancelled=None, checked=False):

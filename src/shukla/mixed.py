@@ -364,8 +364,8 @@ def _column_graded_pieces(d_in, d_out, cols_mid, ring):
         cols = [out_cols[j] for j in mid]
         if rels:
             cols += [rels[i] for i in sorted({i for col in cols for i in col})]
-        group, _ = homology_from_presentation(bnd.get(c, []), cols, len(mid),
-                                              d_out.rows, ring)
+        group = homology_from_presentation(bnd.get(c, []), cols, len(mid),
+                                           d_out.rows, ring)
         if not group.is_trivial():
             pieces[c] = group
     return pieces

@@ -12,8 +12,8 @@ into components that share no variable, whose tensor product over k is
 A.
 
 Models: the Koszul model of a presentation adjoins one exterior
-degree-1 generator per relation.  `tate_extend` extends a model with no
-degree-0 generators by killing homology classes one degree at a time.
+degree-1 generator per relation, and `slice_homology` reads the
+homology of a model itself in one degree, on its weight-0 slices.
 """
 
 from dataclasses import dataclass, field
@@ -22,10 +22,8 @@ from .dpalgebra import (
     EXTERIOR, POLYNOMIAL, Element, GammaDerivation, Generator, GradedAlgebra,
     basis_slice, derivation_matrix, derive,
 )
-from .errors import NotQuasiMonic, UnsupportedV0
-from .linalg import (
-    GroundRing, SparseMatrix, _int_columns, homology_at, homology_from_presentation,
-)
+from .errors import NotQuasiMonic
+from .linalg import GroundRing, SparseMatrix, homology_at
 
 # Polynomials are dicts {exponent tuple: coefficient}, exponents aligned
 # with the presentation's variable list.
@@ -274,16 +272,6 @@ def check_boundary_square(model):
     return True
 
 
-def _model_with_generators(model, new_gens, new_values):
-    """Rebuild a model with generators appended; indices are preserved."""
-    alg = GradedAlgebra(model.ring, list(model.algebra.generators) + new_gens)
-    values = {g.name: alg.embed(model.boundary.value_of(g.name))
-              for g in model.algebra.generators}
-    for g, val in zip(new_gens, new_values):
-        values[g.name] = alg.embed(val)
-    return FreeDGA(alg, GammaDerivation(alg, -1, values))
-
-
 def _weight0_boundaries(model, hdeg, poly_bound=None):
     """The weight-0 slice in degree hdeg with the boundaries into and out
     of it, as (mid_slice, d_in, d_out); d_out has no rows at hdeg 0."""
@@ -295,40 +283,6 @@ def _weight0_boundaries(model, hdeg, poly_bound=None):
         return mid, d_in, SparseMatrix(0, mid.dim, model.ring)
     lo = basis_slice(alg, hdeg - 1, 0, poly_bound)
     return mid, d_in, derivation_matrix(model.boundary, mid, lo)
-
-
-def tate_extend(model, target_degree):
-    """Kill homology below target_degree by adjoining generators; returns
-    the extended model.
-
-    Requires a model with no degree-0 generators (each degree slice is
-    then a finite-rank free module).  For each m < target_degree with
-    H_m nonzero, one generator of degree m+1 is adjoined per invariant
-    factor of H_m, with boundary a cycle representative chosen in Smith
-    normal form order.
-    """
-    if model.has_degree_zero_generators():
-        raise UnsupportedV0("tate_extend needs all generators in degree >= 1")
-    counter = 0
-    for m in range(1, target_degree):
-        s_mid, d_in, d_out = _weight0_boundaries(model, m)
-        _, gens = homology_from_presentation(
-            _int_columns(d_in), _int_columns(d_out), d_in.rows, d_out.rows,
-            model.ring, want_generators=True)
-        if not gens:
-            continue
-        kind = EXTERIOR if (m + 1) % 2 else POLYNOMIAL
-        added = []
-        vals = []
-        for _, vec in gens:
-            counter += 1
-            cycle = Element(model.algebra)
-            for row, c in vec.items():
-                cycle._add_term(s_mid.monomials[row], c)
-            added.append(Generator(f"w{counter}", m + 1, kind))
-            vals.append(cycle)
-        model = _model_with_generators(model, added, vals)
-    return model
 
 
 def slice_homology(model, hdeg, poly_bound=None):

@@ -124,8 +124,8 @@ def test_run_witness_exit_semantics():
     assert report["witness"]["boundary"] is True
 
 
-# witness24 for p = 2..12 in one child process; p = 10 over Z once hung
-# in the Tate extension of the model, which the witness no longer builds
+# witness24 for p = 2..12 in one child process; the witness builds one
+# block on the start of the model of k, so its cost grows only with p
 WITNESS_SCAN = """\
 import json
 from shukla.cli import parse, run

@@ -12,9 +12,10 @@ from shukla.dpalgebra import (
     derivation_matrix, derive, homotopy_h,
 )
 from shukla import dpalgebra, gammaforms
-from shukla.gammaforms import build_gamma_forms, witness_model
+from shukla.gammaforms import build_gamma_forms
 from shukla.linalg import GroundRing
 from shukla.models import Presentation, koszul_model
+from witness import witness_top6
 
 Z = GroundRing.Z()
 
@@ -504,7 +505,7 @@ def test_basis_slice_on_an_empty_generator_table():
 
 
 def test_basis_slice_matches_brute_force_without_bound():
-    G = build_gamma_forms(witness_model(Z, 6), 5)
+    G = build_gamma_forms(witness_top6(Z), 5)
     assert G.poly_bound is None
     contraction = contraction_complex(Z, [("v", 2)], [("w0", 1), ("w1", 2)])
     for alg in (G.algebra, contraction.algebra):
@@ -538,7 +539,7 @@ def _koszul(ring, variables, rels):
     (_koszul(Z, ["x", "y"], [{(2, 0): 1, (0, 3): -1}]), 3),
     (_koszul(Z, ["x", "y"], [{(0, 0): 4}, {(2, 0): 1}, {(0, 2): 1}]), 3),
     (_koszul(GroundRing.Zmod(9), ["x", "y"], [{(2, 0): 1, (0, 1): 3}, {(0, 2): 1}]), 3),
-    (lambda: witness_model(Z, 6), 5),
+    (lambda: witness_top6(Z), 5),
 ], ids=["Z_x2_y2", "Q_x2_y2", "Z_x2_y2_z2", "Z_cusp", "Z_4_x2_y2",
         "Z9_x2p3y_y2", "witness_top6"])
 def test_derivation_matrix_matches_element_products(monkeypatch, make_model, n_max):
@@ -744,18 +745,18 @@ def _padded(element, n):
 
 
 def test_grown_generator_tables_pad_old_values():
-    # tate_extend adjoins generators degree by degree, so the model of
-    # each smaller top degree is a prefix of the larger one's, and every
-    # old generator keeps its boundary, padded with zeros
-    big = witness_model(Z, 6)
+    # the model on the generators y, z, w1 is a prefix of the whole
+    # witness model, and embedding keeps each old boundary, padded with
+    # zeros
+    big = witness_top6(Z)
+    small = witness_top6(Z, count=3)
+    gens = small.algebra.generators
+    assert big.algebra.generators[:len(gens)] == gens
     n = len(big.algebra.generators)
-    for top in range(1, 6):
-        small = witness_model(Z, top)
-        gens = small.algebra.generators
-        assert big.algebra.generators[:len(gens)] == gens
-        for g in gens:
-            assert big.boundary.value_of(g.name).terms == \
-                _padded(small.boundary.value_of(g.name), n), (top, g.name)
+    for g in gens:
+        value = small.boundary.value_of(g.name)
+        assert big.boundary.value_of(g.name).terms == _padded(value, n), g.name
+        assert big.algebra.embed(value) == big.boundary.value_of(g.name), g.name
     # the forms algebra: delta of a model generator is its model boundary
     model = koszul_model(Presentation.make(Z, ["x", "y"], [{(2, 0): 1}, {(0, 2): 1}]))
     alg, _, delta = gammaforms._forms_derivations(model)

@@ -4,12 +4,12 @@ from shukla.dpalgebra import DIVIDED_POWER, EXTERIOR, basis_slice, derive
 from shukla import gammaforms
 from shukla.errors import HypothesisViolated, WindowTooSmall
 from shukla.gammaforms import (
-    build_gamma_forms, hc_assemble, hh_assemble, hh_layers,
-    witness_model, witness_nondegeneracy,
+    build_gamma_forms, hc_assemble, hh_assemble, hh_layers, witness_nondegeneracy,
 )
 from shukla.linalg import GroundRing, HomologyGroup
 from shukla.mixed import _total_matrix, cyclic_total, hochschild_layers, validate
 from shukla.models import Presentation, koszul_model
+from witness import witness_top6
 
 Z = GroundRing.Z()
 Q = GroundRing.Q()
@@ -110,7 +110,7 @@ def test_hh_assemble_reuses_stored_delta_matrices(monkeypatch):
 
 
 def test_hh_assemble_rejects_higher_generators():
-    model = witness_model(Z, 4)
+    model = witness_top6(Z)
     G = build_gamma_forms(model, 3)
     with pytest.raises(HypothesisViolated):
         hh_assemble(G, 3)
@@ -144,7 +144,7 @@ def test_witness_over_z_and_z2():
     # class bounds (via -beta) even though the class itself does not
     from shukla.dpalgebra import derivation_matrix
     from shukla.linalg import preimage
-    model = witness_model(Z, 6)
+    model = witness_top6(Z)
     G = build_gamma_forms(model, 5)
     src = G.slices[(5, 2)]
     tgt = G.slices[(4, 2)]
@@ -172,8 +172,8 @@ def test_witness_unit_p():
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_witness_block_is_the_forms_complex_block(monkeypatch, ring, p):
     # the witness builds only the delta block (2p+1, p) -> (2p, p) it
-    # solves in, on the start model without its Tate extension; it must
-    # be that block of the whole forms complex of the extended model
+    # solves in, on the start model alone; it must be that block of the
+    # whole forms complex of a model with generators above degree 2
     solved = []
     real_preimage = gammaforms.preimage
 
@@ -184,16 +184,12 @@ def test_witness_block_is_the_forms_complex_block(monkeypatch, ring, p):
     def whole_complex(*args, **kwargs):
         raise AssertionError("the witness built the whole forms complex")
 
-    def extended(*args, **kwargs):
-        raise AssertionError("the witness Tate-extended its model")
-
     monkeypatch.setattr(gammaforms, "preimage", spy)
     monkeypatch.setattr(gammaforms, "build_gamma_forms", whole_complex)
-    monkeypatch.setattr(gammaforms, "tate_extend", extended)
     witness_nondegeneracy(ring, p)
     monkeypatch.undo()
     (mat, b), = solved
-    G = build_gamma_forms(witness_model(ring, 2 * p + 2), 2 * p + 1)
+    G = build_gamma_forms(witness_top6(ring), 2 * p + 1)
     assert mat == _total_matrix(G.complex, 2 * p + 1, p)
     gamma = G.algebra.element({(("dy", p),): 1})
     assert b == G.slices[(2 * p, p)].vector_of(gamma)
@@ -202,7 +198,7 @@ def test_witness_block_is_the_forms_complex_block(monkeypatch, ring, p):
 def test_witness_layer_nonzero_mod_2():
     # the weight-2 layer of the forms complex of the witness model is
     # nonzero in degree 4 although the ground ring has trivial homology
-    model = witness_model(GroundRing.Zmod(2), 6)
+    model = witness_top6(GroundRing.Zmod(2))
     G = build_gamma_forms(model, 5)
     fg = hochschild_layers(G.complex, 5)
     assert not fg.layer(4, 2).is_trivial()

@@ -204,7 +204,7 @@ def _graded_pieces_per_level(d_in, d_out, cols_mid, ring):
             img = {r: v for r, v in img.items() if v}
             if img:
                 bnd.append(img)
-        group, _ = subquotient(cycles, prev_cycles + bnd, n, ring)
+        group = subquotient(cycles, prev_cycles + bnd, n, ring)
         if not group.is_trivial():
             pieces[c] = group
         prev_cycles = cycles
@@ -397,7 +397,7 @@ def _snf_invariants(columns, nrows):
     """(factors, rank) of the matrix through dense_snf."""
     from shukla.linalg import dense_snf
     rows = [[col.get(i, 0) for col in columns] for i in range(nrows)]
-    _, s, _, _ = dense_snf(rows)
+    _, s, _ = dense_snf(rows)
     diag = [s[i][i] for i in range(min(nrows, len(columns)))]
     return [d for d in diag if d not in (0, 1)], sum(1 for d in diag if d)
 

@@ -5,13 +5,14 @@ from math import gcd
 
 import pytest
 
-from shukla.errors import NotQuasiMonic, UnsupportedV0
+from shukla.errors import NotQuasiMonic
 from shukla.dpalgebra import EXTERIOR, POLYNOMIAL, Element, GammaDerivation, Generator, GradedAlgebra
 from shukla.linalg import GroundRing, HomologyGroup
 from shukla.models import (
     FreeDGA, Presentation, _grlex_key, check_boundary_square, koszul_model,
-    leading_term, quasi_monic_reduce, rewrite, slice_homology, tate_extend,
+    leading_term, quasi_monic_reduce, rewrite, slice_homology,
 )
+from witness import witness_top6
 
 Z = GroundRing.Z()
 Q = GroundRing.Q()
@@ -142,79 +143,24 @@ def test_check_boundary_square_rejects_ill_formed():
     assert check_boundary_square(zero)
 
 
-def witness_start(ring):
-    alg = GradedAlgebra(ring, [
-        Generator("y", 1, EXTERIOR),
-        Generator("z", 2, POLYNOMIAL),
-    ])
-    boundary = GammaDerivation(alg, -1, {
-        "y": Element(alg),
-        "z": alg.gen_element("y"),
-    })
-    return FreeDGA(alg, boundary)
-
-
-def test_tate_extend_start_is_exact_in_low_degrees():
-    start = witness_start(Z)
-    model = tate_extend(start, 3)
-    # H_1 and H_2 of the start vanish, so nothing is adjoined
-    assert model.algebra.generators == start.algebra.generators
-    assert slice_homology(model, 1).is_trivial()
-    assert slice_homology(model, 2).is_trivial()
-
-
-def test_tate_extend_kills_degree_three_class():
-    start = witness_start(Z)
+def test_witness_start_has_one_class_below_degree_four():
+    # H_1 = H_2 = 0, so every generator adjoined to make the start a
+    # model of k has degree >= 4; the first kills H_3 = Z/2, class yz
+    start = witness_top6(Z, count=2)
+    assert slice_homology(start, 1).is_trivial()
+    assert slice_homology(start, 2).is_trivial()
     assert slice_homology(start, 3) == HomologyGroup(0, (2,))
-    model = tate_extend(start, 4)
-    added = model.algebra.generators[len(start.algebra.generators):]
-    assert len(added) == 1
-    g = added[0]
-    assert g.hdeg == 4
-    # boundary is the cycle y*z up to sign
-    yz = model.algebra.element({(("y", 1), ("z", 1)): 1})
-    val = model.boundary.value_of(g.name)
-    assert val == yz or val == yz.scale(-1)
-    assert slice_homology(model, 3).is_trivial()
-    assert check_boundary_square(model)
 
 
-def test_tate_extend_full_witness_window():
+def test_witness_top6_is_exact_through_degree_five():
     for ring in (Z, GroundRing.Zmod(2), Q):
-        model = tate_extend(witness_start(ring), 6)
+        model = witness_top6(ring)
         assert check_boundary_square(model)
         for m in range(1, 6):
             assert slice_homology(model, m).is_trivial(), (ring, m)
         assert slice_homology(model, 0) == (
             HomologyGroup(1, ()) if ring.kind != "Zmod"
             else HomologyGroup.from_factors(0, [2]))
-
-
-def test_tate_extend_rejects_degree_zero():
-    P = pres(Z, ["x"], [{(2,): 1}])
-    with pytest.raises(UnsupportedV0):
-        tate_extend(koszul_model(P), 3)
-
-
-def test_tate_extend_choice_invariance():
-    # listing the starting generators in the other order changes the
-    # cycle representatives chosen, but not any homology downstream
-    alg2 = GradedAlgebra(Z, [
-        Generator("z", 2, POLYNOMIAL),
-        Generator("y", 1, EXTERIOR),
-    ])
-    other = FreeDGA(alg2, GammaDerivation(alg2, -1, {
-        "z": alg2.gen_element("y"),
-        "y": Element(alg2),
-    }))
-    t1 = tate_extend(witness_start(Z), 6)
-    t2 = tate_extend(other, 6)
-    from shukla.gammaforms import build_gamma_forms
-    from shukla.mixed import cyclic_total, hochschild_total
-    G1 = build_gamma_forms(t1, 4)
-    G2 = build_gamma_forms(t2, 4)
-    assert hochschild_total(G1.complex, 4) == hochschild_total(G2.complex, 4)
-    assert cyclic_total(G1.complex, 3) == cyclic_total(G2.complex, 3)
 
 
 def test_trivial_model():

@@ -43,7 +43,7 @@ def _one_variable(f, n_max):
     """H_0..H_n_max over Z of the periodic complex of Z[x]/(f), each a
     list of cyclic orders."""
     a = len(f) - 1
-    _, s, _, _ = dense_snf(_derivative_matrix(f))
+    _, s, _ = dense_snf(_derivative_matrix(f))
     diag = [s[i][i] for i in range(a)]
     odd = [d for d in diag if d != 1]
     even = [0] * diag.count(0)
