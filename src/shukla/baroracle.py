@@ -17,7 +17,7 @@ up while they are assembled.
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import NotQuasiMonic
+from .errors import NotQuasiMonic, WindowTooLarge
 from .mixed import MixedComplex
 from .linalg import SparseMatrix
 from .models import quasi_monic_reduce
@@ -105,9 +105,16 @@ def from_presentation(pres):
 def cyclic_mixed(algebra, n_max):
     """The normalized cyclic mixed complex of A through tensor length
     n_max + 1; tensor length q + 1 is the slice (q, 0).  Connes' B is
-    built when the complex's B is first read."""
+    built when the complex's B is first read.
+
+    Before any label is listed, WindowTooLarge is raised when there are
+    more slices than its cap, or more labels in the largest slice,
+    r (r - 1)^qmax for r = rank A.
+    """
     r = algebra.rank
     qmax = n_max + 1
+    WindowTooLarge.check(qmax + 1, "the slices of the bar complex")
+    WindowTooLarge.check(r * (r - 1) ** qmax, f"the labels of bar slice {qmax}")
     slices = {(q, 0): tuple((i0,) + rest
                             for i0 in range(r)
                             for rest in product(range(1, r), repeat=q))

@@ -29,7 +29,7 @@ from .errors import EngineError, ParseError, TooManyVariables
 from .gammaforms import (
     build_gamma_forms, hc_assemble, hh_assemble, hh_layers, witness_nondegeneracy,
 )
-from .linalg import GroundRing, kunneth, universal_coefficients
+from .linalg import GroundRing, kunneth, kunneth_layers, universal_coefficients
 from .mixed import FilteredGroups, cyclic_total, hochschild_total, validate
 from .models import Presentation, koszul_model
 
@@ -223,23 +223,44 @@ def _forms_complex(job, pres):
     return build_gamma_forms(koszul_model(pres), job.n_max, job.poly_bound)
 
 
-def _hh(job, built, in_ring, G=None):
-    """HH_0..HH_nmax over the ring, from built and in_ring = _lifted(pres).
+def _per_factor(job, built, sweep, G=None):
+    """sweep(F) for the forms complex F of each factor of built, in order.
 
     When built is quasi-monic and every variable has a rule, A is the
     tensor product of the finite factors of built, and so are its Koszul
-    model, forms algebra and delta: HH is the Kunneth combination over Z
-    of the factors' HH, each a complex of free modules, mapped to the
-    ring once.  An explicit polybound keeps one joint window, since the
-    factors' windows do not truncate as the joint one does.  G, when
-    given, is the forms complex of built, read when built is one factor.
+    model, forms algebra and delta.  Factors with one factor_key have
+    the same forms complex, so each distinct factor is built and swept
+    once per job.  An explicit polybound keeps one joint window, since
+    the factors' windows do not truncate as the joint one does.  G, when
+    given, is the forms complex of built, swept when built is one factor.
     """
     finite = built.is_quasi_monic and len(built.rules) == len(built.variables)
     parts = built.factors() if finite and job.poly_bound is None else (built,)
     if G is not None and len(parts) == 1:
-        return in_ring(hh_assemble(G, job.n_max))
-    groups = [hh_assemble(_forms_complex(job, f), job.n_max) for f in parts]
+        return [sweep(G)]
+    swept = {}
+    for f in parts:
+        key = f.factor_key()
+        if key not in swept:
+            swept[key] = sweep(_forms_complex(job, f))
+    return [swept[f.factor_key()] for f in parts]
+
+
+def _hh(job, built, in_ring, G=None):
+    """HH_0..HH_nmax over the ring, from built and in_ring = _lifted(pres):
+    the Kunneth combination over Z of the factors' HH (_per_factor), each
+    the homology of a complex of free modules, mapped to the ring once."""
+    groups = _per_factor(job, built, lambda F: hh_assemble(F, job.n_max), G)
     return in_ring(functools.reduce(kunneth, groups))
+
+
+def _hh_layers(job, built, in_ring, G):
+    """The Hodge layers of HH over the ring: the factors' weight chains
+    over Z (_per_factor) combined by the layered Kunneth step, then mapped
+    to the ring weight by weight."""
+    n = job.n_max
+    chains = _per_factor(job, built, lambda F: hh_layers(F, n).chains(), G)
+    return _layers_in_ring(functools.reduce(kunneth_layers, chains), n, in_ring)
 
 
 def _lifted(pres):
@@ -261,16 +282,13 @@ def _lifted(pres):
     return lift, lambda groups: universal_coefficients(groups, pres.ring)
 
 
-def _layers_in_ring(groups, n_max, in_ring):
-    """The groups computed over the lift, mapped to the ring: each
-    weight's layers are H_0..H_n_max of one block of the forms complex,
-    so in_ring maps them as a chain, and the totals stay the sums of the
+def _layers_in_ring(chains, n_max, in_ring):
+    """The weight chains computed over the lift, mapped to the ring: each
+    weight's chain is H_0..H_n_max of one block of the forms complex, so
+    in_ring maps it as a chain, and the totals stay the sums of the
     layers, since H, (x) and Tor are additive."""
-    layers = {}
-    for p in {p for (_, p) in groups.layers}:
-        chain = in_ring([groups.layer(n, p) for n in range(n_max + 1)])
-        layers.update(((n, p), h) for n, h in enumerate(chain))
-    return FilteredGroups.of_layers(layers, n_max)
+    return FilteredGroups.of_layers({(n, p): h for p, chain in chains.items()
+                                     for n, h in enumerate(in_ring(chain))}, n_max)
 
 
 def _zero_if_unit(pres):
@@ -312,8 +330,9 @@ def run(job, command):
             if command == "hc":
                 report["hc"] = _groups_json(in_ring(cyclic_total(G.complex, n)))
             else:
-                for key, groups in (("hh", hh_layers(G, n)), ("hc", hc_assemble(G, n))):
-                    report[key] = _layers_in_ring(groups, n, in_ring).to_json()
+                report["hh"] = _hh_layers(job, built, in_ring, G).to_json()
+                report["hc"] = _layers_in_ring(hc_assemble(G, n).chains(), n,
+                                               in_ring).to_json()
             return report, True
         if command == "oracle":
             cplx = cyclic_mixed(from_presentation(built), n)

@@ -25,6 +25,18 @@ class WindowTooSmall(EngineError):
     """The built window does not cover the requested degrees."""
 
 
+class WindowTooLarge(EngineError):
+    """A window would list more slices, monomials or bar labels than
+    CAP; the sizes are counted in closed form before any is listed."""
+
+    CAP = 10 ** 6
+
+    @classmethod
+    def check(cls, size, what):
+        if size > cls.CAP:
+            raise cls(f"{what} exceed the cap of {cls.CAP}; lower nmax or polybound")
+
+
 class HypothesisViolated(EngineError):
     """A degeneracy shortcut was requested outside its hypothesis."""
 

@@ -19,12 +19,13 @@ groups exact wherever the window covers them.
 """
 
 from dataclasses import dataclass
+from math import comb
 
 from .dpalgebra import (
     DIVIDED_POWER, EXTERIOR, POLYNOMIAL, Element, GammaDerivation, Generator,
     GradedAlgebra, basis_slice, derivation_matrix, derive,
 )
-from .errors import CompositionNonzero, HypothesisViolated
+from .errors import CompositionNonzero, HypothesisViolated, WindowTooLarge
 from .linalg import preimage
 from .mixed import MixedComplex, cyclic_layers, hochschild_layers, hochschild_total
 from .models import FreeDGA, check_boundary_square
@@ -109,14 +110,24 @@ def build_gamma_forms(model, n_max, poly_bound=None):
     The delta blocks (b) are built here; the d blocks (B) are built from
     the same slices when the complex's B is first read, which HH never
     does.
+
+    Before any slice is listed, WindowTooLarge is raised when the window
+    has more slices than its cap, or more monomials in the degree-0
+    generators within poly_bound: with v of them, each of poly weight at
+    least 1, at most comb(poly_bound + v, v), the dimension of the slice
+    (0, 0) when every poly weight is 1, as in the Koszul model.
     """
+    htop = n_max + 1
+    WindowTooLarge.check((htop + 1) * (htop + 2) // 2, "the slices of the forms complex")
     alg, d, delta = _forms_derivations(model)
     if model.has_degree_zero_generators():
         if poly_bound is None:
             poly_bound = default_poly_bound(model, n_max)
+        v = sum(1 for g in model.algebra.generators if g.hdeg == 0)
+        WindowTooLarge.check(comb(poly_bound + v, v),
+                             f"the monomials in {v} variables within polybound {poly_bound}")
     else:
         poly_bound = None
-    htop = n_max + 1
     slices = {}
     for h in range(htop + 1):
         for q in range(h + 1):

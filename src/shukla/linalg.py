@@ -953,6 +953,26 @@ def kunneth(G, H):
     return out
 
 
+def kunneth_layers(F, G):
+    """The weight chains of C (x) D from those of C and D, complexes of
+    free Z-modules whose boundaries keep a weight: F maps each weight p
+    to H_0..H_N of the weight-p block of C, and G likewise for D.
+
+    Weights add, so the weight-r block of C (x) D is the sum over
+    p + q = r of the products of blocks, each given by kunneth: layer
+    (i, p) with layer (j, q) lands at (i + j, p + q), and their Tor at
+    (i + j + 1, p + q).
+    """
+    out = {}
+    for p, f in F.items():
+        for q, g in G.items():
+            chain = kunneth(f, g)
+            if p + q in out:
+                chain = [a.direct_sum(b) for a, b in zip(out[p + q], chain)]
+            out[p + q] = chain
+    return out
+
+
 def _torsion_gcds(g, h):
     """Z/gcd(a, b) over the torsion orders a of g and b of h: the torsion
     part of g (x) h, and all of Tor(g, h)."""

@@ -199,6 +199,12 @@ class FilteredGroups:
     def layer(self, n, p):
         return self.layers.get((n, p), HomologyGroup(0, ()))
 
+    def chains(self):
+        """The layers of each weight p with a nonzero layer, as the chain
+        H_0..H_n_max of weight p, keyed by p."""
+        return {p: [self.layer(n, p) for n in range(len(self.total))]
+                for p in sorted({p for (_, p) in self.layers})}
+
     def to_json(self):
         return {
             "total": {str(n): g.to_json() for n, g in sorted(self.total.items())},

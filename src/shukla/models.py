@@ -9,7 +9,8 @@ the crystalline pipeline reads it in the divided-power envelope, and
 `quasi_monic_reduce` gives normal forms on the finite free basis the
 bar oracle multiplies in.  `Presentation.factors` splits the relations
 into components that share no variable, whose tensor product over k is
-A.
+A, and `Presentation.factor_key` tells two factors that differ only in
+the names of their variables.
 
 Models: the Koszul model of a presentation adjoins one exterior
 degree-1 generator per relation, and `slice_homology` reads the
@@ -151,6 +152,14 @@ class Presentation:
                     for t in ts]
             out.append(Presentation.make(self.ring, [self.variables[i] for i in vs], rels))
         return tuple(out)
+
+    def factor_key(self):
+        """The ring, the number of variables and the relations as
+        exponent dicts, in order: two presentations with one key differ
+        only in the names of their variables, so their Koszul models and
+        forms complexes, and every group of them, are the same."""
+        return (self.ring, len(self.variables),
+                tuple(tuple(sorted(rel.items())) for rel in self.relations))
 
     def reduced_monomials(self):
         """The monomial basis {x^a : a_i < m_i} of the quotient, sorted."""

@@ -150,6 +150,23 @@ def test_witness_p_scan_ends_with_the_unit_verdicts():
         assert ok, (ring, p)
 
 
+@pytest.mark.parametrize("command, window", [
+    ("hh", "nmax 100000000000000000000\n"),
+    ("hh", "nmax 2\npolybound 99999999\n"),
+    ("oracle", "nmax 100000000000000000000\n"),
+])
+def test_huge_window_is_a_typed_error(command, window):
+    # the hh inputs once ran without end in the slice enumeration; a
+    # child process turns a regression into a timeout
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "shukla.cli", "--cmd", command],
+                          input="ring Z\nvars x\nrel x^2\n" + window,
+                          capture_output=True, text=True, timeout=10,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"]["type"] == "WindowTooLarge"
+
+
 def test_run_unknown_command():
     job = parse("ring Z\nvars x\nrel x^2\n")
     report, ok = run(job, "frobnicate")
@@ -477,8 +494,9 @@ def test_forms_sweeps_multiply_blocks_only(checks):
 
 
 # A presentation that is quasi-monic with a rule for every variable runs
-# hh, and the HH column of compare, on each factor and combines them by
-# the Kunneth formula; these pin that split to the joint forms complex.
+# hh, the HH column of compare and the HH half of layers on each factor
+# and combines them by the Kunneth formula, layer by layer for layers;
+# these pin that split to the joint forms complex.
 SPLIT_CASES = {
     "Z_x2_y2": "ring Z\nvars x y\nrel x^2\nrel y^2\nnmax 4\n",
     "Q_x3mx_y2": "ring Q\nvars x y\nrel x^3-x\nrel y^2\nnmax 3\n",
@@ -493,17 +511,23 @@ SPLIT_CASES = {
 @pytest.mark.parametrize("name", sorted(SPLIT_CASES))
 def test_hh_split_equals_the_joint_forms_complex(name):
     # over Z, C2 in HH_1 of each of x^2 and y^2 (and of rel 2 in its even
-    # degrees) gives nonzero Tor terms one degree up
-    from shukla.cli import _forms_complex, _groups_json, _lifted
-    from shukla.gammaforms import hh_assemble
+    # degrees) gives nonzero Tor terms one degree up, in the layers too;
+    # the HH half of layers is read through _hh_layers, since the HC half
+    # of Z6_x2m2_y3m3y does not end in the test's time
+    from shukla.cli import _forms_complex, _groups_json, _hh_layers, _layers_in_ring, _lifted
+    from shukla.gammaforms import hh_assemble, hh_layers
     job = parse(SPLIT_CASES[name])
+    n = job.n_max
     built, in_ring = _lifted(job.presentation)
     assert len(built.factors()) > 1
-    joint = in_ring(hh_assemble(_forms_complex(job, built), job.n_max))
+    G = _forms_complex(job, built)
+    joint = in_ring(hh_assemble(G, n))
     report, ok = run(job, "hh")
     assert ok and report["hh"] == _groups_json(joint)
     report, ok = run(job, "compare")
     assert report["hh"]["gamma_forms"] == _groups_json(joint)
+    want = _layers_in_ring(hh_layers(G, n).chains(), n, in_ring).to_json()
+    assert _hh_layers(job, built, in_ring, G).to_json() == want
 
 
 @pytest.fixture
@@ -522,8 +546,24 @@ def forms_builds(monkeypatch):
 
 
 def test_hh_builds_one_forms_complex_per_factor(forms_builds):
+    # x^2 and y^2 differ only in their variable, so y^2 reuses x^2's
     report, ok = run(parse("ring Z\nvars x y\nrel 4\nrel x^2\nrel y^2\nnmax 2\n"), "hh")
-    assert ok and forms_builds == [(), ("x",), ("y",)]
+    assert ok and forms_builds == [(), ("x",)]
+
+
+@pytest.mark.parametrize("command", ["hh", "layers"])
+@pytest.mark.parametrize("variables, relations, builds", [
+    ("x y z", ("x^2", "y^2", "z^2"), [("x",)]),
+    ("x y", ("x^2", "y^3"), [("x",), ("y",)]),
+    ("x y", ("4", "x^2", "y^2"), [(), ("x",)]),
+])
+def test_each_distinct_factor_is_built_once(forms_builds, command, variables,
+                                            relations, builds):
+    # layers builds the joint forms complex first, for its HC half
+    text = f"ring Z\nvars {variables}\n" + "".join(f"rel {r}\n" for r in relations)
+    report, ok = run(parse(text + "nmax 2\n"), command)
+    joint = [tuple(variables.split())] if command == "layers" else []
+    assert ok and forms_builds == joint + builds
 
 
 @pytest.mark.parametrize("text", [

@@ -115,6 +115,22 @@ def test_variable_in_no_relation_is_its_own_factor():
     assert pres(Z, [], []).factors() == (pres(Z, [], []),)
 
 
+def test_factor_key_ignores_only_the_variable_names():
+    # x^2 - y, y^3 against renamed variables, a changed exponent, a
+    # changed coefficient, the relations swapped and another ring
+    rels = [{(2, 0): 1, (0, 1): -1}, {(0, 3): 1}]
+    key = pres(Z, ["x", "y"], rels).factor_key()
+    assert pres(Z, ["u", "s1"], rels).factor_key() == key
+    for other in ([{(2, 0): 1, (0, 2): -1}, {(0, 3): 1}],
+                  [{(2, 0): 1, (0, 1): -2}, {(0, 3): 1}],
+                  rels[::-1]):
+        assert pres(Z, ["x", "y"], other).factor_key() != key
+    assert pres(Q, ["x", "y"], rels).factor_key() != key
+    # x^2 and y^2 of x^2, y^2 share one key, and the constant 4 has its own
+    x, y = pres(Z, ["x", "y"], [{(2, 0): 1}, {(0, 2): 1}]).factors()
+    assert x.factor_key() == y.factor_key() != pres(Z, [], [{(): 4}]).factor_key()
+
+
 def test_make_rejects_exponent_tuples_of_the_wrong_length():
     # () over one variable would be stored as a constant that
     # is_zero_algebra, which looks constants up under (0,), never sees

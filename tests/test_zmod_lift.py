@@ -249,7 +249,7 @@ def test_layer_sums_over_the_ring_are_the_totals_over_the_ring(name):
     G = build_gamma_forms(koszul_model(built), n, job.poly_bound)
     for groups in (hh_layers(G, n), hc_assemble(G, n)):
         want = in_ring([groups.total[k] for k in range(n + 1)])
-        assert _layers_in_ring(groups, n, in_ring).total == dict(enumerate(want))
+        assert _layers_in_ring(groups.chains(), n, in_ring).total == dict(enumerate(want))
 
 
 def _count_presented(monkeypatch):
